@@ -289,6 +289,8 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
     p = problem_by_name(cfg.problem, cfg.d)
     if p.analytic_energy is None:
         raise ValueError("error decomposition needs a problem with analytic energy")
+    if cfg.restarts < 1:
+        raise ValueError("need restarts >= 1")
 
     arch = prescribe_architecture(cfg.d, cfg.n, cfg.nu)
     cell_seed = derived_seed(cfg.seed, 0)
@@ -311,9 +313,13 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
     gap = statistical_gap_estimate(trained, p, cfg.n, cfg.gap_reps, derived_seed(cell_seed, 7))
     e_sta = 2.0 * gap.mean_abs_gap
 
-    e_opt = optimization_error_estimate(
-        trained, p, samples, tcfg, cfg.restarts, cell_seed
-    )
+    # Restart 0 (seed cell_seed) would rerun the trained net exactly and find
+    # its own loss, so only restarts 1..R-1 are trained.
+    e_opt = 0.0
+    if cfg.restarts > 1:
+        e_opt = optimization_error_estimate(
+            trained, p, samples, tcfg, cfg.restarts - 1, cell_seed + 1
+        )
 
     c_low = min(p.c1, 1.0)
     lhs = 0.5 * c_low * err.h1_err**2

@@ -222,22 +222,28 @@ class Network:
             parts.append(b)
         return np.concatenate(parts)
 
-    def with_parameters(self, theta: np.ndarray, validate: bool = True) -> "Network":
-        """New network of the same architecture from a flat parameter vector."""
+    @classmethod
+    def _from_parameters(cls, architecture: Architecture, theta, validate: bool = True):
+        """Network of the given architecture from a flat parameter vector."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.n_parameters,):
+        n_par = architecture.n_parameters
+        if theta.shape != (n_par,):
             raise DimensionMismatchError(
-                f"parameter vector has shape {theta.shape}, expected ({self.n_parameters},)"
+                f"parameter vector has shape {theta.shape}, expected ({n_par},)"
             )
-        dims = self._arch.layer_dims
+        dims = architecture.layer_dims
         ws, bs, pos = [], [], 0
-        for k in range(self._arch.depth):
+        for k in range(architecture.depth):
             nw = dims[k + 1] * dims[k]
             ws.append(theta[pos : pos + nw].reshape(dims[k + 1], dims[k]))
             pos += nw
             bs.append(theta[pos : pos + dims[k + 1]])
             pos += dims[k + 1]
-        return Network(self._arch, ws, bs, validate=validate)
+        return cls(architecture, ws, bs, validate=validate)
+
+    def with_parameters(self, theta: np.ndarray, validate: bool = True) -> "Network":
+        """New network of the same architecture from a flat parameter vector."""
+        return Network._from_parameters(self._arch, theta, validate=validate)
 
 
 @dataclass(frozen=True)
@@ -344,6 +350,32 @@ def forward_with_input_gradient(net: Network, x) -> EvalResult:
     return EvalResult(value=float(vals[0]), input_gradient=grads[0].copy())
 
 
+def _adjoint(net: Network, tape, lam: np.ndarray, mat, grad_w: list, grad_b: list) -> None:
+    """Reverse pass over one chunk's forward tape, accumulated into grad_w/grad_b.
+
+    tape is the (fs, zs, ps, gs) of _forward_caches; lam (B, 1) seeds d/du and
+    mat (B, 1, d), when not None, seeds d/d(grad u).  The tape must carry the
+    input Jacobians whenever mat is given.
+    """
+    fs, zs, ps, gs = tape
+    for k in range(net.architecture.depth - 1, -1, -1):
+        _, d1f, d2f = net._acts[k]
+        d1 = d1f(zs[k])
+        delta = lam * d1
+        if mat is not None:
+            # z_k also enters G_k through act'(z_k); d2 carries that path
+            delta = delta + d2f(zs[k]) * np.sum(mat * ps[k], axis=2)
+            q = d1[:, :, None] * mat
+            b_sz, n_q, dd = q.shape
+            q_mat = q.transpose(1, 0, 2).reshape(n_q, b_sz * dd)
+            g_mat = gs[k].transpose(1, 0, 2).reshape(gs[k].shape[1], b_sz * dd)
+            grad_w[k] += q_mat @ g_mat.T
+            mat = _jacobian_matmul(net.weights[k].T, q)
+        grad_w[k] += delta.T @ fs[k]
+        grad_b[k] += delta.sum(axis=0)
+        lam = delta @ net.weights[k]
+
+
 def weighted_parameter_gradient(
     net: Network,
     x: np.ndarray,
@@ -354,9 +386,9 @@ def weighted_parameter_gradient(
     """Exact adjoint accumulation of parameter derivatives over a batch.
 
     Returns sum_b [ v_b * du(x_b)/dphi + sum_i m_{b,i} * d(D_i u)(x_b)/dphi ]
-    as a flat vector in the documented parameter order.  This is the single
-    reverse pass behind both parameter_sensitivities and the Ritz loss
-    gradient; exact for the piecewise-polynomial activations used here.
+    as a flat vector in the documented parameter order.  Its reverse pass,
+    _adjoint, is the one behind both parameter_sensitivities and the Ritz
+    loss gradient; exact for the piecewise-polynomial activations used here.
     """
     x = _as_batch(net, x)
     v = np.asarray(value_weights, dtype=float)
@@ -370,39 +402,54 @@ def weighted_parameter_gradient(
     if net.architecture.output_dim != 1:
         raise DimensionMismatchError("expects a scalar-output network")
 
-    depth = net.architecture.depth
+    def seeds(lo, hi, _vals, _grads):
+        return v[lo:hi], None if m is None else m[lo:hi]
+
+    return _values_and_seeded_adjoint(net, x, seeds, m is not None, chunk_size)[2]
+
+
+def _values_and_seeded_adjoint(
+    net: Network,
+    x: np.ndarray,
+    seeds,
+    need_input_gradient: bool,
+    chunk_size: int | None = None,
+):
+    """Values, input gradients and a weighted parameter gradient from ONE tape per chunk.
+
+    For each chunk the forward tape is recorded once; its values and (when
+    need_input_gradient) input gradients are handed to
+    seeds(lo, hi, values, gradients) -> (value_weights, gradient_weights or
+    None), and the adjoint replays the same tape.  The tape is dropped before
+    the next chunk.  Chunks are those of values_and_input_gradients when
+    need_input_gradient is set, and the summation order is fixed, so the
+    values and input gradients are bitwise those of values_and_input_gradients.
+    Returns (values (B,), input gradients (B, d) or None, flat gradient).
+    """
+    n = x.shape[0]
+    vals = np.empty(n)
+    grads = np.empty((n, net.architecture.input_dim)) if need_input_gradient else None
     grad_w = [np.zeros_like(w) for w in net.weights]
     grad_b = [np.zeros_like(b) for b in net.biases]
-    need_g = m is not None
-    chunk = _gradient_chunk_size(net, chunk_size) if need_g else (chunk_size or 32768)
-
-    for lo in range(0, x.shape[0], chunk):
-        hi = min(lo + chunk, x.shape[0])
-        fs, zs, ps, gs = _forward_caches(net, x[lo:hi], need_input_gradient=need_g)
-        lam = v[lo:hi, None].copy()
-        mat = m[lo:hi][:, None, :].copy() if need_g else None
-        for k in range(depth - 1, -1, -1):
-            _, d1f, d2f = net._acts[k]
-            d1 = d1f(zs[k])
-            delta = lam * d1
-            if mat is not None:
-                # z_k also enters G_k through act'(z_k); d2 carries that path
-                delta = delta + d2f(zs[k]) * np.sum(mat * ps[k], axis=2)
-                q = d1[:, :, None] * mat
-                b_sz, n_q, dd = q.shape
-                q_mat = q.transpose(1, 0, 2).reshape(n_q, b_sz * dd)
-                g_mat = gs[k].transpose(1, 0, 2).reshape(gs[k].shape[1], b_sz * dd)
-                grad_w[k] += q_mat @ g_mat.T
-                mat = _jacobian_matmul(net.weights[k].T, q)
-            grad_w[k] += delta.T @ fs[k]
-            grad_b[k] += delta.sum(axis=0)
-            lam = delta @ net.weights[k]
+    if need_input_gradient:
+        chunk = _gradient_chunk_size(net, chunk_size)
+    else:
+        chunk = chunk_size or 32768
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        tape = _forward_caches(net, x[lo:hi], need_input_gradient)
+        vals[lo:hi] = tape[0][-1][:, 0]
+        if need_input_gradient:
+            grads[lo:hi] = tape[3][-1][:, 0, :]
+        v, m = seeds(lo, hi, vals[lo:hi], grads[lo:hi] if need_input_gradient else None)
+        _adjoint(net, tape, v[:, None], None if m is None else m[:, None, :], grad_w, grad_b)
+        del tape
 
     parts = []
     for gw, gb in zip(grad_w, grad_b):
         parts.append(gw.ravel())
         parts.append(gb)
-    return np.concatenate(parts)
+    return vals, grads, np.concatenate(parts)
 
 
 def parameter_sensitivities(net: Network, x):
@@ -443,28 +490,41 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path) -> Network:
+    """Read a file written by save_network; any malformed file raises NetworkFormatError."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != _FORMAT_HEADER:
+
+    def line(k: int) -> str:
+        if k >= len(lines):
+            raise NetworkFormatError(f"file ends after {len(lines)} lines")
+        return lines[k]
+
+    if line(0) != _FORMAT_HEADER:
         raise NetworkFormatError("missing or unknown format header")
-    if not lines[1].startswith("dims "):
+    if not line(1).startswith("dims "):
         raise NetworkFormatError("expected dims line")
-    dims = tuple(int(tok) for tok in lines[1].split()[1:])
+    try:
+        dims = tuple(int(tok) for tok in lines[1].split()[1:])
+    except ValueError as exc:
+        raise NetworkFormatError(f"malformed dims line: {lines[1]}") from exc
     n_layers = len(dims) - 1
     acts = []
     for k in range(n_layers):
-        ln = lines[2 + k]
-        if not ln.startswith("activation"):
-            raise NetworkFormatError(f"expected activation line for layer {k + 1}")
+        ln = line(2 + k)
         toks = ln.split()[1:]
+        if not ln.startswith("activation") or not toks:
+            raise NetworkFormatError(f"expected activation line for layer {k + 1}")
         if toks[0] == "mixed":
             acts.append(tuple(toks[1:]))
         elif len(toks) == 1:
             acts.append(toks[0])
         else:
             raise NetworkFormatError(f"malformed activation line: {ln}")
-    arch = Architecture(dims, tuple(acts))
-    hdr = lines[2 + n_layers]
+    try:
+        arch = Architecture(dims, tuple(acts))
+    except ValueError as exc:
+        raise NetworkFormatError(f"invalid architecture: {exc}") from exc
+    hdr = line(2 + n_layers)
     if not hdr.startswith("parameters "):
         raise NetworkFormatError("expected parameters count line")
     n_par = int(hdr.split()[1])
@@ -473,15 +533,6 @@ def load_network(path) -> Network:
             f"file declares {n_par} parameters, architecture needs {arch.n_parameters}"
         )
     body = lines[3 + n_layers : 3 + n_layers + n_par]
-    if len(body) != n_par or lines[3 + n_layers + n_par] != "end":
+    if len(body) != n_par or line(3 + n_layers + n_par) != "end":
         raise NetworkFormatError("truncated parameter block")
-    theta = np.array([float(tok) for tok in body])
-    dims_net = arch.layer_dims
-    ws, bs, pos = [], [], 0
-    for k in range(n_layers):
-        nw = dims_net[k + 1] * dims_net[k]
-        ws.append(theta[pos : pos + nw].reshape(dims_net[k + 1], dims_net[k]))
-        pos += nw
-        bs.append(theta[pos : pos + dims_net[k + 1]])
-        pos += dims_net[k + 1]
-    return Network(arch, ws, bs)
+    return Network._from_parameters(arch, np.array([float(tok) for tok in body]))

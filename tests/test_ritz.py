@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from ritzlab.networks import IDENTITY, RELU2, Architecture, Network, forward
+from ritzlab.networks import (
+    IDENTITY,
+    RELU2,
+    Architecture,
+    Network,
+    forward,
+    forward_batch,
+    values_and_input_gradients,
+    weighted_parameter_gradient,
+)
 from ritzlab.problems import Problem, make_cosine_problem, make_quadratic_problem
 from ritzlab.ritz import (
     empirical_loss,
@@ -12,7 +21,8 @@ from ritzlab.ritz import (
     population_loss_estimate,
     statistical_gap_estimate,
 )
-from ritzlab.sampling import make_sample_set
+from ritzlab.sampling import SampleSet, make_sample_set
+from ritzlab.training import TrainConfig, TrainingDivergedError, train
 
 from conftest import random_relu2_net, rng_for, sum_of_squares_net
 
@@ -48,8 +58,6 @@ def reference_loss(net, p, samples):
 
 
 def test_empty_sample_set_rejected():
-    from ritzlab.sampling import SampleSet
-
     p = make_cosine_problem(2)
     empty = SampleSet(np.empty((0, 2)), np.empty((0, 2)),
                       np.empty((0, 2), dtype=int), seed=0)
@@ -97,8 +105,6 @@ def test_loss_permutation_invariant_to_rounding():
     rng = rng_for(8)
     perm_d = rng.permutation(400)
     perm_b = rng.permutation(200)
-    from ritzlab.sampling import SampleSet
-
     s2 = SampleSet(s.domain_points[perm_d], s.boundary_points[perm_b],
                    s.boundary_faces[perm_b], seed=s.seed)
     net = random_relu2_net(2, (5,), seed=9)
@@ -231,6 +237,79 @@ def test_loss_gradient_linear_in_forcing():
         ))
         fd = (forcing(net.with_parameters(tp)) - forcing(net.with_parameters(tm_))) / (2 * h)
         assert (grad_full - grad_nof)[c] == pytest.approx(-fd, rel=1e-4, abs=1e-9)
+
+
+def two_pass_loss_and_gradient(net, p, samples, chunk_size):
+    """The unfused composition: one value+Jacobian pass for the loss, then a
+    separate domain and boundary adjoint, each recomputing its forward pass."""
+    x, y = samples.domain_points, samples.boundary_points
+    n, m = samples.n_domain, samples.n_boundary
+    vals, grads = values_and_input_gradients(net, x, chunk_size=chunk_size)
+    tg = float(np.mean(0.5 * np.sum(grads**2, axis=1)))
+    tm = float(np.mean(0.5 * p.w(x) * vals**2))
+    tf = float(np.mean(vals * p.f(x)))
+    g_vals = p.g(y, samples.boundary_faces)
+    b_vals = forward_batch(net, y)
+    tb = 2.0 * p.d * float(np.mean(b_vals * g_vals))
+    grad = weighted_parameter_gradient(net, x, (p.w(x) * vals - p.f(x)) / n, grads / n,
+                                       chunk_size=chunk_size)
+    grad += weighted_parameter_gradient(net, y, -(2.0 * p.d / m) * g_vals,
+                                        chunk_size=chunk_size)
+    return (tg + tm - tf - tb, tg, tm, tf, tb), grad
+
+
+@pytest.mark.parametrize("make_problem", [make_cosine_problem, make_quadratic_problem])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("chunk_size", [None, 7])
+def test_fused_loss_gradient_bitwise_equals_two_pass(make_problem, d, chunk_size):
+    p = make_problem(d)
+    s = make_sample_set(50, 30, d, seed=40 + d)
+    net = random_relu2_net(d, (6, 5), seed=41)
+    rep, grad = loss_and_parameter_gradient(net, p, s, chunk_size=chunk_size)
+    terms, grad_ref = two_pass_loss_and_gradient(net, p, s, chunk_size)
+    assert (rep.total, rep.term_gradient, rep.term_mass, rep.term_forcing,
+            rep.term_boundary) == terms
+    assert np.array_equal(grad, grad_ref)
+    assert rep == empirical_loss(net, p, s)
+
+
+def test_boundary_term_enters_gradient_when_g_nonzero():
+    p = make_quadratic_problem(2)
+    s = make_sample_set(40, 30, 2, seed=42)
+    assert np.any(p.g(s.boundary_points, s.boundary_faces))
+    no_g = Problem(
+        name="no-boundary", d=2, w=p.w, f=p.f,
+        g=lambda y, faces: np.zeros(np.atleast_2d(y).shape[0]),
+        u_star=p.u_star, grad_u_star=p.grad_u_star,
+        c1=p.c1, c2=p.c2, c3=p.c3, w_sup=p.w_sup,
+    )
+    net = random_relu2_net(2, (4, 3), seed=43)
+    rep, grad = loss_and_parameter_gradient(net, p, s)
+    rep0, grad0 = loss_and_parameter_gradient(net, no_g, s)
+    assert rep.term_boundary != 0.0 and rep0.term_boundary == 0.0
+    lam_bnd = -(2.0 * p.d / s.n_boundary) * p.g(s.boundary_points, s.boundary_faces)
+    boundary_grad = weighted_parameter_gradient(net, s.boundary_points, lam_bnd)
+    assert np.max(np.abs(boundary_grad)) > 0.0
+    np.testing.assert_allclose(grad - grad0, boundary_grad, rtol=1e-10, atol=1e-14)
+
+
+def test_non_finite_boundary_value_still_diverges_when_g_is_zero():
+    # u = relu2(1e200 (x - 0.99)) is 0 on the domain points and overflows at
+    # the boundary point x = 1, where the cosine problem has g = 0
+    p = make_cosine_problem(1)
+    arch = Architecture((1, 1, 1), (RELU2, IDENTITY))
+    blown = Network(arch, [np.array([[1e200]]), np.array([[1.0]])],
+                    [np.array([-0.99e200]), np.array([0.0])])
+    s = SampleSet(np.full((4, 1), 0.5), np.array([[0.0], [1.0]]),
+                  np.array([[0, 0], [0, 1]]), seed=0)
+    assert not np.any(p.g(s.boundary_points, s.boundary_faces))
+    cfg = TrainConfig(iterations=2, batch_domain=4, batch_boundary=2, eval_every=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep, grad = loss_and_parameter_gradient(blown, p, s)
+        assert math.isnan(rep.term_boundary) and math.isnan(rep.total)
+        assert np.all(np.isfinite(grad))
+        with pytest.raises(TrainingDivergedError):
+            train(blown, p, s, cfg)
 
 
 # -------------------------------------------------------- statistical gap

@@ -86,6 +86,11 @@ def test_mc_integrate_needs_two_points():
         mc_integrate(lambda q: np.ones(1), sample_domain(1, 2, seed=20), 1.0)
 
 
+def test_h1_error_needs_two_quadrature_points():
+    with pytest.raises(ValueError):
+        h1_error(zero_net(2), make_cosine_problem(2), 1, seed=20)
+
+
 def test_h1_error_zero_net_cosine():
     p = make_cosine_problem(2)
     rep = h1_error(zero_net(2), p, 100_000, seed=21)

@@ -158,6 +158,28 @@ def test_batch_larger_than_fixed_set_rejected():
         train(net, p, samples, TrainConfig(batch_domain=65, batch_boundary=64))
 
 
+def test_config_rejects_zero_eval_every():
+    with pytest.raises(ValueError, match="eval_every"):
+        TrainConfig(eval_every=0)
+
+
+@pytest.mark.parametrize("field", ["batch_domain", "batch_boundary"])
+def test_config_rejects_empty_batches(field):
+    with pytest.raises(ValueError, match="batch"):
+        TrainConfig(**{field: 0})
+
+
+def test_config_rejects_negative_iterations():
+    with pytest.raises(ValueError, match="iterations"):
+        TrainConfig(iterations=-3)
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf])
+def test_config_rejects_non_finite_learning_rate(lr):
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainConfig(learning_rate=lr)
+
+
 def test_divergence_aborts_with_diagnostic():
     p, samples, net = small_setup(n=64)
     cfg = TrainConfig(optimizer="sgd", learning_rate=1e12, iterations=200,
