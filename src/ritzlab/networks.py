@@ -399,8 +399,6 @@ def weighted_parameter_gradient(
         m = np.asarray(gradient_weights, dtype=float)
         if m.shape != (x.shape[0], net.architecture.input_dim):
             raise DimensionMismatchError("gradient_weights must be (B, d)")
-    if net.architecture.output_dim != 1:
-        raise DimensionMismatchError("expects a scalar-output network")
 
     def seeds(lo, hi, _vals, _grads):
         return v[lo:hi], None if m is None else m[lo:hi]
@@ -426,6 +424,8 @@ def _values_and_seeded_adjoint(
     values and input gradients are bitwise those of values_and_input_gradients.
     Returns (values (B,), input gradients (B, d) or None, flat gradient).
     """
+    if net.architecture.output_dim != 1:
+        raise DimensionMismatchError("expects a scalar-output network")
     n = x.shape[0]
     vals = np.empty(n)
     grads = np.empty((n, net.architecture.input_dim)) if need_input_gradient else None
@@ -527,7 +527,10 @@ def load_network(path) -> Network:
     hdr = line(2 + n_layers)
     if not hdr.startswith("parameters "):
         raise NetworkFormatError("expected parameters count line")
-    n_par = int(hdr.split()[1])
+    try:
+        n_par = int(hdr.split()[1])
+    except ValueError as exc:
+        raise NetworkFormatError(f"malformed parameters count line: {hdr}") from exc
     if n_par != arch.n_parameters:
         raise NetworkFormatError(
             f"file declares {n_par} parameters, architecture needs {arch.n_parameters}"
@@ -535,4 +538,7 @@ def load_network(path) -> Network:
     body = lines[3 + n_layers : 3 + n_layers + n_par]
     if len(body) != n_par or line(3 + n_layers + n_par) != "end":
         raise NetworkFormatError("truncated parameter block")
-    return Network._from_parameters(arch, np.array([float(tok) for tok in body]))
+    try:
+        return Network._from_parameters(arch, np.array([float(tok) for tok in body]))
+    except ValueError as exc:
+        raise NetworkFormatError(f"invalid parameter block: {exc}") from exc

@@ -21,6 +21,7 @@ from .networks import (
     _values_and_seeded_adjoint,
     forward_batch,
     values_and_input_gradients,
+    weighted_parameter_gradient,
 )
 from .problems import Problem
 from .sampling import MCEstimate, SampleSet, make_sample_set, sample_boundary, sample_domain
@@ -148,8 +149,7 @@ def energy_excess(net: Network, p: Problem, n_quad: int, seed: int) -> EnergyExc
     )
 
 
-def loss_and_parameter_gradient(net: Network, p: Problem, samples: SampleSet,
-                                chunk_size: int | None = None):
+def loss_and_parameter_gradient(net: Network, p: Problem, samples: SampleSet):
     """Empirical loss together with its exact parameter gradient.
 
     Each chunk of domain points is pushed through the value+Jacobian
@@ -157,12 +157,11 @@ def loss_and_parameter_gradient(net: Network, p: Problem, samples: SampleSet,
     adjoint replays it seeded with d(loss)/du = (w u - f)/n and
     d(loss)/d(grad u) = grad u / n.  The boundary adjoint runs only when some
     g(Y_j) is nonzero, since it adds nothing otherwise.  Loss and gradient
-    are bitwise equal to empirical_loss plus two weighted_parameter_gradient
-    passes with the same chunk_size.
+    are bitwise equal to empirical_loss plus the domain and boundary
+    weighted_parameter_gradient passes.
     """
     _check_loss_inputs(net, p, samples)
-    x = samples.domain_points
-    y = samples.boundary_points
+    x, y = samples.domain_points, samples.boundary_points
     n, m = samples.n_domain, samples.n_boundary
     w_vals, f_vals = p.w(x), p.f(x)
     g_vals = p.g(y, samples.boundary_faces)
@@ -170,22 +169,11 @@ def loss_and_parameter_gradient(net: Network, p: Problem, samples: SampleSet,
     def domain_seeds(lo, hi, vals, grads):
         return (w_vals[lo:hi] * vals - f_vals[lo:hi]) / n, grads / n
 
-    vals, grads, grad = _values_and_seeded_adjoint(
-        net, x, domain_seeds, need_input_gradient=True, chunk_size=chunk_size
-    )
+    vals, grads, grad = _values_and_seeded_adjoint(net, x, domain_seeds, need_input_gradient=True)
     if np.any(g_vals):
-        lam_bnd = -(2.0 * p.d / m) * g_vals
-        b_vals, _, grad_bnd = _values_and_seeded_adjoint(
-            net, y, lambda lo, hi, _v, _g: (lam_bnd[lo:hi], None),
-            need_input_gradient=False, chunk_size=chunk_size,
-        )
-        grad += grad_bnd
-    else:
-        # g = 0 everywhere: the boundary adjoint would add only zeros, but the
-        # values still enter the boundary term so a non-finite u shows there
-        b_vals = forward_batch(net, y)
+        grad += weighted_parameter_gradient(net, y, -(2.0 * p.d / m) * g_vals)
     pieces = _domain_pieces(vals, grads, lambda: w_vals, lambda: f_vals)
-    report = _loss_report(p.d, pieces, b_vals, g_vals)
+    report = _loss_report(p.d, pieces, forward_batch(net, y), g_vals)
     return report, grad
 
 

@@ -260,6 +260,12 @@ def test_truncated_network_file_raises_format_error(tmp_path):
         path.write_text("\n".join(lines[:keep]) + "\n")
         with pytest.raises(NetworkFormatError):
             load_network(path)
+    # malformed parameter count, a non-numeric and a non-finite parameter
+    i_par = next(k for k, ln in enumerate(lines) if ln.startswith("parameters "))
+    for k, bad in ((i_par, "parameters x"), (i_par + 1, "x"), (i_par + 1, "nan")):
+        path.write_text("\n".join(lines[:k] + [bad] + lines[k + 1:]) + "\n")
+        with pytest.raises(NetworkFormatError):
+            load_network(path)
 
 
 # ------------------------------------------------------ construction rules

@@ -7,6 +7,7 @@ from ritzlab.networks import (
     IDENTITY,
     RELU2,
     Architecture,
+    DimensionMismatchError,
     Network,
     forward,
     forward_batch,
@@ -253,24 +254,40 @@ def two_pass_loss_and_gradient(net, p, samples, chunk_size):
     tb = 2.0 * p.d * float(np.mean(b_vals * g_vals))
     grad = weighted_parameter_gradient(net, x, (p.w(x) * vals - p.f(x)) / n, grads / n,
                                        chunk_size=chunk_size)
-    grad += weighted_parameter_gradient(net, y, -(2.0 * p.d / m) * g_vals,
-                                        chunk_size=chunk_size)
+    grad += weighted_parameter_gradient(net, y, -(2.0 * p.d / m) * g_vals)
     return (tg + tm - tf - tb, tg, tm, tf, tb), grad
 
 
 @pytest.mark.parametrize("make_problem", [make_cosine_problem, make_quadratic_problem])
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("chunk_size", [None, 7])
-def test_fused_loss_gradient_bitwise_equals_two_pass(make_problem, d, chunk_size):
+def test_fused_loss_gradient_bitwise_equals_two_pass(monkeypatch, make_problem, d, chunk_size):
+    if chunk_size is not None:
+        # default chunks hold all 50 domain points; force 8 value+Jacobian chunks
+        monkeypatch.setattr("ritzlab.networks._gradient_chunk_size",
+                            lambda net, requested: requested or chunk_size)
     p = make_problem(d)
     s = make_sample_set(50, 30, d, seed=40 + d)
     net = random_relu2_net(d, (6, 5), seed=41)
-    rep, grad = loss_and_parameter_gradient(net, p, s, chunk_size=chunk_size)
+    rep, grad = loss_and_parameter_gradient(net, p, s)
     terms, grad_ref = two_pass_loss_and_gradient(net, p, s, chunk_size)
     assert (rep.total, rep.term_gradient, rep.term_mass, rep.term_forcing,
             rep.term_boundary) == terms
     assert np.array_equal(grad, grad_ref)
     assert rep == empirical_loss(net, p, s)
+
+
+def test_multi_output_net_rejected_by_both_loss_entries():
+    p = make_quadratic_problem(2)
+    s = make_sample_set(20, 10, 2, seed=44)
+    rng = rng_for(45)
+    arch = Architecture((2, 3, 2), (RELU2, IDENTITY))
+    net = Network(arch, [rng.standard_normal((3, 2)), rng.standard_normal((2, 3))],
+                  [rng.standard_normal(3), rng.standard_normal(2)])
+    with pytest.raises(DimensionMismatchError):
+        loss_and_parameter_gradient(net, p, s)
+    with pytest.raises(DimensionMismatchError):
+        empirical_loss(net, p, s)
 
 
 def test_boundary_term_enters_gradient_when_g_nonzero():
