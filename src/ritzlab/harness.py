@@ -68,6 +68,10 @@ class StudyConfig:
         ns = tuple(int(n) for n in self.n_values)
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n_values must be strictly increasing")
+        if any(n < 1 for n in ns):
+            raise ValueError("n_values must be >= 1")
+        if self.n_quad < 2:
+            raise ValueError("need n_quad >= 2 for a standard error")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         object.__setattr__(self, "n_values", ns)
@@ -98,6 +102,8 @@ def fit_rate(points):
     pts = [(float(n), float(e)) for n, e in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points to fit a rate")
+    if not all(math.isfinite(n) and math.isfinite(e) for n, e in pts):
+        raise ValueError("rate fitting needs finite sample sizes and errors")
     if any(n <= 0 or e <= 0 for n, e in pts):
         raise ValueError("rate fitting needs positive sample sizes and errors")
     x = np.log([n for n, _ in pts])
@@ -538,9 +544,9 @@ def write_study_csv(report: dict, path) -> None:
 
 
 def write_history_csv(history, path) -> None:
-    """Training trace: iteration, full-set loss, full-set gradient norm."""
+    """Training trace: iteration and full-set loss at each checkpoint."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("iteration", "loss", "grad_norm"))
+        writer.writerow(("iteration", "loss"))
         for c in history.checkpoints:
-            writer.writerow((c.iteration, repr(c.loss), repr(c.grad_norm)))
+            writer.writerow((c.iteration, repr(c.loss)))

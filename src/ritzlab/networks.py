@@ -132,7 +132,7 @@ def _act_tables(spec, n_units: int):
             return (
                 val,
                 lambda z: 2.0 * np.maximum(z, 0.0),
-                lambda z: np.where(z > 0.0, 2.0, 0.0),
+                lambda z: 2.0 * (z > 0.0),
             )
         return (lambda z: z, lambda z: np.ones_like(z), lambda z: np.zeros_like(z))
 
@@ -155,7 +155,7 @@ def _act_tables(spec, n_units: int):
 
     def d2(z):
         out = np.zeros_like(z)
-        out[..., is_relu2] = np.where(z[..., is_relu2] > 0.0, 2.0, 0.0)
+        out[..., is_relu2] = 2.0 * (z[..., is_relu2] > 0.0)
         return out
 
     return val, d1, d2
@@ -267,14 +267,34 @@ def _as_batch(net: Network, x) -> np.ndarray:
     return x
 
 
+def _forward_chunk_size(net: Network) -> int:
+    """Rows per forward_batch chunk: each layer's values stay near 32 MB.
+
+    A multiple of 256 rows, so chunk edges fall on the GEMM kernels' row
+    blocks: rows at an unaligned edge go through an edge kernel that rounds
+    differently from an unchunked product.
+    """
+    return max(4_000_000 // net.architecture.width // 256, 1) * 256
+
+
 def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
-    """Network values at a batch of points, shape (B, d) -> (B,) for scalar nets."""
-    f = _as_batch(net, x)
-    for (val, _, _), w, b in zip(net._acts, net.weights, net.biases):
-        f = val(f @ w.T + b)
+    """Network values at a batch of points, shape (B, d) -> (B,) for scalar nets.
+
+    Rows are pushed through in chunks, so a large batch's per-layer
+    temporaries stay the size of one chunk.
+    """
+    x = _as_batch(net, x)
+    n = x.shape[0]
+    out = np.empty((n, net.architecture.output_dim))
+    chunk = _forward_chunk_size(net)
+    for lo in range(0, n, chunk):
+        f = x[lo : lo + chunk]
+        for (val, _, _), w, b in zip(net._acts, net.weights, net.biases):
+            f = val(f @ w.T + b)
+        out[lo : lo + chunk] = f
     if net.architecture.output_dim == 1:
-        return f[:, 0]
-    return f
+        return out[:, 0]
+    return out
 
 
 def forward(net: Network, x) -> float:
@@ -285,28 +305,46 @@ def forward(net: Network, x) -> float:
 
 
 def _jacobian_matmul(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """a (n_out, n_in) applied to a stack g (B, n_in, d) as one large GEMM.
+    """a (n_out, n_in) applied to a unit-major stack g (n_in, B, d) as one GEMM.
 
-    Equivalent to np.matmul(a, g) but folds the batch into matrix columns, so
-    the weight matrix streams through BLAS once instead of once per point.
+    The batch is folded into matrix columns by a free reshape, so the weight
+    matrix streams through BLAS once instead of once per point.
     """
-    b, n_in, d = g.shape
-    g_mat = g.transpose(1, 0, 2).reshape(n_in, b * d)
-    return (a @ g_mat).reshape(a.shape[0], b, d).transpose(1, 0, 2)
+    n_in, b, d = g.shape
+    return (a @ g.reshape(n_in, b * d)).reshape(a.shape[0], b, d)
+
+
+def _stack(n_units: int, b: int, d: int) -> np.ndarray:
+    """Empty (n_units, b, d) Jacobian stack; point-major in memory when d == 1.
+
+    A d = 1 stack's GEMM view (n_units, b) is then F-ordered, the operand
+    orientation of a batch-major (b, n_units, 1) recursion.  BLAS rounds by
+    orientation, so this keeps d = 1 results bitwise those of that recursion.
+    """
+    if d == 1:
+        return np.empty((b, n_units, 1)).transpose(1, 0, 2)
+    return np.empty((n_units, b, d))
 
 
 def _forward_caches(net: Network, x: np.ndarray, need_input_gradient: bool):
     """Run the layered recursion keeping per-layer caches.
 
-    Returns (fs, zs, ps, gs): post-activations f_0..f_L, pre-activations
-    z_1..z_L, and, when requested, the pre/post activation input Jacobians
-    P_l = A_l G_{l-1} and G_l = act'(z_l) * P_l, each of shape (B, N_l, d).
+    Returns (fs, zs, ps, gs): post-activations f_0..f_L and pre-activations
+    z_1..z_L, each (B, N_l), and, when requested, the pre/post activation
+    input Jacobians P_l = A_l G_{l-1} and G_l = act'(z_l) * P_l, stored
+    unit-major as (N_l, B, d).  In that layout a stack's GEMM operand is the
+    free view reshape(N_l, B*d), so each layer's Jacobian product is one GEMM
+    with no copy.  For d = 1 the G_l are point-major in memory (_stack): BLAS
+    rounds the scalar-output products by operand orientation, and that layout
+    keeps d = 1 results bitwise those of a batch-major (B, N_l, d) recursion.
     """
     b_sz, d = x.shape
     fs = [x]
     zs = []
     ps = [] if need_input_gradient else None
-    gs = [np.broadcast_to(np.eye(d), (b_sz, d, d))] if need_input_gradient else None
+    gs = None
+    if need_input_gradient:
+        gs = [np.broadcast_to(np.eye(d), (b_sz, d, d)).transpose(1, 0, 2)]
     for (val, d1, _), w, bias in zip(net._acts, net.weights, net.biases):
         z = fs[-1] @ w.T + bias
         zs.append(z)
@@ -314,7 +352,7 @@ def _forward_caches(net: Network, x: np.ndarray, need_input_gradient: bool):
         if need_input_gradient:
             p = _jacobian_matmul(w, gs[-1])
             ps.append(p)
-            gs.append(d1(z)[:, :, None] * p)
+            gs.append(np.multiply(d1(z).T[:, :, None], p, out=_stack(w.shape[0], b_sz, d)))
     return fs, zs, ps, gs
 
 
@@ -339,7 +377,7 @@ def values_and_input_gradients(net: Network, x: np.ndarray, chunk_size: int | No
         hi = min(lo + chunk, n)
         fs, _, _, gs = _forward_caches(net, x[lo:hi], need_input_gradient=True)
         vals[lo:hi] = fs[-1][:, 0]
-        grads[lo:hi] = gs[-1][:, 0, :]
+        grads[lo:hi] = gs[-1][0]
     return vals, grads
 
 
@@ -350,30 +388,52 @@ def forward_with_input_gradient(net: Network, x) -> EvalResult:
     return EvalResult(value=float(vals[0]), input_gradient=grads[0].copy())
 
 
+def _sum_of_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.sum(a * b, axis=2), bitwise, for stacks with a short last axis.
+
+    numpy adds fewer than 8 terms in order, so for small d the d products are
+    accumulated one whole-array add at a time; a reduction over a length-d
+    axis costs about ten times as much.
+    """
+    if a.shape[2] >= 8:
+        return np.sum(a * b, axis=2)
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[2]):
+        out += a[..., i] * b[..., i]
+    return out
+
+
 def _adjoint(net: Network, tape, lam: np.ndarray, mat, grad_w: list, grad_b: list) -> None:
     """Reverse pass over one chunk's forward tape, accumulated into grad_w/grad_b.
 
     tape is the (fs, zs, ps, gs) of _forward_caches; lam (B, 1) seeds d/du and
-    mat (B, 1, d), when not None, seeds d/d(grad u).  The tape must carry the
-    input Jacobians whenever mat is given.
+    mat (1, B, d), when not None, seeds d/d(grad u).  The tape must carry the
+    input Jacobians whenever mat is given.  mat is carried in the tape's
+    unit-major (N_l, B, d) layout, so its products with the stored G_l are
+    GEMMs on free (N_l, B*d) views; the d = 1 stacks it forms are point-major
+    in memory, as in _stack, for the same bitwise reason.  Nothing is
+    propagated below layer 1, since the input layer has no parameters.
     """
     fs, zs, ps, gs = tape
+    b_sz = fs[0].shape[0]
     for k in range(net.architecture.depth - 1, -1, -1):
         _, d1f, d2f = net._acts[k]
+        w = net.weights[k]
         d1 = d1f(zs[k])
         delta = lam * d1
         if mat is not None:
             # z_k also enters G_k through act'(z_k); d2 carries that path
-            delta = delta + d2f(zs[k]) * np.sum(mat * ps[k], axis=2)
-            q = d1[:, :, None] * mat
-            b_sz, n_q, dd = q.shape
-            q_mat = q.transpose(1, 0, 2).reshape(n_q, b_sz * dd)
-            g_mat = gs[k].transpose(1, 0, 2).reshape(gs[k].shape[1], b_sz * dd)
-            grad_w[k] += q_mat @ g_mat.T
-            mat = _jacobian_matmul(net.weights[k].T, q)
+            delta = delta + d2f(zs[k]) * _sum_of_products(mat, ps[k]).T
+            n_q, _, dd = mat.shape
+            q = np.multiply(d1.T[:, :, None], mat, out=_stack(n_q, b_sz, dd))
+            q_mat = q.reshape(n_q, b_sz * dd)
+            grad_w[k] += q_mat @ gs[k].reshape(w.shape[1], b_sz * dd).T
+            if k:
+                mat = _jacobian_matmul(w.T, q)
         grad_w[k] += delta.T @ fs[k]
         grad_b[k] += delta.sum(axis=0)
-        lam = delta @ net.weights[k]
+        if k:
+            lam = delta @ w
 
 
 def weighted_parameter_gradient(
@@ -440,9 +500,9 @@ def _values_and_seeded_adjoint(
         tape = _forward_caches(net, x[lo:hi], need_input_gradient)
         vals[lo:hi] = tape[0][-1][:, 0]
         if need_input_gradient:
-            grads[lo:hi] = tape[3][-1][:, 0, :]
+            grads[lo:hi] = tape[3][-1][0]
         v, m = seeds(lo, hi, vals[lo:hi], grads[lo:hi] if need_input_gradient else None)
-        _adjoint(net, tape, v[:, None], None if m is None else m[:, None, :], grad_w, grad_b)
+        _adjoint(net, tape, v[:, None], None if m is None else m[None], grad_w, grad_b)
         del tape
 
     parts = []

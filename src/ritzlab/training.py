@@ -63,7 +63,6 @@ class TrainConfig:
 class Checkpoint:
     iteration: int
     loss: float
-    grad_norm: float
 
 
 @dataclass
@@ -148,10 +147,10 @@ def train(net: Network, p: Problem, samples: SampleSet, cfg: TrainConfig):
     history = TrainHistory()
 
     def checkpoint(iteration, current):
-        rep, grad = loss_and_parameter_gradient(current, p, samples)
-        history.checkpoints.append(Checkpoint(iteration, rep.total, float(np.linalg.norm(grad))))
-        if rep.total < history.best_loss:
-            history.best_loss = rep.total
+        loss = empirical_loss(current, p, samples).total
+        history.checkpoints.append(Checkpoint(iteration, loss))
+        if loss < history.best_loss:
+            history.best_loss = loss
             history.best_iteration = iteration
             return True
         return False

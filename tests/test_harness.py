@@ -58,6 +58,12 @@ def test_fit_rate_validation():
         fit_rate([(10, 1.0), (100, -0.5), (1000, 0.1)])
 
 
+@pytest.mark.parametrize("bad", [(1, math.nan), (1, math.inf), (math.nan, 1.0)])
+def test_fit_rate_rejects_non_finite_points(bad):
+    with pytest.raises(ValueError):
+        fit_rate([bad, (2, 1.0), (4, 0.5)])
+
+
 # ------------------------------------------------------------- study
 
 
@@ -73,6 +79,17 @@ def test_study_single_n_has_no_fit():
 def test_study_rejects_non_increasing_n():
     with pytest.raises(ValueError):
         StudyConfig(n_values=(256, 256))
+
+
+def test_study_rejects_sample_counts_below_one():
+    with pytest.raises(ValueError):
+        StudyConfig(n_values=(0, 1, 2))
+
+
+@pytest.mark.parametrize("n_quad", [1, 0])
+def test_study_rejects_n_quad_below_two(n_quad):
+    with pytest.raises(ValueError):
+        StudyConfig(n_quad=n_quad)
 
 
 def test_study_deterministic_and_echoes_config(tmp_path):
@@ -256,6 +273,8 @@ def test_cli_train(tmp_path, capsys):
     rc = cli.main(["train", str(path), "--out", str(tmp_path / "run")])
     assert rc == 0
     assert (tmp_path / "run" / "trained_network.txt").exists()
-    assert (tmp_path / "run" / "train_history.csv").exists()
+    history = (tmp_path / "run" / "train_history.csv").read_text().splitlines()
+    assert history[0] == "iteration,loss"
+    assert [ln.split(",")[0] for ln in history[1:]] == ["0", "10", "20", "30"]
     summary = json.loads((tmp_path / "run" / "train_summary.json").read_text())
     assert summary["train_summary"]["n_checkpoints"] >= 2

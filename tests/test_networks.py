@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ritzlab.networks as networks
 from ritzlab.networks import (
     IDENTITY,
     RELU,
@@ -224,6 +227,173 @@ def test_weighted_parameter_gradient_chunking_invariant():
     full = weighted_parameter_gradient(net, x, v, m, chunk_size=1000)
     small = weighted_parameter_gradient(net, x, v, m, chunk_size=5)
     assert np.allclose(full, small, rtol=1e-13, atol=1e-13)
+
+
+# ------------------------------- bitwise pin to the batch-major recursion
+#
+# The library stores its Jacobian stacks unit-major, (N_l, B, d).  Below is a
+# copy of the earlier batch-major, (B, N_l, d), recursion; the library must
+# stay bitwise equal to it.
+
+
+def _old_jacobian_matmul(a, g):
+    b, n_in, d = g.shape
+    g_mat = g.transpose(1, 0, 2).reshape(n_in, b * d)
+    return (a @ g_mat).reshape(a.shape[0], b, d).transpose(1, 0, 2)
+
+
+def _old_forward_caches(net, x, need_input_gradient):
+    b_sz, d = x.shape
+    fs = [x]
+    zs = []
+    ps = [] if need_input_gradient else None
+    gs = [np.broadcast_to(np.eye(d), (b_sz, d, d))] if need_input_gradient else None
+    for (val, d1, _), w, bias in zip(net._acts, net.weights, net.biases):
+        z = fs[-1] @ w.T + bias
+        zs.append(z)
+        fs.append(val(z))
+        if need_input_gradient:
+            p = _old_jacobian_matmul(w, gs[-1])
+            ps.append(p)
+            gs.append(d1(z)[:, :, None] * p)
+    return fs, zs, ps, gs
+
+
+def _old_adjoint(net, tape, lam, mat, grad_w, grad_b):
+    fs, zs, ps, gs = tape
+    for k in range(net.architecture.depth - 1, -1, -1):
+        _, d1f, d2f = net._acts[k]
+        d1 = d1f(zs[k])
+        delta = lam * d1
+        if mat is not None:
+            delta = delta + d2f(zs[k]) * np.sum(mat * ps[k], axis=2)
+            q = d1[:, :, None] * mat
+            b_sz, n_q, dd = q.shape
+            q_mat = q.transpose(1, 0, 2).reshape(n_q, b_sz * dd)
+            g_mat = gs[k].transpose(1, 0, 2).reshape(gs[k].shape[1], b_sz * dd)
+            grad_w[k] += q_mat @ g_mat.T
+            mat = _old_jacobian_matmul(net.weights[k].T, q)
+        grad_w[k] += delta.T @ fs[k]
+        grad_b[k] += delta.sum(axis=0)
+        lam = delta @ net.weights[k]
+
+
+def _old_values_and_input_gradients(net, x):
+    chunk = networks._gradient_chunk_size(net, None)
+    vals, grads = np.empty(len(x)), np.empty(x.shape)
+    for lo in range(0, len(x), chunk):
+        fs, _, _, gs = _old_forward_caches(net, x[lo:lo + chunk], True)
+        vals[lo:lo + chunk] = fs[-1][:, 0]
+        grads[lo:lo + chunk] = gs[-1][:, 0, :]
+    return vals, grads
+
+
+def _old_weighted_parameter_gradient(net, x, v, m=None, chunk_size=None):
+    if m is not None:
+        chunk = networks._gradient_chunk_size(net, chunk_size)
+    else:
+        chunk = chunk_size or 32768
+    grad_w = [np.zeros_like(w) for w in net.weights]
+    grad_b = [np.zeros_like(b) for b in net.biases]
+    for lo in range(0, len(x), chunk):
+        tape = _old_forward_caches(net, x[lo:lo + chunk], m is not None)
+        seed = None if m is None else m[lo:lo + chunk, None, :]
+        _old_adjoint(net, tape, v[lo:lo + chunk, None], seed, grad_w, grad_b)
+    return np.concatenate([t for gw, gb in zip(grad_w, grad_b) for t in (gw.ravel(), gb)])
+
+
+def _pin_net(kind, d):
+    if kind == "relu2":
+        return random_relu2_net(d, (48, 48), seed=70 + d, scale=0.3)
+    rng = rng_for(80 + d)
+    mixed = (RELU, RELU2) * 3 + (IDENTITY,)
+    arch = Architecture((d, 7, 6, 1), (mixed, RELU2, IDENTITY))
+    ws = [rng.standard_normal((7, d)), rng.standard_normal((6, 7)), rng.standard_normal((1, 6))]
+    bs = [rng.standard_normal(7), rng.standard_normal(6), rng.standard_normal(1)]
+    return Network(arch, ws, bs)
+
+
+@pytest.mark.parametrize("kind", ["relu2", "mixed"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_unit_major_tape_bitwise_equals_batch_major(kind, d):
+    net = _pin_net(kind, d)
+    rng = rng_for(90 + d)
+    x = rng.uniform(0.0, 1.0, size=(300, d))
+    v = rng.standard_normal(300)
+    m = rng.standard_normal((300, d))
+    vals, grads = values_and_input_gradients(net, x)
+    old_vals, old_grads = _old_values_and_input_gradients(net, x)
+    assert np.array_equal(vals, old_vals)
+    assert np.array_equal(grads, old_grads)
+    assert np.array_equal(weighted_parameter_gradient(net, x, v),
+                          _old_weighted_parameter_gradient(net, x, v))
+    assert np.array_equal(weighted_parameter_gradient(net, x, v, m, chunk_size=7),
+                          _old_weighted_parameter_gradient(net, x, v, m, chunk_size=7))
+    du, dgrad = parameter_sensitivities(net, x[0])
+    assert np.array_equal(du, _old_weighted_parameter_gradient(net, x[:1], np.ones(1)))
+    for i in range(d):
+        e = np.zeros((1, d))
+        e[0, i] = 1.0
+        assert np.array_equal(dgrad[i], _old_weighted_parameter_gradient(net, x[:1], np.zeros(1), e))
+
+
+@pytest.mark.parametrize("dims,acts", [
+    ((2, 9, 6, 1), (RELU2, (RELU, RELU2, IDENTITY) * 2, IDENTITY)),
+    ((3, 8, 4), (RELU2, IDENTITY)),
+])
+def test_forward_batch_chunk_invariant(monkeypatch, dims, acts):
+    rng = rng_for(95)
+    ws = [rng.standard_normal((dims[k + 1], dims[k])) for k in range(len(dims) - 1)]
+    bs = [rng.standard_normal(dims[k + 1]) for k in range(len(dims) - 1)]
+    net = Network(Architecture(dims, acts), ws, bs)
+    x = rng.uniform(-1, 1, size=(37, dims[0]))
+    whole = forward_batch(net, x)
+    monkeypatch.setattr(networks, "_forward_chunk_size", lambda _net: 7)
+    chunked = forward_batch(net, x)
+    assert chunked.shape == whole.shape == ((37,) if dims[-1] == 1 else (37, dims[-1]))
+    assert np.array_equal(chunked, whole)
+
+
+@st.composite
+def _nets_and_batches(draw):
+    d = draw(st.integers(1, 3))
+    hidden = draw(st.lists(st.integers(1, 9), min_size=0, max_size=2))
+    dims = (d, *hidden, 1)
+    acts = []
+    for n_units in hidden:
+        acts.append(draw(st.one_of(
+            st.sampled_from([RELU, RELU2, IDENTITY]),
+            st.lists(st.sampled_from([RELU, RELU2, IDENTITY]), min_size=n_units,
+                     max_size=n_units).map(tuple),
+        )))
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    ws = [rng.standard_normal((dims[k + 1], dims[k])) for k in range(len(dims) - 1)]
+    bs = [rng.standard_normal(dims[k + 1]) for k in range(len(dims) - 1)]
+    net = Network(Architecture(dims, (*acts, IDENTITY)), ws, bs)
+    n = draw(st.integers(1, 40))
+    return net, rng.uniform(-1, 1, size=(n, d)), draw(st.integers(1, n))
+
+
+def _assert_close_scaled(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(want))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_nets_and_batches())
+def test_chunked_paths_match_unchunked(case):
+    net, x, chunk = case
+    rng = rng_for(x.shape[0])
+    v = rng.standard_normal(x.shape[0])
+    m = rng.standard_normal(x.shape)
+    full_vals, full_grads = values_and_input_gradients(net, x, chunk_size=x.shape[0])
+    vals, grads = values_and_input_gradients(net, x, chunk_size=chunk)
+    _assert_close_scaled(vals, full_vals)
+    _assert_close_scaled(grads, full_grads)
+    for mm in (None, m):
+        _assert_close_scaled(
+            weighted_parameter_gradient(net, x, v, mm, chunk_size=chunk),
+            weighted_parameter_gradient(net, x, v, mm, chunk_size=x.shape[0]),
+        )
 
 
 # ------------------------------------------------------ serialization
