@@ -8,142 +8,38 @@ Submodules:
   ritz       the empirical Ritz loss and derived estimators
   training   SGD/Adam minimization of the empirical loss
   bounds     numeric theory-bound calculators
-  harness    studies, decomposition reports, verification, report IO
+  harness    config files, studies, decomposition reports, verification, report IO
   cli        the `ritzlab` command-line entry point
+
+The package namespace holds the names of the README's library tour; import
+everything else from its submodule.
 """
 
-from .bounds import (
-    BoundInputs,
-    dudley_rademacher_bound,
-    log_covering_bound,
-    pdim_bound,
-    predicted_rates,
-    statistical_error_bound,
-)
 from .gadgets import (
-    SplineCombination,
-    SplineIndex,
-    bspline_derivative,
-    bspline_value,
     build_gradient_norm_network,
-    build_multivariate_bspline,
-    build_product_gadget,
     build_spline_combination,
-    build_square_gadget,
     build_univariate_bspline,
-    evaluate_spline_combination,
     fit_spline_coefficients,
     prescribe_architecture,
 )
-from .harness import (
-    DecompositionConfig,
-    StudyConfig,
-    fit_rate,
-    run_convergence_study,
-    run_error_decomposition,
-    verify_constructions,
-)
-from .networks import (
-    Architecture,
-    EvalResult,
-    Network,
-    forward,
-    forward_batch,
-    forward_with_input_gradient,
-    load_network,
-    parameter_sensitivities,
-    save_network,
-    values_and_input_gradients,
-)
-from .problems import (
-    Problem,
-    make_cosine_problem,
-    make_quadratic_problem,
-    problem_by_name,
-    verify_problem,
-)
-from .ritz import (
-    LossReport,
-    empirical_loss,
-    energy_excess,
-    loss_and_parameter_gradient,
-    population_loss_estimate,
-    statistical_gap_estimate,
-)
-from .sampling import (
-    SampleSet,
-    h1_error,
-    make_sample_set,
-    mc_integrate,
-    sample_boundary,
-    sample_domain,
-)
-from .training import (
-    TrainConfig,
-    TrainHistory,
-    init_network,
-    optimization_error_estimate,
-    train,
-)
+from .problems import make_cosine_problem
+from .ritz import energy_excess
+from .sampling import h1_error, make_sample_set
+from .training import TrainConfig, init_network, train
 
 __all__ = [
-    "Architecture",
-    "BoundInputs",
-    "DecompositionConfig",
-    "EvalResult",
-    "LossReport",
-    "Network",
-    "Problem",
-    "SampleSet",
-    "SplineCombination",
-    "SplineIndex",
-    "StudyConfig",
     "TrainConfig",
-    "TrainHistory",
-    "bspline_derivative",
-    "bspline_value",
     "build_gradient_norm_network",
-    "build_multivariate_bspline",
-    "build_product_gadget",
     "build_spline_combination",
-    "build_square_gadget",
     "build_univariate_bspline",
-    "dudley_rademacher_bound",
-    "empirical_loss",
     "energy_excess",
-    "evaluate_spline_combination",
-    "fit_rate",
     "fit_spline_coefficients",
-    "forward",
-    "forward_batch",
-    "forward_with_input_gradient",
     "h1_error",
     "init_network",
-    "load_network",
-    "log_covering_bound",
-    "loss_and_parameter_gradient",
     "make_cosine_problem",
-    "make_quadratic_problem",
     "make_sample_set",
-    "mc_integrate",
-    "optimization_error_estimate",
-    "parameter_sensitivities",
-    "pdim_bound",
-    "population_loss_estimate",
-    "predicted_rates",
     "prescribe_architecture",
-    "problem_by_name",
-    "run_convergence_study",
-    "run_error_decomposition",
-    "sample_boundary",
-    "sample_domain",
-    "save_network",
-    "statistical_error_bound",
-    "statistical_gap_estimate",
     "train",
-    "values_and_input_gradients",
-    "verify_constructions",
-    "verify_problem",
 ]
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ Subcommands:
   decompose CONFIG           error-decomposition report (JSON)
   bounds                     print every theory-bound value for given inputs
 
-Configs are YAML; any assertion failure exits nonzero.
+Configs are YAML, validated before any training (see harness.load_config);
+a bad config or any failed check exits nonzero.
 """
 
 from __future__ import annotations
@@ -18,15 +19,16 @@ import json
 import os
 import sys
 
-import numpy as np
-import yaml
-
 from .bounds import BoundInputs, all_bounds
-from .gadgets import build_gradient_norm_network, prescribe_architecture
+from .gadgets import prescribe_architecture
 from .harness import (
     DecompositionConfig,
     StudyConfig,
-    _train_config_from_dict,
+    TrainRunConfig,
+    config_from_dict,
+    gradient_norm_check,
+    load_config,
+    load_yaml,
     run_convergence_study,
     run_error_decomposition,
     verify_constructions,
@@ -34,7 +36,7 @@ from .harness import (
     write_json_report,
     write_study_csv,
 )
-from .networks import forward_batch, load_network, save_network, values_and_input_gradients
+from .networks import load_network, save_network
 from .problems import problem_by_name
 from .ritz import derived_seed, empirical_loss
 from .sampling import RNG_ALGORITHM, h1_error, make_sample_set, rng_stream
@@ -58,14 +60,9 @@ def _cmd_construct_verify(args) -> int:
 
 def _cmd_verify_gradnet(args) -> int:
     net = load_network(args.netfile)
-    gnet = build_gradient_norm_network(net)
-    d = net.architecture.input_dim
     rng = rng_stream(args.seed, 3)
-    pts = rng.uniform(-1.5, 1.5, size=(args.probes, d))
-    _, grads = values_and_input_gradients(net, pts)
-    want = np.sum(grads**2, axis=1)
-    got = forward_batch(gnet, pts)
-    rel = float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+    pts = rng.uniform(-1.5, 1.5, size=(args.probes, net.architecture.input_dim))
+    rel, sizes = gradient_norm_check(net, pts)
     report = {
         "kind": "gradient_norm_verification",
         "netfile": os.path.basename(args.netfile),
@@ -75,27 +72,24 @@ def _cmd_verify_gradnet(args) -> int:
         "passed": rel <= 1e-9,
         "input_depth": net.architecture.depth,
         "input_width": net.architecture.width,
-        "gradnet_depth": gnet.architecture.depth,
-        "gradnet_width": gnet.architecture.width,
-        "depth_bound": net.architecture.depth + 3,
-        "width_bound": d * (net.architecture.depth + 2) * net.architecture.width,
+        "gradnet_depth": sizes["depth"],
+        "gradnet_width": sizes["width"],
+        "depth_bound": sizes["depth_bound"],
+        "width_bound": sizes["width_bound"],
     }
     _emit(report, args.out)
     return 0 if report["passed"] else 1
 
 
 def _cmd_train(args) -> int:
-    with open(args.config) as fh:
-        raw = yaml.safe_load(fh)
-    problem = problem_by_name(raw["problem"], raw["d"])
-    n = int(raw["n"])
-    seed = int(raw.get("seed", 0))
-    tcfg = _train_config_from_dict(raw.get("train", {}))
-    arch = prescribe_architecture(problem.d, n, float(raw.get("nu", 0.0)))
-    samples = make_sample_set(n, n, problem.d, derived_seed(seed, 1))
-    net0 = init_network(arch, tcfg.init_scale, seed)
-    trained, history = run_train(net0, problem, samples, tcfg)
-    err = h1_error(trained, problem, int(raw.get("n_quad", 100_000)), derived_seed(seed, 2))
+    raw = load_yaml(args.config)
+    cfg = config_from_dict(TrainRunConfig, raw)
+    problem = problem_by_name(cfg.problem, cfg.d)
+    arch = prescribe_architecture(problem.d, cfg.n, cfg.nu)
+    samples = make_sample_set(cfg.n, cfg.n, problem.d, derived_seed(cfg.seed, 1))
+    net0 = init_network(arch, cfg.train.init_scale, cfg.seed)
+    trained, history = run_train(net0, problem, samples, cfg.train)
+    err = h1_error(trained, problem, cfg.n_quad, derived_seed(cfg.seed, 2))
 
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -123,7 +117,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    cfg = StudyConfig.from_yaml(args.config)
+    cfg = load_config(StudyConfig, args.config)
     report = run_convergence_study(cfg)
     outdir = args.out or cfg.output_dir or "."
     os.makedirs(outdir, exist_ok=True)
@@ -140,7 +134,7 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    cfg = DecompositionConfig.from_yaml(args.config)
+    cfg = load_config(DecompositionConfig, args.config)
     report = run_error_decomposition(cfg)
     outdir = args.out or cfg.output_dir or "."
     os.makedirs(outdir, exist_ok=True)

@@ -1,5 +1,6 @@
-"""Experiment orchestration: convergence studies, error decomposition,
-construction verification, rate fitting, and machine-readable reports.
+"""Experiment orchestration: validated config files, convergence studies, error
+decomposition, construction verification, rate fitting, and machine-readable
+reports.
 
 Reports are JSON (schema documented in the README) plus CSV tables, built
 only from seeded deterministic quantities so a rerun with the same config is
@@ -9,9 +10,10 @@ byte-identical; wall-clock metadata never enters a report.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -31,7 +33,14 @@ from .gadgets import (
     bspline_value,
     prescribe_architecture,
 )
-from .networks import forward_batch, values_and_input_gradients
+from .networks import (
+    IDENTITY,
+    RELU2,
+    Architecture,
+    Network,
+    forward_batch,
+    values_and_input_gradients,
+)
 from .problems import Problem, problem_by_name
 from .ritz import (
     derived_seed,
@@ -43,11 +52,83 @@ from .sampling import RNG_ALGORITHM, h1_error, make_sample_set, rng_stream, samp
 from .training import TrainConfig, init_network, optimization_error_estimate, train
 
 
-def _train_config_from_dict(raw: dict) -> TrainConfig:
-    kwargs = dict(raw)
-    if "adam_betas" in kwargs:
-        kwargs["adam_betas"] = tuple(kwargs["adam_betas"])
-    return TrainConfig(**kwargs)
+# ------------------------------------------------------------ config files
+
+
+class ConfigError(ValueError):
+    """A config is not a mapping, has an unknown key, or lacks a required key."""
+
+
+def config_from_dict(cls, raw):
+    """The config dataclass cls built from a parsed YAML mapping.
+
+    Keys are the fields of cls; YAML lists become tuples and the nested
+    `train` mapping becomes a TrainConfig by the same rules.  Value checks
+    are left to cls.__post_init__.
+    """
+    name = cls.__name__
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} config must be a mapping, got {type(raw).__name__}")
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    unknown = sorted(str(key) for key in raw if key not in names)
+    if unknown:
+        raise ConfigError(f"unknown {name} key(s): {', '.join(unknown)}")
+    missing = [f.name for f in fields if f.name not in raw
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"missing required {name} key(s): {', '.join(missing)}")
+    kwargs = {}
+    for key, value in raw.items():
+        if key == "train":
+            value = config_from_dict(TrainConfig, value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[key] = value
+    return cls(**kwargs)
+
+
+def load_yaml(path):
+    """The parsed content of a YAML file (None for an empty file)."""
+    with open(path) as fh:
+        return yaml.safe_load(fh)
+
+
+def load_config(cls, path):
+    """The config dataclass cls read from a YAML file; see config_from_dict."""
+    return config_from_dict(cls, load_yaml(path))
+
+
+def config_to_dict(cfg) -> dict:
+    """A config as plain data for reports: asdict, with tuples written as lists."""
+
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(v) for key, v in value.items()}
+        if isinstance(value, tuple):
+            return [plain(v) for v in value]
+        return value
+
+    return plain(dataclasses.asdict(cfg))
+
+
+@dataclass(frozen=True)
+class TrainRunConfig:
+    """One `ritzlab train` run: N = M = n samples at the prescribed architecture."""
+
+    problem: str
+    d: int
+    n: int
+    nu: float = 0.0
+    n_quad: int = 100_000
+    seed: int = 0
+    train: TrainConfig = field(default_factory=TrainConfig)
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        if self.n_quad < 2:
+            raise ValueError("need n_quad >= 2 for a standard error")
 
 
 @dataclass(frozen=True)
@@ -75,26 +156,6 @@ class StudyConfig:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         object.__setattr__(self, "n_values", ns)
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["n_values"] = list(self.n_values)
-        out["train"]["adam_betas"] = list(self.train.adam_betas)
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "StudyConfig":
-        kwargs = dict(raw)
-        if "train" in kwargs:
-            kwargs["train"] = _train_config_from_dict(kwargs["train"])
-        if "n_values" in kwargs:
-            kwargs["n_values"] = tuple(kwargs["n_values"])
-        return cls(**kwargs)
-
-    @classmethod
-    def from_yaml(cls, path) -> "StudyConfig":
-        with open(path) as fh:
-            return cls.from_dict(yaml.safe_load(fh))
 
 
 def fit_rate(points):
@@ -218,7 +279,7 @@ def run_convergence_study(cfg: StudyConfig) -> dict:
     rate_sq, rate = predicted_rates(cfg.d, cfg.nu)
     return {
         "kind": "convergence_study",
-        "config": cfg.to_dict(),
+        "config": config_to_dict(cfg),
         "rng_algorithm": RNG_ALGORITHM,
         "problem": _problem_block(p),
         "cells": cells,
@@ -264,22 +325,17 @@ class DecompositionConfig:
     seed: int = 0
     output_dir: str | None = None
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["train"]["adam_betas"] = list(self.train.adam_betas)
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "DecompositionConfig":
-        kwargs = dict(raw)
-        if "train" in kwargs:
-            kwargs["train"] = _train_config_from_dict(kwargs["train"])
-        return cls(**kwargs)
-
-    @classmethod
-    def from_yaml(cls, path) -> "DecompositionConfig":
-        with open(path) as fh:
-            return cls.from_dict(yaml.safe_load(fh))
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        if self.n_quad < 2:
+            raise ValueError("need n_quad >= 2 for a standard error")
+        if self.spline_level < 1:
+            raise ValueError("spline_level must be >= 1")
+        if self.gap_reps < 2:
+            raise ValueError("need gap_reps >= 2")
+        if self.restarts < 1:
+            raise ValueError("need restarts >= 1")
 
 
 def run_error_decomposition(cfg: DecompositionConfig) -> dict:
@@ -295,8 +351,6 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
     p = problem_by_name(cfg.problem, cfg.d)
     if p.analytic_energy is None:
         raise ValueError("error decomposition needs a problem with analytic energy")
-    if cfg.restarts < 1:
-        raise ValueError("need restarts >= 1")
 
     arch = prescribe_architecture(cfg.d, cfg.n, cfg.nu)
     cell_seed = derived_seed(cfg.seed, 0)
@@ -334,7 +388,7 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
     slack = 5.0 * math.hypot(lhs_se, e_app_se)
     return {
         "kind": "error_decomposition",
-        "config": cfg.to_dict(),
+        "config": config_to_dict(cfg),
         "rng_algorithm": RNG_ALGORITHM,
         "problem": _problem_block(p),
         "architecture": {
@@ -435,25 +489,14 @@ def verify_constructions(seed: int = 0) -> dict:
                              depth_bound=math.ceil(math.log2(d)) + 2, width_bound=4 * d))
 
     worst = 0.0
-    bound_fields = {}
     for k in range(8):
         d = int(rng.integers(1, 4))
         depth_hidden = int(rng.integers(1, 4))
         hidden = tuple(int(rng.integers(2, 9)) for _ in range(depth_hidden))
-        rnet = _random_relu2_net(d, hidden, seed=derived_seed(seed, 50 + k))
-        gnet = build_gradient_norm_network(rnet)
-        pts = rng.uniform(-1.5, 1.5, size=(500, d))
-        _, grads = values_and_input_gradients(rnet, pts)
-        want = np.sum(grads**2, axis=1)
-        rel = np.abs(forward_batch(gnet, pts) - want) / np.maximum(1.0, np.abs(want))
-        worst = max(worst, float(np.max(rel)))
-        bound_fields = {
-            "depth": gnet.architecture.depth,
-            "width": gnet.architecture.width,
-            "depth_bound": rnet.architecture.depth + 3,
-            "width_bound": d * (rnet.architecture.depth + 2) * rnet.architecture.width,
-        }
-    checks.append(_check("gradient_norm_network", worst, 1e-9, 8 * 500, **bound_fields))
+        rnet = _random_relu2_net(d, hidden, rng_stream(derived_seed(seed, 50 + k), 11))
+        rel, sizes = gradient_norm_check(rnet, rng.uniform(-1.5, 1.5, size=(500, d)))
+        worst = max(worst, rel)
+    checks.append(_check("gradient_norm_network", worst, 1e-9, 8 * 500, **sizes))
 
     spline_fit = calibrate_spline_rate(levels=(2, 3, 4, 5), n_quad=50_000,
                                        seed=derived_seed(seed, 90))
@@ -472,10 +515,29 @@ def verify_constructions(seed: int = 0) -> dict:
     }
 
 
-def _random_relu2_net(d, hidden, seed, scale=0.8):
-    from .networks import Architecture, IDENTITY, Network, RELU2
+def gradient_norm_check(net: Network, points: np.ndarray):
+    """Compare the gradient-norm net of a pure-ReLU^2 net with sum_i (D_i u)^2.
 
-    rng = rng_stream(seed, 11)
+    Returns the max over the points of |gnet(x) - ||grad u(x)||^2| divided by
+    max(1, ||grad u(x)||^2), and the gradient-norm net's depth and width next
+    to their bounds D + 3 and d (D + 2) W for an input net of depth D, width W.
+    """
+    gnet = build_gradient_norm_network(net)
+    _, grads = values_and_input_gradients(net, points)
+    want = np.sum(grads**2, axis=1)
+    rel = np.abs(forward_batch(gnet, points) - want) / np.maximum(1.0, np.abs(want))
+    arch = net.architecture
+    return float(np.max(rel)), {
+        "depth": gnet.architecture.depth,
+        "width": gnet.architecture.width,
+        "depth_bound": arch.depth + 3,
+        "width_bound": arch.input_dim * (arch.depth + 2) * arch.width,
+    }
+
+
+def _random_relu2_net(d, hidden, rng: np.random.Generator, scale=0.8):
+    """Pure-ReLU^2 net with linear output; weights then biases, layer by layer,
+    are scale times standard normal draws from rng."""
     dims = (d, *hidden, 1)
     acts = tuple([RELU2] * len(hidden) + [IDENTITY])
     ws = [scale * rng.standard_normal((dims[k + 1], dims[k])) for k in range(len(dims) - 1)]

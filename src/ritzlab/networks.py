@@ -356,20 +356,18 @@ def _forward_caches(net: Network, x: np.ndarray, need_input_gradient: bool):
     return fs, zs, ps, gs
 
 
-def _gradient_chunk_size(net: Network, requested: int | None) -> int:
+def _gradient_chunk_size(net: Network) -> int:
     """Cap chunks so per-layer Jacobian caches stay near 32 MB for wide nets."""
-    if requested is not None:
-        return requested
     per_point = max(net.architecture.width * net.architecture.input_dim, 1)
     return int(np.clip(4_000_000 // per_point, 64, 32768))
 
 
-def values_and_input_gradients(net: Network, x: np.ndarray, chunk_size: int | None = None):
+def values_and_input_gradients(net: Network, x: np.ndarray):
     """Batched (values, input gradients) for a scalar net; chunked over the batch."""
     x = _as_batch(net, x)
     if net.architecture.output_dim != 1:
         raise DimensionMismatchError("expects a scalar-output network")
-    chunk = _gradient_chunk_size(net, chunk_size)
+    chunk = _gradient_chunk_size(net)
     n = x.shape[0]
     vals = np.empty(n)
     grads = np.empty((n, net.architecture.input_dim))
@@ -441,7 +439,6 @@ def weighted_parameter_gradient(
     x: np.ndarray,
     value_weights: np.ndarray,
     gradient_weights: np.ndarray | None = None,
-    chunk_size: int | None = None,
 ) -> np.ndarray:
     """Exact adjoint accumulation of parameter derivatives over a batch.
 
@@ -463,25 +460,19 @@ def weighted_parameter_gradient(
     def seeds(lo, hi, _vals, _grads):
         return v[lo:hi], None if m is None else m[lo:hi]
 
-    return _values_and_seeded_adjoint(net, x, seeds, m is not None, chunk_size)[2]
+    return _values_and_seeded_adjoint(net, x, seeds, m is not None)[2]
 
 
-def _values_and_seeded_adjoint(
-    net: Network,
-    x: np.ndarray,
-    seeds,
-    need_input_gradient: bool,
-    chunk_size: int | None = None,
-):
+def _values_and_seeded_adjoint(net: Network, x: np.ndarray, seeds, need_input_gradient: bool):
     """Values, input gradients and a weighted parameter gradient from ONE tape per chunk.
 
     For each chunk the forward tape is recorded once; its values and (when
     need_input_gradient) input gradients are handed to
     seeds(lo, hi, values, gradients) -> (value_weights, gradient_weights or
     None), and the adjoint replays the same tape.  The tape is dropped before
-    the next chunk.  Chunks are those of values_and_input_gradients when
-    need_input_gradient is set, and the summation order is fixed, so the
-    values and input gradients are bitwise those of values_and_input_gradients.
+    the next chunk.  Chunks are those of values_and_input_gradients, and the
+    summation order is fixed, so the values and input gradients are bitwise
+    those of values_and_input_gradients.
     Returns (values (B,), input gradients (B, d) or None, flat gradient).
     """
     if net.architecture.output_dim != 1:
@@ -491,10 +482,7 @@ def _values_and_seeded_adjoint(
     grads = np.empty((n, net.architecture.input_dim)) if need_input_gradient else None
     grad_w = [np.zeros_like(w) for w in net.weights]
     grad_b = [np.zeros_like(b) for b in net.biases]
-    if need_input_gradient:
-        chunk = _gradient_chunk_size(net, chunk_size)
-    else:
-        chunk = chunk_size or 32768
+    chunk = _gradient_chunk_size(net)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         tape = _forward_caches(net, x[lo:hi], need_input_gradient)

@@ -24,7 +24,14 @@ from .networks import (
     weighted_parameter_gradient,
 )
 from .problems import Problem
-from .sampling import MCEstimate, SampleSet, make_sample_set, sample_boundary, sample_domain
+from .sampling import (
+    MCEstimate,
+    SampleSet,
+    make_sample_set,
+    mc_mean,
+    sample_boundary,
+    sample_domain,
+)
 
 _REFERENCE_SAMPLES = 1_000_000
 
@@ -102,15 +109,10 @@ def population_loss_estimate(net: Network, p: Problem, n_quad: int, seed: int) -
     grad_piece, mass_piece, forcing_piece = _domain_pieces(
         *values_and_input_gradients(net, x), lambda: p.w(x), lambda: p.f(x)
     )
-    dom = grad_piece + mass_piece - forcing_piece
-    dom_mean = float(np.mean(dom))
-    dom_se = float(np.std(dom, ddof=1)) / math.sqrt(n_quad)
-
+    dom = mc_mean(grad_piece + mass_piece - forcing_piece)
     y, faces = sample_boundary(n_quad, p.d, seed)
-    bnd = forward_batch(net, y) * p.g(y, faces)
-    bnd_mean = 2.0 * p.d * float(np.mean(bnd))
-    bnd_se = 2.0 * p.d * float(np.std(bnd, ddof=1)) / math.sqrt(n_quad)
-    return MCEstimate(dom_mean - bnd_mean, math.hypot(dom_se, bnd_se))
+    bnd = mc_mean(forward_batch(net, y) * p.g(y, faces), 2.0 * p.d)
+    return MCEstimate(dom.value - bnd.value, math.hypot(dom.std_error, bnd.std_error))
 
 
 @dataclass(frozen=True)
@@ -138,12 +140,12 @@ def energy_excess(net: Network, p: Problem, n_quad: int, seed: int) -> EnergyExc
     vals, grads = values_and_input_gradients(net, x)
     v = vals - p.u_star(x)
     dv = grads - p.grad_u_star(x)
-    quad_form = np.sum(dv**2, axis=1) + p.w(x) * v**2
+    quad_form = mc_mean(np.sum(dv**2, axis=1) + p.w(x) * v**2)
     return EnergyExcessReport(
         excess=pop.value - p.analytic_energy,
         excess_se=pop.std_error,
-        h1_sq_of_diff=float(np.mean(quad_form)),
-        h1_sq_of_diff_se=float(np.std(quad_form, ddof=1)) / math.sqrt(n_quad),
+        h1_sq_of_diff=quad_form.value,
+        h1_sq_of_diff_se=quad_form.std_error,
         n_quad=n_quad,
         seed=seed,
     )
@@ -235,6 +237,6 @@ def statistical_gap_estimate(
             abs(rep.term_boundary - ref.term_boundary),
         ]
     means = gaps.mean(axis=0)
-    se = float(np.std(gaps[:, 0], ddof=1)) / math.sqrt(reps)
+    se = mc_mean(gaps[:, 0]).std_error
     return StatisticalGapReport(*map(float, means), mean_abs_gap_se=se,
                                 n=n, reps=reps, reference_n=reference_n)

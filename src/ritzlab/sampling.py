@@ -8,8 +8,9 @@ sequential results.  The generator identity is recorded in reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,20 +117,22 @@ class MCEstimate(NamedTuple):
     std_error: float
 
 
-def mc_integrate(fn: Callable, points: np.ndarray, volume: float) -> MCEstimate:
-    """Plain Monte-Carlo integral: volume * mean with its standard error.
+def mc_mean(values, volume: float = 1.0) -> MCEstimate:
+    """Plain Monte-Carlo mean over a region of the given volume, with its
+    standard error: volume * mean and volume * std(ddof=1) / sqrt(n).
 
-    Summation order is the fixed order of the points array, so results do not
-    depend on how callers chunk their evaluations.
+    Both are evaluated left to right, and the sums run in the fixed order of
+    values, so results do not depend on how callers chunk their evaluations.
     """
-    vals = np.asarray(fn(points), dtype=float)
-    if vals.ndim != 1 or vals.size != np.atleast_2d(points).shape[0]:
-        raise ValueError("integrand must return one value per point")
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1:
+        raise ValueError("need one value per point")
     if vals.size < 2:
         raise ValueError("need at least 2 points for a standard error")
-    est = volume * float(np.mean(vals))
-    se = volume * float(np.std(vals, ddof=1)) / np.sqrt(vals.size)
-    return MCEstimate(est, se)
+    return MCEstimate(
+        volume * float(np.mean(vals)),
+        volume * float(np.std(vals, ddof=1)) / math.sqrt(vals.size),
+    )
 
 
 @dataclass(frozen=True)
@@ -163,8 +166,8 @@ def h1_error(net: Network, p: Problem, n_quad: int, seed: int) -> H1ErrorReport:
     e_sq = (vals - p.u_star(x)) ** 2
     s_sq = np.sum((grads - p.grad_u_star(x)) ** 2, axis=1)
 
-    m_e, se_e = float(np.mean(e_sq)), float(np.std(e_sq, ddof=1)) / np.sqrt(n_quad)
-    m_s, se_s = float(np.mean(s_sq)), float(np.std(s_sq, ddof=1)) / np.sqrt(n_quad)
+    m_e, se_e = mc_mean(e_sq)
+    m_s, se_s = mc_mean(s_sq)
     l2, l2_se = _sqrt_with_se(m_e, se_e)
     semi, semi_se = _sqrt_with_se(m_s, se_s)
     h1, h1_se = _sqrt_with_se(m_e + m_s, float(np.hypot(se_e, se_s)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ritzlab.harness import _random_relu2_net
 from ritzlab.networks import IDENTITY, RELU2, Architecture, Network
 
 
@@ -10,12 +11,7 @@ def rng_for(seed):
 
 def random_relu2_net(d, hidden_dims, seed, scale=0.8):
     """Random pure-ReLU^2 net with linear output, modest weights."""
-    rng = rng_for(seed)
-    dims = (d, *hidden_dims, 1)
-    acts = tuple([RELU2] * len(hidden_dims) + [IDENTITY])
-    ws = [scale * rng.standard_normal((dims[k + 1], dims[k])) for k in range(len(dims) - 1)]
-    bs = [scale * rng.standard_normal(dims[k + 1]) for k in range(len(dims) - 1)]
-    return Network(Architecture(dims, acts), ws, bs)
+    return _random_relu2_net(d, hidden_dims, rng_for(seed), scale)
 
 
 def sum_of_squares_net(d):

@@ -1,15 +1,24 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
 
 import ritzlab.cli as cli
 from ritzlab.gadgets import build_square_gadget
 from ritzlab.harness import (
+    ConfigError,
     DecompositionConfig,
     StudyConfig,
+    TrainRunConfig,
     calibrate_spline_rate,
+    config_to_dict,
     fit_rate,
+    load_config,
     run_convergence_study,
     run_error_decomposition,
     verify_constructions,
@@ -98,7 +107,7 @@ def test_study_deterministic_and_echoes_config(tmp_path):
     a = run_convergence_study(cfg)
     b = run_convergence_study(cfg)
     assert a == b
-    assert a["config"] == cfg.to_dict()
+    assert a["config"] == config_to_dict(cfg)
     assert a["rng_algorithm"].startswith("numpy.random.Philox")
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
     write_json_report(a, pa)
@@ -119,14 +128,72 @@ def test_study_csv_schema(tmp_path):
 
 
 def test_study_config_yaml_roundtrip(tmp_path):
-    import yaml
-
     cfg = StudyConfig(problem="cosine", d=2, n_values=(128, 256, 512),
                       repetitions=2, seed=3, train=TrainConfig(iterations=10))
     path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump(cfg.to_dict()))
-    loaded = StudyConfig.from_yaml(path)
+    path.write_text(yaml.safe_dump(config_to_dict(cfg)))
+    loaded = load_config(StudyConfig, path)
     assert loaded == cfg
+
+
+# ------------------------------------------------------- config files
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# the config class each command loads, by config file name prefix
+COMMAND_CONFIGS = {"study": StudyConfig, "decompose": DecompositionConfig, "train": TrainRunConfig}
+MINIMAL = {
+    StudyConfig: {},
+    DecompositionConfig: {},
+    TrainRunConfig: {"problem": "cosine", "d": 1, "n": 64},
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+def test_shipped_configs_load(path):
+    cls = COMMAND_CONFIGS[path.name.split("_")[0]]
+    assert isinstance(load_config(cls, path), cls)
+
+
+@pytest.mark.parametrize("cls", list(MINIMAL), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("case,key", [
+    ("unknown_key", "n_value"),
+    ("unknown_train_key", "n_qaud"),
+    ("empty_file", "mapping"),
+])
+def test_config_errors_name_the_key(tmp_path, cls, case, key):
+    raw = dict(MINIMAL[cls])
+    if case == "unknown_key":
+        raw[key] = 1
+    elif case == "unknown_train_key":
+        raw["train"] = {"iterations": 10, key: 1}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(raw) if case != "empty_file" else "")
+    with pytest.raises(ConfigError, match=key):
+        load_config(cls, path)
+
+
+@pytest.mark.parametrize("key", ["problem", "d", "n"])
+def test_train_run_config_requires_problem_d_and_n(tmp_path, key):
+    raw = dict(MINIMAL[TrainRunConfig])
+    del raw[key]
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ConfigError, match=rf"missing required TrainRunConfig key\(s\): {key}$"):
+        load_config(TrainRunConfig, path)
+
+
+@pytest.mark.parametrize("cls,bad", [
+    (DecompositionConfig, {"gap_reps": 1}),
+    (DecompositionConfig, {"n": 0}),
+    (DecompositionConfig, {"n_quad": 1}),
+    (DecompositionConfig, {"spline_level": 0}),
+    (DecompositionConfig, {"restarts": 0}),
+    (TrainRunConfig, {"n": 0}),
+    (TrainRunConfig, {"n_quad": 1}),
+])
+def test_configs_reject_bad_values_at_construction(cls, bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        cls(**{**MINIMAL[cls], **bad})
 
 
 # ------------------------------------------------------- decomposition
@@ -231,8 +298,6 @@ def test_cli_verify_gradnet(tmp_path, capsys):
 
 
 def test_cli_study_and_decompose(tmp_path, capsys):
-    import yaml
-
     study_cfg = {
         "problem": "cosine", "d": 1, "n_values": [32, 64, 128], "repetitions": 1,
         "n_quad": 3000, "seed": 2,
@@ -261,8 +326,6 @@ def test_cli_study_and_decompose(tmp_path, capsys):
 
 
 def test_cli_train(tmp_path, capsys):
-    import yaml
-
     cfg = {
         "problem": "quadratic", "d": 1, "n": 64, "n_quad": 2000, "seed": 4,
         "train": {"iterations": 30, "batch_domain": 32, "batch_boundary": 32,
@@ -278,3 +341,17 @@ def test_cli_train(tmp_path, capsys):
     assert [ln.split(",")[0] for ln in history[1:]] == ["0", "10", "20", "30"]
     summary = json.loads((tmp_path / "run" / "train_summary.json").read_text())
     assert summary["train_summary"]["n_checkpoints"] >= 2
+
+
+def test_cli_train_rejects_misspelled_key_before_training(tmp_path):
+    cfg = {"problem": "cosine", "d": 1, "n": 64, "train": {"iterations": 10}, "n_qaud": 10}
+    path = tmp_path / "train.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "ritzlab.cli", "train", str(path),
+                          "--out", str(tmp_path / "run")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode != 0
+    assert "ConfigError" in run.stderr and "n_qaud" in run.stderr
+    assert not (tmp_path / "run").exists()

@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,14 +220,15 @@ def test_weighted_parameter_gradient_combines_seeds():
     assert np.allclose(combined, manual, rtol=1e-12, atol=1e-12)
 
 
-def test_weighted_parameter_gradient_chunking_invariant():
+def test_weighted_parameter_gradient_chunking_invariant(monkeypatch):
     net = random_relu2_net(2, (6, 4), seed=43)
     rng = rng_for(44)
     x = rng.uniform(-1, 1, size=(37, 2))
     v = rng.standard_normal(37)
     m = rng.standard_normal((37, 2))
-    full = weighted_parameter_gradient(net, x, v, m, chunk_size=1000)
-    small = weighted_parameter_gradient(net, x, v, m, chunk_size=5)
+    full = weighted_parameter_gradient(net, x, v, m)
+    monkeypatch.setattr(networks, "_gradient_chunk_size", lambda _net: 5)
+    small = weighted_parameter_gradient(net, x, v, m)
     assert np.allclose(full, small, rtol=1e-13, atol=1e-13)
 
 
@@ -279,7 +282,7 @@ def _old_adjoint(net, tape, lam, mat, grad_w, grad_b):
 
 
 def _old_values_and_input_gradients(net, x):
-    chunk = networks._gradient_chunk_size(net, None)
+    chunk = networks._gradient_chunk_size(net)
     vals, grads = np.empty(len(x)), np.empty(x.shape)
     for lo in range(0, len(x), chunk):
         fs, _, _, gs = _old_forward_caches(net, x[lo:lo + chunk], True)
@@ -288,11 +291,8 @@ def _old_values_and_input_gradients(net, x):
     return vals, grads
 
 
-def _old_weighted_parameter_gradient(net, x, v, m=None, chunk_size=None):
-    if m is not None:
-        chunk = networks._gradient_chunk_size(net, chunk_size)
-    else:
-        chunk = chunk_size or 32768
+def _old_weighted_parameter_gradient(net, x, v, m=None):
+    chunk = networks._gradient_chunk_size(net)
     grad_w = [np.zeros_like(w) for w in net.weights]
     grad_b = [np.zeros_like(b) for b in net.biases]
     for lo in range(0, len(x), chunk):
@@ -315,7 +315,7 @@ def _pin_net(kind, d):
 
 @pytest.mark.parametrize("kind", ["relu2", "mixed"])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_unit_major_tape_bitwise_equals_batch_major(kind, d):
+def test_unit_major_tape_bitwise_equals_batch_major(monkeypatch, kind, d):
     net = _pin_net(kind, d)
     rng = rng_for(90 + d)
     x = rng.uniform(0.0, 1.0, size=(300, d))
@@ -327,14 +327,15 @@ def test_unit_major_tape_bitwise_equals_batch_major(kind, d):
     assert np.array_equal(grads, old_grads)
     assert np.array_equal(weighted_parameter_gradient(net, x, v),
                           _old_weighted_parameter_gradient(net, x, v))
-    assert np.array_equal(weighted_parameter_gradient(net, x, v, m, chunk_size=7),
-                          _old_weighted_parameter_gradient(net, x, v, m, chunk_size=7))
     du, dgrad = parameter_sensitivities(net, x[0])
     assert np.array_equal(du, _old_weighted_parameter_gradient(net, x[:1], np.ones(1)))
     for i in range(d):
         e = np.zeros((1, d))
         e[0, i] = 1.0
         assert np.array_equal(dgrad[i], _old_weighted_parameter_gradient(net, x[:1], np.zeros(1), e))
+    monkeypatch.setattr(networks, "_gradient_chunk_size", lambda _net: 7)
+    assert np.array_equal(weighted_parameter_gradient(net, x, v, m),
+                          _old_weighted_parameter_gradient(net, x, v, m))
 
 
 @pytest.mark.parametrize("dims,acts", [
@@ -385,15 +386,16 @@ def test_chunked_paths_match_unchunked(case):
     rng = rng_for(x.shape[0])
     v = rng.standard_normal(x.shape[0])
     m = rng.standard_normal(x.shape)
-    full_vals, full_grads = values_and_input_gradients(net, x, chunk_size=x.shape[0])
-    vals, grads = values_and_input_gradients(net, x, chunk_size=chunk)
+    # the default chunk (>= 64 points) holds the whole batch of <= 40 points
+    full_vals, full_grads = values_and_input_gradients(net, x)
+    full = [weighted_parameter_gradient(net, x, v, mm) for mm in (None, m)]
+    with patch.object(networks, "_gradient_chunk_size", lambda _net: chunk):
+        vals, grads = values_and_input_gradients(net, x)
+        chunked = [weighted_parameter_gradient(net, x, v, mm) for mm in (None, m)]
     _assert_close_scaled(vals, full_vals)
     _assert_close_scaled(grads, full_grads)
-    for mm in (None, m):
-        _assert_close_scaled(
-            weighted_parameter_gradient(net, x, v, mm, chunk_size=chunk),
-            weighted_parameter_gradient(net, x, v, mm, chunk_size=x.shape[0]),
-        )
+    for got, want in zip(chunked, full):
+        _assert_close_scaled(got, want)
 
 
 # ------------------------------------------------------ serialization

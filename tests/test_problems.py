@@ -11,7 +11,7 @@ from ritzlab.problems import (
     problem_by_name,
     verify_problem,
 )
-from ritzlab.sampling import mc_integrate, sample_boundary, sample_domain
+from ritzlab.sampling import mc_mean, sample_boundary, sample_domain
 
 
 def test_cosine_analytic_energy_d3():
@@ -43,7 +43,7 @@ def test_quadratic_gradient_integral():
     # analytic oracle: int 4 x^2 = 4/3 per axis, so 8/3 in d = 2
     p = make_quadratic_problem(2)
     x = sample_domain(100_000, 2, seed=2)
-    est = mc_integrate(lambda q: np.sum(p.grad_u_star(q) ** 2, axis=1), x, 1.0)
+    est = mc_mean(np.sum(p.grad_u_star(x) ** 2, axis=1), 1.0)
     assert abs(est.value - 8.0 / 3.0) <= 5 * est.std_error
 
 
@@ -51,14 +51,13 @@ def _mc_ritz_energy_of_exact_solution(p: Problem, n: int, seed: int):
     """Independent MC estimate of the variational energy at u*."""
     x = sample_domain(n, p.d, seed)
     y, faces = sample_boundary(n, p.d, seed)
-    dom = mc_integrate(
-        lambda q: 0.5 * np.sum(p.grad_u_star(q) ** 2, axis=1)
-        + 0.5 * p.w(q) * p.u_star(q) ** 2
-        - p.u_star(q) * p.f(q),
-        x,
+    dom = mc_mean(
+        0.5 * np.sum(p.grad_u_star(x) ** 2, axis=1)
+        + 0.5 * p.w(x) * p.u_star(x) ** 2
+        - p.u_star(x) * p.f(x),
         1.0,
     )
-    bnd = mc_integrate(lambda q: p.u_star(q) * p.g(q, faces), y, 2.0 * p.d)
+    bnd = mc_mean(p.u_star(y) * p.g(y, faces), 2.0 * p.d)
     value = dom.value - bnd.value
     se = math.hypot(dom.std_error, bnd.std_error)
     return value, se

@@ -240,20 +240,19 @@ def test_loss_gradient_linear_in_forcing():
         assert (grad_full - grad_nof)[c] == pytest.approx(-fd, rel=1e-4, abs=1e-9)
 
 
-def two_pass_loss_and_gradient(net, p, samples, chunk_size):
+def two_pass_loss_and_gradient(net, p, samples):
     """The unfused composition: one value+Jacobian pass for the loss, then a
     separate domain and boundary adjoint, each recomputing its forward pass."""
     x, y = samples.domain_points, samples.boundary_points
     n, m = samples.n_domain, samples.n_boundary
-    vals, grads = values_and_input_gradients(net, x, chunk_size=chunk_size)
+    vals, grads = values_and_input_gradients(net, x)
     tg = float(np.mean(0.5 * np.sum(grads**2, axis=1)))
     tm = float(np.mean(0.5 * p.w(x) * vals**2))
     tf = float(np.mean(vals * p.f(x)))
     g_vals = p.g(y, samples.boundary_faces)
     b_vals = forward_batch(net, y)
     tb = 2.0 * p.d * float(np.mean(b_vals * g_vals))
-    grad = weighted_parameter_gradient(net, x, (p.w(x) * vals - p.f(x)) / n, grads / n,
-                                       chunk_size=chunk_size)
+    grad = weighted_parameter_gradient(net, x, (p.w(x) * vals - p.f(x)) / n, grads / n)
     grad += weighted_parameter_gradient(net, y, -(2.0 * p.d / m) * g_vals)
     return (tg + tm - tf - tb, tg, tm, tf, tb), grad
 
@@ -264,13 +263,12 @@ def two_pass_loss_and_gradient(net, p, samples, chunk_size):
 def test_fused_loss_gradient_bitwise_equals_two_pass(monkeypatch, make_problem, d, chunk_size):
     if chunk_size is not None:
         # default chunks hold all 50 domain points; force 8 value+Jacobian chunks
-        monkeypatch.setattr("ritzlab.networks._gradient_chunk_size",
-                            lambda net, requested: requested or chunk_size)
+        monkeypatch.setattr("ritzlab.networks._gradient_chunk_size", lambda net: chunk_size)
     p = make_problem(d)
     s = make_sample_set(50, 30, d, seed=40 + d)
     net = random_relu2_net(d, (6, 5), seed=41)
     rep, grad = loss_and_parameter_gradient(net, p, s)
-    terms, grad_ref = two_pass_loss_and_gradient(net, p, s, chunk_size)
+    terms, grad_ref = two_pass_loss_and_gradient(net, p, s)
     assert (rep.total, rep.term_gradient, rep.term_mass, rep.term_forcing,
             rep.term_boundary) == terms
     assert np.array_equal(grad, grad_ref)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,12 @@ from ritzlab.sampling import (
     SampleSet,
     h1_error,
     make_sample_set,
-    mc_integrate,
+    mc_mean,
     sample_boundary,
     sample_domain,
 )
 
-from conftest import random_relu2_net, sum_of_squares_net
+from conftest import random_relu2_net, rng_for, sum_of_squares_net
 
 
 def zero_net(d):
@@ -65,25 +67,40 @@ def test_sample_set_validation():
         SampleSet(s.domain_points, bad_pts, s.boundary_faces, seed=17)
 
 
-def test_mc_integrate_constants_exact():
+def test_mc_mean_constants_exact():
     x = sample_domain(100, 2, seed=18)
-    est = mc_integrate(lambda q: np.ones(q.shape[0]), x, 1.0)
+    est = mc_mean(np.ones(x.shape[0]), 1.0)
     assert est.value == 1.0
     assert est.std_error == 0.0
     pts, _ = sample_boundary(100, 2, seed=18)
-    est_b = mc_integrate(lambda q: np.ones(q.shape[0]), pts, 4.0)
+    est_b = mc_mean(np.ones(pts.shape[0]), 4.0)
     assert est_b.value == 4.0
 
 
-def test_mc_integrate_linear_integrand():
+def test_mc_mean_linear_integrand():
     x = sample_domain(100_000, 2, seed=19)
-    est = mc_integrate(lambda q: q[:, 0], x, 1.0)
+    est = mc_mean(x[:, 0], 1.0)
     assert abs(est.value - 0.5) <= 5 * est.std_error
 
 
-def test_mc_integrate_needs_two_points():
+def test_mc_mean_scales_the_spread_before_dividing():
+    # (volume * std) / sqrt(n), left to right: the boundary SE of the Ritz
+    # energy has always been computed in this order, and the other order
+    # moves the last bit for some draws
+    rng = rng_for(21)
+    other_order = 0
+    for _ in range(200):
+        v = rng.standard_normal(int(rng.integers(2, 50)))
+        std = float(np.std(v, ddof=1))
+        se = mc_mean(v, 6.0).std_error
+        assert se == 6.0 * std / math.sqrt(v.size)
+        other_order += se != 6.0 * (std / math.sqrt(v.size))
+    assert other_order > 0
+
+
+def test_mc_mean_needs_two_points():
     with pytest.raises(ValueError):
-        mc_integrate(lambda q: np.ones(1), sample_domain(1, 2, seed=20), 1.0)
+        mc_mean(np.ones(1), 1.0)
 
 
 def test_h1_error_needs_two_quadrature_points():
