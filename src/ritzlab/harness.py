@@ -13,6 +13,8 @@ import csv
 import dataclasses
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,15 +58,35 @@ from .training import TrainConfig, init_network, optimization_error_estimate, tr
 
 
 class ConfigError(ValueError):
-    """A config is not a mapping, has an unknown key, or lacks a required key."""
+    """A config is not a mapping, has an unknown key, lacks a required key, or
+    holds a value of the wrong type."""
+
+
+def _fits(value, hint) -> bool:
+    """Whether a parsed YAML value fits a config field's type annotation.
+
+    A bool is not an int, and an int is accepted for a float.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        if not isinstance(value, tuple):
+            return False
+        items = args[:1] * len(value) if args[1:] == (Ellipsis,) else args
+        return len(value) == len(items) and all(map(_fits, value, items))
+    if origin is types.UnionType:
+        return any(_fits(value, h) for h in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def config_from_dict(cls, raw):
     """The config dataclass cls built from a parsed YAML mapping.
 
     Keys are the fields of cls; YAML lists become tuples and the nested
-    `train` mapping becomes a TrainConfig by the same rules.  Value checks
-    are left to cls.__post_init__.
+    `train` mapping becomes a TrainConfig by the same rules.  Each value must
+    fit its field's annotation (see _fits); range checks are left to
+    cls.__post_init__.
     """
     name = cls.__name__
     if not isinstance(raw, dict):
@@ -78,13 +100,19 @@ def config_from_dict(cls, raw):
                and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     if missing:
         raise ConfigError(f"missing required {name} key(s): {', '.join(missing)}")
+    hints = typing.get_type_hints(cls)
     kwargs = {}
-    for key, value in raw.items():
-        if key == "train":
+    for f in fields:
+        if f.name not in raw:
+            continue
+        value = raw[f.name]
+        if f.name == "train":
             value = config_from_dict(TrainConfig, value)
         elif isinstance(value, list):
             value = tuple(value)
-        kwargs[key] = value
+        if not _fits(value, hints[f.name]):
+            raise ConfigError(f"{name} key {f.name!r} must be {f.type}, got {value!r}")
+        kwargs[f.name] = value
     return cls(**kwargs)
 
 
@@ -137,7 +165,7 @@ class StudyConfig:
 
     problem: str = "cosine"
     d: int = 1
-    n_values: tuple = (256, 1024, 4096)
+    n_values: tuple[int, ...] = (256, 1024, 4096)
     nu: float = 0.0
     repetitions: int = 3
     n_quad: int = 100_000

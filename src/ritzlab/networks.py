@@ -8,6 +8,7 @@ recursions; no general-purpose autodiff is involved.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 import numpy as np
 
@@ -67,14 +68,11 @@ class Architecture:
             raise ValueError("need at least input and output layer dims")
         if any(n <= 0 for n in dims):
             raise ValueError("layer dims must be positive")
-        acts = tuple(
-            _normalize_layer_activation(a, dims[k + 1])
-            for k, a in enumerate(self.activations)
-        )
-        if len(acts) != len(dims) - 1:
+        if len(self.activations) != len(dims) - 1:
             raise DimensionMismatchError(
-                f"{len(acts)} activation specs for {len(dims) - 1} layers"
+                f"{len(self.activations)} activation specs for {len(dims) - 1} layers"
             )
+        acts = tuple(_normalize_layer_activation(a, n) for a, n in zip(self.activations, dims[1:]))
         if acts[-1] != IDENTITY:
             raise ValueError("output layer activation must be identity")
         object.__setattr__(self, "layer_dims", dims)
@@ -108,15 +106,10 @@ class Architecture:
         return all(a == RELU2 for a in self.activations[:-1])
 
 
-def _mixed_codes(spec, n_units: int) -> np.ndarray:
-    codes = np.empty(n_units, dtype=np.int8)
-    for k, t in enumerate(spec):
-        codes[k] = ACTIVATION_TAGS.index(t)
-    return codes
-
-
-def _act_tables(spec, n_units: int):
-    """Precompute (value, first, second) derivative callables for one layer."""
+@functools.lru_cache(maxsize=256)
+def _act_tables(spec):
+    """(value, first, second) derivative callables for one layer spec, built
+    once and shared by every net with that spec (a mixed spec fixes the width)."""
     if isinstance(spec, str):
         if spec == RELU:
             return (
@@ -136,9 +129,9 @@ def _act_tables(spec, n_units: int):
             )
         return (lambda z: z, lambda z: np.ones_like(z), lambda z: np.zeros_like(z))
 
-    codes = _mixed_codes(spec, n_units)
-    is_relu = codes == ACTIVATION_TAGS.index(RELU)
-    is_relu2 = codes == ACTIVATION_TAGS.index(RELU2)
+    tags = np.array(spec)
+    is_relu = tags == RELU
+    is_relu2 = tags == RELU2
 
     def val(z):
         out = z.copy()
@@ -161,43 +154,53 @@ def _act_tables(spec, n_units: int):
     return val, d1, d2
 
 
-class Network:
-    """Immutable weight/bias container for one architecture.
+def _layer_views(arch: Architecture, flat: np.ndarray):
+    """Per-layer (weights, biases) views of a flat parameter vector.
 
-    Parameter order (used by flatten/with_parameters, sensitivities and the
-    serialization format): layer by layer, weight matrix in row-major order,
-    then the bias vector of that layer.
+    The one definition of the parameter order, shared by Network storage,
+    parameter gradients and the file format: layer by layer, the weight
+    matrix in row-major order, then that layer's bias vector.
+    """
+    ws, bs, pos = [], [], 0
+    for n_in, n_out in zip(arch.layer_dims, arch.layer_dims[1:]):
+        ws.append(flat[pos : pos + n_out * n_in].reshape(n_out, n_in))
+        pos += n_out * n_in
+        bs.append(flat[pos : pos + n_out])
+        pos += n_out
+    return ws, bs
+
+
+class Network:
+    """Immutable network of one architecture, stored as one flat vector theta.
+
+    weights and biases are read-only per-layer views into theta, in the
+    order of _layer_views.  Every constructor rejects non-finite parameters.
     """
 
-    def __init__(self, architecture: Architecture, weights, biases, validate: bool = True):
-        self._arch = architecture
-        dims = architecture.layer_dims
+    def __init__(self, architecture: Architecture, weights, biases):
+        """Copy the per-layer arrays into a fresh theta."""
         if len(weights) != architecture.depth or len(biases) != architecture.depth:
             raise DimensionMismatchError("need one weight matrix and bias per layer")
-        ws, bs = [], []
-        for k in range(architecture.depth):
-            w = np.ascontiguousarray(weights[k], dtype=float)
-            b = np.ascontiguousarray(biases[k], dtype=float)
-            if w.shape != (dims[k + 1], dims[k]):
-                raise DimensionMismatchError(
-                    f"layer {k + 1} weight shape {w.shape}, expected {(dims[k + 1], dims[k])}"
-                )
-            if b.shape != (dims[k + 1],):
-                raise DimensionMismatchError(
-                    f"layer {k + 1} bias shape {b.shape}, expected {(dims[k + 1],)}"
-                )
-            if validate and not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {k + 1} has non-finite parameters")
-            w.flags.writeable = False
-            b.flags.writeable = False
-            ws.append(w)
-            bs.append(b)
-        self._weights = tuple(ws)
-        self._biases = tuple(bs)
-        self._acts = [
-            _act_tables(architecture.activations[k], dims[k + 1])
-            for k in range(architecture.depth)
-        ]
+        theta = np.empty(architecture.n_parameters)
+        for k, views in enumerate(zip(*_layer_views(architecture, theta))):
+            for kind, view, given in zip(("weight", "bias"), views, (weights[k], biases[k])):
+                given = np.asarray(given, dtype=float)
+                if given.shape != view.shape:
+                    raise DimensionMismatchError(
+                        f"layer {k + 1} {kind} shape {given.shape}, expected {view.shape}"
+                    )
+                view[...] = given
+        self._bind(architecture, theta)
+
+    def _bind(self, architecture: Architecture, theta: np.ndarray) -> None:
+        if not np.isfinite(theta).all():
+            raise ValueError("network has non-finite parameters")
+        theta = theta.view()
+        theta.flags.writeable = False
+        self._arch = architecture
+        self._theta = theta
+        self._weights, self._biases = map(tuple, _layer_views(architecture, theta))
+        self._acts = tuple(_act_tables(spec) for spec in architecture.activations)
 
     @property
     def architecture(self) -> Architecture:
@@ -216,34 +219,28 @@ class Network:
         return self._arch.n_parameters
 
     def flatten_parameters(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self._weights, self._biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        return self._theta.copy()
 
     @classmethod
-    def _from_parameters(cls, architecture: Architecture, theta, validate: bool = True):
-        """Network of the given architecture from a flat parameter vector."""
+    def _from_parameters(cls, architecture: Architecture, theta) -> "Network":
+        """Network of the given architecture on a flat parameter vector.
+
+        theta is bound without a copy: the network keeps read-only views of
+        it, so the caller must not write into theta afterwards.
+        """
         theta = np.asarray(theta, dtype=float)
         n_par = architecture.n_parameters
         if theta.shape != (n_par,):
             raise DimensionMismatchError(
                 f"parameter vector has shape {theta.shape}, expected ({n_par},)"
             )
-        dims = architecture.layer_dims
-        ws, bs, pos = [], [], 0
-        for k in range(architecture.depth):
-            nw = dims[k + 1] * dims[k]
-            ws.append(theta[pos : pos + nw].reshape(dims[k + 1], dims[k]))
-            pos += nw
-            bs.append(theta[pos : pos + dims[k + 1]])
-            pos += dims[k + 1]
-        return cls(architecture, ws, bs, validate=validate)
+        net = cls.__new__(cls)
+        net._bind(architecture, theta)
+        return net
 
-    def with_parameters(self, theta: np.ndarray, validate: bool = True) -> "Network":
-        """New network of the same architecture from a flat parameter vector."""
-        return Network._from_parameters(self._arch, theta, validate=validate)
+    def with_parameters(self, theta: np.ndarray) -> "Network":
+        """Same-architecture network on theta, bound as in _from_parameters."""
+        return Network._from_parameters(self._arch, theta)
 
 
 @dataclass(frozen=True)
@@ -402,7 +399,8 @@ def _sum_of_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _adjoint(net: Network, tape, lam: np.ndarray, mat, grad_w: list, grad_b: list) -> None:
-    """Reverse pass over one chunk's forward tape, accumulated into grad_w/grad_b.
+    """Reverse pass over one chunk's forward tape, accumulated into grad_w/grad_b
+    (per-layer views of one flat gradient, from _layer_views).
 
     tape is the (fs, zs, ps, gs) of _forward_caches; lam (B, 1) seeds d/du and
     mat (1, B, d), when not None, seeds d/d(grad u).  The tape must carry the
@@ -480,8 +478,8 @@ def _values_and_seeded_adjoint(net: Network, x: np.ndarray, seeds, need_input_gr
     n = x.shape[0]
     vals = np.empty(n)
     grads = np.empty((n, net.architecture.input_dim)) if need_input_gradient else None
-    grad_w = [np.zeros_like(w) for w in net.weights]
-    grad_b = [np.zeros_like(b) for b in net.biases]
+    grad = np.zeros(net.n_parameters)
+    grad_w, grad_b = _layer_views(net.architecture, grad)
     chunk = _gradient_chunk_size(net)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
@@ -492,12 +490,7 @@ def _values_and_seeded_adjoint(net: Network, x: np.ndarray, seeds, need_input_gr
         v, m = seeds(lo, hi, vals[lo:hi], grads[lo:hi] if need_input_gradient else None)
         _adjoint(net, tape, v[:, None], None if m is None else m[None], grad_w, grad_b)
         del tape
-
-    parts = []
-    for gw, gb in zip(grad_w, grad_b):
-        parts.append(gw.ravel())
-        parts.append(gb)
-    return vals, grads, np.concatenate(parts)
+    return vals, grads, grad
 
 
 def parameter_sensitivities(net: Network, x):

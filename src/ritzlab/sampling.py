@@ -78,11 +78,15 @@ class SampleSet:
         bf = np.asarray(self.boundary_faces)
         if dp.ndim != 2 or bp.ndim != 2 or bp.shape[1] != dp.shape[1]:
             raise ValueError("domain and boundary points must be (n, d) arrays")
-        if bf.shape != (bp.shape[0], 2):
+        if bf.shape != (bp.shape[0], 2) or not np.issubdtype(bf.dtype, np.integer):
             raise ValueError("boundary_faces must be (m, 2) (axis, side) ints")
-        if np.any(dp <= 0.0) or np.any(dp >= 1.0):
+        if not np.all((bf >= 0) & (bf < (dp.shape[1], 2))):
+            raise ValueError("face tags need an axis in [0, d) and a side in {0, 1}")
+        if not np.all((dp > 0.0) & (dp < 1.0)):
             raise ValueError("domain points must be strictly interior")
-        on_face = bp[np.arange(bp.shape[0]), bf[:, 0]] == bf[:, 1].astype(float)
+        if not np.all((bp >= 0.0) & (bp <= 1.0)):
+            raise ValueError("boundary points must lie in [0, 1]^d")
+        on_face = bp[np.arange(bp.shape[0]), bf[:, 0]] == bf[:, 1]
         if not np.all(on_face):
             raise ValueError("boundary points must lie on their tagged faces")
         object.__setattr__(self, "domain_points", dp)

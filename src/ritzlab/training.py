@@ -37,7 +37,7 @@ class TrainConfig:
     batch_boundary: int = 256
     resample: str = "fixed_set"
     seed: int = 0
-    adam_betas: tuple = (0.9, 0.999)
+    adam_betas: tuple[float, float] = (0.9, 0.999)
     adam_eps: float = 1e-8
     init_scale: float = 1.0
     eval_every: int = 50
@@ -57,6 +57,12 @@ class TrainConfig:
             raise ValueError("batch sizes must be >= 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if not (len(self.adam_betas) == 2 and all(0 <= b < 1 for b in self.adam_betas)):
+            raise ValueError("adam_betas must be two finite values in [0, 1)")
+        if not 0 < self.adam_eps < math.inf:
+            raise ValueError("adam_eps must be finite and > 0")
+        if not 0 <= self.init_scale < math.inf:
+            raise ValueError("init_scale must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -128,8 +134,8 @@ def _batch_view(samples: SampleSet, idx_d, idx_b) -> SampleSet:
 def train(net: Network, p: Problem, samples: SampleSet, cfg: TrainConfig):
     """Run cfg.iterations optimizer steps; returns (best-iterate net, history).
 
-    Aborts with TrainingDivergedError and diagnostics if the loss or gradient
-    stops being finite.
+    Aborts with TrainingDivergedError and diagnostics if the loss, the
+    gradient or the updated parameters stop being finite.
     """
     if samples.d != p.d or net.architecture.input_dim != p.d:
         raise ValueError("net/sample dimensions do not match the problem")
@@ -179,9 +185,15 @@ def train(net: Network, p: Problem, samples: SampleSet, cfg: TrainConfig):
             theta = adam.step(theta, grad, lr)
         else:
             theta = theta - lr * grad
+        try:
+            current = net.with_parameters(theta)
+        except ValueError as exc:  # the update made theta non-finite
+            raise TrainingDivergedError(
+                f"non-finite parameters after iteration {step}: "
+                f"|grad|={float(np.linalg.norm(grad)):.3e}, lr={lr!r}"
+            ) from exc
         if step % epoch_steps == 0:
             lr *= cfg.lr_decay
-        current = net.with_parameters(theta, validate=False)
 
         if step % cfg.eval_every == 0 or step == cfg.iterations:
             if checkpoint(step, current):

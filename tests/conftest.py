@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ritzlab.harness import _random_relu2_net
 from ritzlab.networks import IDENTITY, RELU2, Architecture, Network
+
+
+# Every property test draws a fixed example sequence and has no deadline, so
+# Tier-1 runs are deterministic; tests set only max_examples themselves.
+settings.register_profile("ritzlab", derandomize=True, deadline=None)
+settings.load_profile("ritzlab")
 
 
 def rng_for(seed):

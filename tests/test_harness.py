@@ -16,6 +16,7 @@ from ritzlab.harness import (
     StudyConfig,
     TrainRunConfig,
     calibrate_spline_rate,
+    config_from_dict,
     config_to_dict,
     fit_rate,
     load_config,
@@ -170,6 +171,27 @@ def test_config_errors_name_the_key(tmp_path, cls, case, key):
     path.write_text(yaml.safe_dump(raw) if case != "empty_file" else "")
     with pytest.raises(ConfigError, match=key):
         load_config(cls, path)
+
+
+@pytest.mark.parametrize("cls,raw,key", [
+    (StudyConfig, {"train": {"iterations": "100"}}, "iterations"),
+    (StudyConfig, {"n_values": 256}, "n_values"),
+    (StudyConfig, {"repetitions": 2.5}, "repetitions"),
+    (StudyConfig, {"n_values": [256, True]}, "n_values"),
+    (DecompositionConfig, {"restarts": True}, "restarts"),
+    (DecompositionConfig, {"output_dir": 3}, "output_dir"),
+    (TrainRunConfig, {**MINIMAL[TrainRunConfig], "train": {"adam_betas": [0.9]}}, "adam_betas"),
+])
+def test_config_values_must_fit_their_types(tmp_path, cls, raw, key):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ConfigError, match=key):
+        load_config(cls, path)
+
+
+def test_config_accepts_int_for_float_and_null_for_optional():
+    cfg = config_from_dict(StudyConfig, {"nu": 1, "output_dir": None, "train": {"learning_rate": 1}})
+    assert cfg.nu == 1 and cfg.output_dir is None and cfg.train.learning_rate == 1
 
 
 @pytest.mark.parametrize("key", ["problem", "d", "n"])

@@ -67,6 +67,24 @@ def test_sample_set_validation():
         SampleSet(s.domain_points, bad_pts, s.boundary_faces, seed=17)
 
 
+@pytest.mark.parametrize("point,faces", [
+    ((0.5, 0.0), [[5, 0]]),      # axis out of range
+    ((0.5, 0.0), [[-1, 0]]),
+    ((0.5, 0.0), [[1.0, 0.0]]),  # float tags
+    ((0.5, 2.0), [[1, 2]]),      # side not in {0, 1}
+    ((5.0, 1.0), [[1, 1]]),      # coordinate outside [0, 1]
+    ((np.nan, 1.0), [[1, 1]]),
+])
+def test_sample_set_rejects_bad_boundary_tags_and_points(point, faces):
+    with pytest.raises(ValueError):
+        SampleSet(np.full((3, 2), 0.5), np.array([point]), np.array(faces), seed=0)
+
+
+def test_sample_set_rejects_non_finite_domain_points():
+    with pytest.raises(ValueError, match="interior"):
+        SampleSet(np.array([[0.5, np.nan]]), np.array([[0.5, 0.0]]), np.array([[1, 0]]), seed=0)
+
+
 def test_mc_mean_constants_exact():
     x = sample_domain(100, 2, seed=18)
     est = mc_mean(np.ones(x.shape[0]), 1.0)

@@ -180,6 +180,35 @@ def test_config_rejects_non_finite_learning_rate(lr):
         TrainConfig(learning_rate=lr)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("adam_betas", (1.0, 0.999)),
+    ("adam_betas", (0.9,)),
+    ("adam_betas", (0.9, math.nan)),
+    ("adam_betas", (-0.1, 0.999)),
+    ("adam_eps", 0.0),
+    ("adam_eps", math.inf),
+    ("adam_eps", math.nan),
+    ("init_scale", math.nan),
+    ("init_scale", math.inf),
+    ("init_scale", -1.0),
+])
+def test_config_rejects_bad_adam_and_init_settings(key, value):
+    with pytest.raises(ValueError, match=key):
+        TrainConfig(**{key: value})
+
+
+def test_non_finite_update_aborts_at_that_iteration():
+    # a finite gradient (entries up to ~5e3) times lr = 1e308 overflows
+    # theta on the last step, which a checkpoint would have let pass
+    p, samples, net = small_setup(n=64)
+    net = init_network(net.architecture, 10.0, seed=1)
+    cfg = TrainConfig(optimizer="sgd", learning_rate=1e308, iterations=1,
+                      batch_domain=64, batch_boundary=64, seed=8)
+    with pytest.raises(TrainingDivergedError, match="after iteration 1"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        train(net, p, samples, cfg)
+
+
 def test_divergence_aborts_with_diagnostic():
     p, samples, net = small_setup(n=64)
     cfg = TrainConfig(optimizer="sgd", learning_rate=1e12, iterations=200,
