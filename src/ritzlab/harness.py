@@ -51,7 +51,13 @@ from .ritz import (
     statistical_gap_estimate,
 )
 from .sampling import RNG_ALGORITHM, h1_error, make_sample_set, rng_stream, sample_domain
-from .training import TrainConfig, init_network, optimization_error_estimate, train
+from .training import (
+    TrainConfig,
+    _check_int_fields,
+    init_network,
+    optimization_error_estimate,
+    train,
+)
 
 
 # ------------------------------------------------------------ config files
@@ -153,6 +159,7 @@ class TrainRunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
+        _check_int_fields(self)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.n_quad < 2:
@@ -174,7 +181,10 @@ class StudyConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        ns = tuple(int(n) for n in self.n_values)
+        _check_int_fields(self)
+        ns = tuple(self.n_values)
+        if any(isinstance(n, bool) or not isinstance(n, int) for n in ns):
+            raise ValueError(f"StudyConfig.n_values must hold ints, got {self.n_values!r}")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n_values must be strictly increasing")
         if any(n < 1 for n in ns):
@@ -354,6 +364,7 @@ class DecompositionConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        _check_int_fields(self)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.n_quad < 2:

@@ -4,11 +4,17 @@ One weight-level representation serves both trained nets and exactly
 constructed gadget nets.  Because every activation is piecewise polynomial,
 input gradients and parameter sensitivities have closed-form layered
 recursions; no general-purpose autodiff is involved.
+
+Every pass runs over its points in blocks of _CHUNK_ROWS rows, recording
+each block's tape into a workspace that is allocated once per thread and
+shape and reused by every later block and call (_Workspace).
 """
 
 from __future__ import annotations
 
+import copy
 import functools
+import threading
 from dataclasses import dataclass
 import numpy as np
 
@@ -264,31 +270,204 @@ def _as_batch(net: Network, x) -> np.ndarray:
     return x
 
 
-def _forward_chunk_size(net: Network) -> int:
-    """Rows per forward_batch chunk: each layer's values stay near 32 MB.
+# Rows per block of every network pass.  A block's per-layer arrays stay
+# cache-sized, and a multiple of 256 keeps block edges on the GEMM kernels'
+# row blocks: rows at an unaligned edge go through an edge kernel that rounds
+# differently from an unblocked product.
+_CHUNK_ROWS = 256
+# Workspaces kept per thread, least recently used dropped first.
+_WORKSPACE_ENTRIES = 4
+_workspaces = threading.local()
 
-    A multiple of 256 rows, so chunk edges fall on the GEMM kernels' row
-    blocks: rows at an unaligned edge go through an edge kernel that rounds
-    differently from an unchunked product.
+
+def _stack(n_units: int, rows: int, d: int) -> np.ndarray:
+    """Empty Jacobian stack as its (n_units, rows * d) GEMM view.
+
+    The stack (n_units, rows, d) is point-major in memory when d == 1, so this
+    view is then F-ordered, the operand orientation of a batch-major
+    (rows, n_units, 1) recursion.  BLAS rounds by orientation, so this keeps
+    d = 1 results bitwise those of that recursion.
     """
-    return max(4_000_000 // net.architecture.width // 256, 1) * 256
+    if d == 1:
+        return np.empty((rows, n_units, 1)).transpose(1, 0, 2).reshape(n_units, rows)
+    return np.empty((n_units, rows * d))
+
+
+class _Workspace:
+    """Every array of one block's forward tape and reverse pass, for one
+    (layer dims, rows, need_input_gradient).
+
+    The tape holds, per layer l = 1..L, the pre-activation z_l, the value f_l
+    and the derivative f'_l = act'(z_l), each (rows, N_l), and, when input
+    gradients are needed, the input Jacobians P_l = A_l G_{l-1} and
+    G_l = f'_l * P_l.  fs[0] is the block's input, gs[0] the identity.  The
+    Jacobian stacks are unit-major: ps/gs hold the (N_l, rows * d) GEMM views
+    and ps3/gs3 the (N_l, rows, d) views of the same memory, so each layer's
+    Jacobian product is one GEMM with no copy.  The other lists are scratch of
+    _adjoint.  GEMM outputs are C-ordered like numpy's fresh results, and the
+    G_l and q stacks follow _stack, so every value is bitwise that of freshly
+    allocated arrays.
+    """
+
+    _ROW_BUFFERS = ("fs", "zs", "fps", "delta", "lam", "d2", "s")
+    _STACK_BUFFERS = ("ps", "gs", "q", "mat")
+
+    def __init__(self, dims: tuple, rows: int, need_input_gradient: bool):
+        d, units, hidden = dims[0], dims[1:], dims[1:-1]
+
+        def rows_by(ns):
+            return [np.empty((rows, n)) for n in ns]
+
+        self.rows, self.d = rows, d
+        self.fs = [None, *rows_by(units)]
+        self.zs, self.fps, self.delta = rows_by(units), rows_by(units), rows_by(units)
+        self.lam = [None, *rows_by(hidden)]
+        self.gw = [np.empty((n_out, n_in)) for n_in, n_out in zip(dims, units)]
+        self.d2 = self.s = self.ps = self.gs = self.q = self.mat = None
+        if need_input_gradient:
+            self.d2, self.s = rows_by(units), rows_by(units)
+            self.ps = [np.empty((n, rows * d)) for n in units]
+            eye = np.broadcast_to(np.eye(d), (rows, d, d)).transpose(1, 0, 2)
+            self.gs = [eye.reshape(d, rows * d), *(_stack(n, rows, d) for n in units)]
+            self.q = [_stack(n, rows, d) for n in units]
+            self.mat = [None, *(np.empty((n, rows * d)) for n in hidden)]
+        self._set_3d_views()
+        self._head = None
+
+    def _set_3d_views(self) -> None:
+        for name in self._STACK_BUFFERS:
+            mats = getattr(self, name)
+            if mats is not None:
+                views = [None if a is None else a.reshape(a.shape[0], self.rows, self.d)
+                         for a in mats]
+                setattr(self, name + "3", views)
+
+    def head(self, rows: int) -> "_Workspace":
+        """The workspace itself, or views of its leading rows for a short block."""
+        if rows == self.rows:
+            return self
+        if self._head is None or self._head.rows != rows:
+            head = copy.copy(self)
+            head.rows, head._head = rows, None
+            for names, cut in ((self._ROW_BUFFERS, lambda a: a[:rows]),
+                               (self._STACK_BUFFERS, lambda a: a[:, : rows * self.d])):
+                for name in names:
+                    bufs = getattr(self, name)
+                    if bufs is not None:
+                        setattr(head, name, [None if a is None else cut(a) for a in bufs])
+            head._set_3d_views()
+            self._head = head
+        return self._head
+
+    def release_input(self) -> None:
+        """Drop the tape's reference to the caller's points."""
+        for ws in (self, self._head):
+            if ws is not None:
+                ws.fs[0] = None
+
+
+def _workspace(dims: tuple, rows: int, need_input_gradient: bool) -> _Workspace:
+    """This thread's workspace for the key, allocated on first use only."""
+    cache = _workspaces.__dict__.setdefault("lru", {})
+    key = (dims, rows, need_input_gradient)
+    ws = cache.pop(key, None) or _Workspace(*key)
+    cache[key] = ws
+    if len(cache) > _WORKSPACE_ENTRIES:
+        del cache[next(iter(cache))]
+    return ws
+
+
+def _blocks(net: Network, n: int, need_input_gradient: bool):
+    """(lo, hi, workspace) for each _CHUNK_ROWS-row block of n rows.
+
+    All blocks share one workspace, so a block's tape is overwritten by the
+    next: read what is needed off it before advancing.
+    """
+    if n == 0:
+        return
+    rows = min(n, _CHUNK_ROWS)
+    ws = _workspace(net.architecture.layer_dims, rows, need_input_gradient)
+    try:
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            yield lo, hi, ws.head(hi - lo)
+    finally:
+        ws.release_input()
+
+
+def _activate(spec, table, z: np.ndarray, f: np.ndarray, fp: np.ndarray | None) -> None:
+    """f = act(z) and, unless fp is None, fp = act'(z), written in place.
+
+    ReLU^2 takes max(z, 0) once for both; the values are bitwise those of the
+    closures of _act_tables, which mixed layers still use.
+    """
+    if spec == RELU2:
+        zp = np.maximum(z, 0.0, out=f if fp is None else fp)
+        np.multiply(zp, zp, out=f)
+        if fp is not None:
+            fp *= 2.0
+    elif spec == RELU:
+        np.maximum(z, 0.0, out=f)
+        if fp is not None:
+            np.greater(z, 0.0, out=fp)
+    elif spec == IDENTITY:
+        np.copyto(f, z)
+        if fp is not None:
+            fp.fill(1.0)
+    else:
+        val, d1, _ = table
+        f[...] = val(z)
+        if fp is not None:
+            fp[...] = d1(z)
+
+
+def _second_derivative(spec, table, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """act''(z) written into out."""
+    if spec == RELU2:
+        np.greater(z, 0.0, out=out)
+        out *= 2.0
+    elif isinstance(spec, str):
+        out.fill(0.0)
+    else:
+        out[...] = table[2](z)
+    return out
+
+
+def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace,
+                    values_only: bool = False) -> _Workspace:
+    """Record one block's forward tape into ws (see _Workspace) and return it.
+
+    x holds exactly ws.rows points.  The input Jacobians are recorded when ws
+    has room for them.  values_only skips the derivatives f'_l,
+    which only the input Jacobians and _adjoint read.  For d = 1 the G_l are
+    point-major in memory (_stack): BLAS rounds the scalar-output products by
+    operand orientation, and that layout keeps d = 1 results bitwise those of
+    a batch-major (B, N_l, d) recursion.
+    """
+    ws.fs[0] = x
+    need_input_gradient = ws.ps is not None
+    layers = zip(net.architecture.activations, net._acts, net.weights, net.biases)
+    for k, (spec, table, w, bias) in enumerate(layers):
+        z = np.matmul(ws.fs[k], w.T, out=ws.zs[k])
+        z += bias
+        _activate(spec, table, z, ws.fs[k + 1], None if values_only else ws.fps[k])
+        if need_input_gradient:
+            np.matmul(w, ws.gs[k], out=ws.ps[k])
+            np.multiply(ws.fps[k].T[:, :, None], ws.ps3[k], out=ws.gs3[k + 1])
+    return ws
 
 
 def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
     """Network values at a batch of points, shape (B, d) -> (B,) for scalar nets.
 
-    Rows are pushed through in chunks, so a large batch's per-layer
-    temporaries stay the size of one chunk.
+    Rows are pushed through in _CHUNK_ROWS-row blocks on a reused workspace,
+    so a large batch allocates nothing but its result.
     """
     x = _as_batch(net, x)
     n = x.shape[0]
     out = np.empty((n, net.architecture.output_dim))
-    chunk = _forward_chunk_size(net)
-    for lo in range(0, n, chunk):
-        f = x[lo : lo + chunk]
-        for (val, _, _), w, b in zip(net._acts, net.weights, net.biases):
-            f = val(f @ w.T + b)
-        out[lo : lo + chunk] = f
+    for lo, hi, ws in _blocks(net, n, need_input_gradient=False):
+        out[lo:hi] = _forward_caches(net, x[lo:hi], ws, values_only=True).fs[-1]
     if net.architecture.output_dim == 1:
         return out[:, 0]
     return out
@@ -301,78 +480,18 @@ def forward(net: Network, x) -> float:
     return float(forward_batch(net, x)[0])
 
 
-def _jacobian_matmul(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """a (n_out, n_in) applied to a unit-major stack g (n_in, B, d) as one GEMM.
-
-    The batch is folded into matrix columns by a free reshape, so the weight
-    matrix streams through BLAS once instead of once per point.
-    """
-    n_in, b, d = g.shape
-    return (a @ g.reshape(n_in, b * d)).reshape(a.shape[0], b, d)
-
-
-def _stack(n_units: int, b: int, d: int) -> np.ndarray:
-    """Empty (n_units, b, d) Jacobian stack; point-major in memory when d == 1.
-
-    A d = 1 stack's GEMM view (n_units, b) is then F-ordered, the operand
-    orientation of a batch-major (b, n_units, 1) recursion.  BLAS rounds by
-    orientation, so this keeps d = 1 results bitwise those of that recursion.
-    """
-    if d == 1:
-        return np.empty((b, n_units, 1)).transpose(1, 0, 2)
-    return np.empty((n_units, b, d))
-
-
-def _forward_caches(net: Network, x: np.ndarray, need_input_gradient: bool):
-    """Run the layered recursion keeping per-layer caches.
-
-    Returns (fs, zs, ps, gs): post-activations f_0..f_L and pre-activations
-    z_1..z_L, each (B, N_l), and, when requested, the pre/post activation
-    input Jacobians P_l = A_l G_{l-1} and G_l = act'(z_l) * P_l, stored
-    unit-major as (N_l, B, d).  In that layout a stack's GEMM operand is the
-    free view reshape(N_l, B*d), so each layer's Jacobian product is one GEMM
-    with no copy.  For d = 1 the G_l are point-major in memory (_stack): BLAS
-    rounds the scalar-output products by operand orientation, and that layout
-    keeps d = 1 results bitwise those of a batch-major (B, N_l, d) recursion.
-    """
-    b_sz, d = x.shape
-    fs = [x]
-    zs = []
-    ps = [] if need_input_gradient else None
-    gs = None
-    if need_input_gradient:
-        gs = [np.broadcast_to(np.eye(d), (b_sz, d, d)).transpose(1, 0, 2)]
-    for (val, d1, _), w, bias in zip(net._acts, net.weights, net.biases):
-        z = fs[-1] @ w.T + bias
-        zs.append(z)
-        fs.append(val(z))
-        if need_input_gradient:
-            p = _jacobian_matmul(w, gs[-1])
-            ps.append(p)
-            gs.append(np.multiply(d1(z).T[:, :, None], p, out=_stack(w.shape[0], b_sz, d)))
-    return fs, zs, ps, gs
-
-
-def _gradient_chunk_size(net: Network) -> int:
-    """Cap chunks so per-layer Jacobian caches stay near 32 MB for wide nets."""
-    per_point = max(net.architecture.width * net.architecture.input_dim, 1)
-    return int(np.clip(4_000_000 // per_point, 64, 32768))
-
-
 def values_and_input_gradients(net: Network, x: np.ndarray):
-    """Batched (values, input gradients) for a scalar net; chunked over the batch."""
+    """Batched (values, input gradients) for a scalar net, in _CHUNK_ROWS-row blocks."""
     x = _as_batch(net, x)
     if net.architecture.output_dim != 1:
         raise DimensionMismatchError("expects a scalar-output network")
-    chunk = _gradient_chunk_size(net)
     n = x.shape[0]
     vals = np.empty(n)
     grads = np.empty((n, net.architecture.input_dim))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        fs, _, _, gs = _forward_caches(net, x[lo:hi], need_input_gradient=True)
-        vals[lo:hi] = fs[-1][:, 0]
-        grads[lo:hi] = gs[-1][0]
+    for lo, hi, ws in _blocks(net, n, need_input_gradient=True):
+        tape = _forward_caches(net, x[lo:hi], ws)
+        vals[lo:hi] = tape.fs[-1][:, 0]
+        grads[lo:hi] = tape.gs3[-1][0]
     return vals, grads
 
 
@@ -383,53 +502,59 @@ def forward_with_input_gradient(net: Network, x) -> EvalResult:
     return EvalResult(value=float(vals[0]), input_gradient=grads[0].copy())
 
 
-def _sum_of_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.sum(a * b, axis=2), bitwise, for stacks with a short last axis.
+def _sum_of_products(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                     scratch: np.ndarray, scratch3: np.ndarray) -> np.ndarray:
+    """np.sum(a * b, axis=2) written into out, bitwise, for stacks (N, B, d).
 
     numpy adds fewer than 8 terms in order, so for small d the d products are
-    accumulated one whole-array add at a time; a reduction over a length-d
-    axis costs about ten times as much.
+    accumulated one whole-array add at a time (through scratch, shaped like
+    out); a reduction over a length-d axis costs about ten times as much.
+    scratch3, shaped like a, holds the products for d >= 8.
     """
     if a.shape[2] >= 8:
-        return np.sum(a * b, axis=2)
-    out = a[..., 0] * b[..., 0]
+        return np.sum(np.multiply(a, b, out=scratch3), axis=2, out=out)
+    np.multiply(a[..., 0], b[..., 0], out=out)
     for i in range(1, a.shape[2]):
-        out += a[..., i] * b[..., i]
+        out += np.multiply(a[..., i], b[..., i], out=scratch)
     return out
 
 
-def _adjoint(net: Network, tape, lam: np.ndarray, mat, grad_w: list, grad_b: list) -> None:
-    """Reverse pass over one chunk's forward tape, accumulated into grad_w/grad_b
+def _adjoint(net: Network, tape: _Workspace, lam: np.ndarray, mat, grad_w: list,
+             grad_b: list) -> None:
+    """Reverse pass over one block's forward tape, accumulated into grad_w/grad_b
     (per-layer views of one flat gradient, from _layer_views).
 
-    tape is the (fs, zs, ps, gs) of _forward_caches; lam (B, 1) seeds d/du and
+    tape is the workspace filled by _forward_caches; lam (B, 1) seeds d/du and
     mat (1, B, d), when not None, seeds d/d(grad u).  The tape must carry the
     input Jacobians whenever mat is given.  mat is carried in the tape's
     unit-major (N_l, B, d) layout, so its products with the stored G_l are
     GEMMs on free (N_l, B*d) views; the d = 1 stacks it forms are point-major
-    in memory, as in _stack, for the same bitwise reason.  Nothing is
-    propagated below layer 1, since the input layer has no parameters.
+    in memory, as in _stack, for the same bitwise reason.  Every temporary is
+    a workspace buffer.  Nothing is propagated below layer 1, since the input
+    layer has no parameters.
     """
-    fs, zs, ps, gs = tape
-    b_sz = fs[0].shape[0]
+    t = tape
+    layers = list(zip(net.architecture.activations, net._acts, net.weights))
     for k in range(net.architecture.depth - 1, -1, -1):
-        _, d1f, d2f = net._acts[k]
-        w = net.weights[k]
-        d1 = d1f(zs[k])
-        delta = lam * d1
+        spec, table, w = layers[k]
+        fp = t.fps[k]
+        delta = np.multiply(lam, fp, out=t.delta[k])
+        gw = t.gw[k]
         if mat is not None:
             # z_k also enters G_k through act'(z_k); d2 carries that path
-            delta = delta + d2f(zs[k]) * _sum_of_products(mat, ps[k]).T
-            n_q, _, dd = mat.shape
-            q = np.multiply(d1.T[:, :, None], mat, out=_stack(n_q, b_sz, dd))
-            q_mat = q.reshape(n_q, b_sz * dd)
-            grad_w[k] += q_mat @ gs[k].reshape(w.shape[1], b_sz * dd).T
+            s = _sum_of_products(mat, t.ps3[k], t.s[k].T, t.d2[k].T, t.q3[k])
+            d2 = _second_derivative(spec, table, t.zs[k], t.d2[k])
+            d2 *= s.T
+            delta += d2
+            np.multiply(fp.T[:, :, None], mat, out=t.q3[k])
+            grad_w[k] += np.matmul(t.q[k], t.gs[k].T, out=gw)
             if k:
-                mat = _jacobian_matmul(w.T, q)
-        grad_w[k] += delta.T @ fs[k]
+                np.matmul(w.T, t.q[k], out=t.mat[k])
+                mat = t.mat3[k]
+        grad_w[k] += np.matmul(delta.T, t.fs[k], out=gw)
         grad_b[k] += delta.sum(axis=0)
         if k:
-            lam = delta @ w
+            lam = np.matmul(delta, w, out=t.lam[k])
 
 
 def weighted_parameter_gradient(
@@ -462,15 +587,14 @@ def weighted_parameter_gradient(
 
 
 def _values_and_seeded_adjoint(net: Network, x: np.ndarray, seeds, need_input_gradient: bool):
-    """Values, input gradients and a weighted parameter gradient from ONE tape per chunk.
+    """Values, input gradients and a weighted parameter gradient from ONE tape per block.
 
-    For each chunk the forward tape is recorded once; its values and (when
-    need_input_gradient) input gradients are handed to
+    For each _CHUNK_ROWS-row block the forward tape is recorded once; its
+    values and (when need_input_gradient) input gradients are handed to
     seeds(lo, hi, values, gradients) -> (value_weights, gradient_weights or
-    None), and the adjoint replays the same tape.  The tape is dropped before
-    the next chunk.  Chunks are those of values_and_input_gradients, and the
-    summation order is fixed, so the values and input gradients are bitwise
-    those of values_and_input_gradients.
+    None), and the adjoint replays the same tape.  seeds must not run a
+    network pass itself, since that could overwrite the tape.  The values and
+    input gradients are bitwise those of values_and_input_gradients.
     Returns (values (B,), input gradients (B, d) or None, flat gradient).
     """
     if net.architecture.output_dim != 1:
@@ -480,16 +604,13 @@ def _values_and_seeded_adjoint(net: Network, x: np.ndarray, seeds, need_input_gr
     grads = np.empty((n, net.architecture.input_dim)) if need_input_gradient else None
     grad = np.zeros(net.n_parameters)
     grad_w, grad_b = _layer_views(net.architecture, grad)
-    chunk = _gradient_chunk_size(net)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        tape = _forward_caches(net, x[lo:hi], need_input_gradient)
-        vals[lo:hi] = tape[0][-1][:, 0]
+    for lo, hi, ws in _blocks(net, n, need_input_gradient):
+        tape = _forward_caches(net, x[lo:hi], ws)
+        vals[lo:hi] = tape.fs[-1][:, 0]
         if need_input_gradient:
-            grads[lo:hi] = tape[3][-1][0]
+            grads[lo:hi] = tape.gs3[-1][0]
         v, m = seeds(lo, hi, vals[lo:hi], grads[lo:hi] if need_input_gradient else None)
         _adjoint(net, tape, v[:, None], None if m is None else m[None], grad_w, grad_b)
-        del tape
     return vals, grads, grad
 
 

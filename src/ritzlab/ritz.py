@@ -68,10 +68,8 @@ class LossReport:
 def _domain_pieces(vals, grads, w_at, f_at):
     """Per-point gradient, mass and forcing integrands of the Ritz loss.
 
-    w_at() and f_at() return w and f at the points.  They are called after
-    the gradient piece is formed: on a 1e5-point estimate with a wide net,
-    evaluating them first leaves up to ~45 MB more heap resident at the
-    estimator's peak.
+    w_at() and f_at() return w and f at the points; they are called after
+    the gradient piece is formed, so their arrays are not alive alongside it.
     """
     grad_piece = 0.5 * np.sum(grads**2, axis=1)
     return grad_piece, 0.5 * w_at() * vals**2, vals * f_at()
@@ -154,7 +152,7 @@ def energy_excess(net: Network, p: Problem, n_quad: int, seed: int) -> EnergyExc
 def loss_and_parameter_gradient(net: Network, p: Problem, samples: SampleSet):
     """Empirical loss together with its exact parameter gradient.
 
-    Each chunk of domain points is pushed through the value+Jacobian
+    Each block of domain points is pushed through the value+Jacobian
     recursion once; the loss reads u and grad u off that tape, and the
     adjoint replays it seeded with d(loss)/du = (w u - f)/n and
     d(loss)/d(grad u) = grad u / n.  The boundary adjoint runs only when some

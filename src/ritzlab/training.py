@@ -8,6 +8,7 @@ selected among periodic checkpoints.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -27,6 +28,16 @@ class TrainingDivergedError(RuntimeError):
     """Loss or gradient became non-finite during optimization."""
 
 
+def _check_int_fields(cfg) -> None:
+    """Raise ValueError naming the first int field of a config dataclass that
+    holds anything but an int (a bool included), so a config built in Python
+    fails at construction, not with a TypeError or a float count mid-run."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"{type(cfg).__name__}.{f.name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     optimizer: str = "adam"
@@ -43,6 +54,7 @@ class TrainConfig:
     eval_every: int = 50
 
     def __post_init__(self):
+        _check_int_fields(self)
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError("optimizer must be 'sgd' or 'adam'")
         if self.resample not in ("fixed_set", "fresh_each_step"):
@@ -104,7 +116,12 @@ def init_network(arch: Architecture, init_scale: float, seed: int) -> Network:
 
 
 class AdamState:
-    """The standard published Adam recursion on a flat parameter vector."""
+    """The standard published Adam recursion on a flat parameter vector.
+
+    m and v are updated in place, through one scratch vector, in the operation
+    order of theta - lr * m_hat / (sqrt(v_hat) + eps), so every value is
+    bitwise that of the textbook expression.
+    """
 
     def __init__(self, n_params: int, betas=(0.9, 0.999), eps: float = 1e-8):
         self.beta1, self.beta2 = betas
@@ -112,14 +129,22 @@ class AdamState:
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
         self.t = 0
+        self._scratch = np.empty(n_params)
 
     def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+        """The updated parameters, as a fresh array (theta is left as it is)."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad**2
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return theta - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        s = self._scratch
+        self.m *= self.beta1
+        self.m += np.multiply(grad, 1.0 - self.beta1, out=s)
+        self.v *= self.beta2
+        self.v += np.multiply(np.square(grad, out=s), 1.0 - self.beta2, out=s)
+        denom = np.divide(self.v, 1.0 - self.beta2**self.t, out=s)
+        denom = np.add(np.sqrt(denom, out=s), self.eps, out=s)
+        step = np.divide(self.m, 1.0 - self.beta1**self.t)
+        step *= lr
+        step /= denom
+        return np.subtract(theta, step, out=step)
 
 
 def _batch_view(samples: SampleSet, idx_d, idx_b) -> SampleSet:

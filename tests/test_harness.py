@@ -218,6 +218,19 @@ def test_configs_reject_bad_values_at_construction(cls, bad):
         cls(**{**MINIMAL[cls], **bad})
 
 
+@pytest.mark.parametrize("cls,bad", [
+    (TrainRunConfig, {"d": 2.0}),
+    (TrainRunConfig, {"n_quad": True}),
+    (StudyConfig, {"repetitions": 2.5}),
+    (StudyConfig, {"n_values": (256, 1024.0)}),
+    (DecompositionConfig, {"gap_reps": 8.0}),
+    (DecompositionConfig, {"restarts": True}),
+])
+def test_python_built_configs_reject_non_int_counts(cls, bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        cls(**{**MINIMAL[cls], **bad})
+
+
 # ------------------------------------------------------- decomposition
 
 

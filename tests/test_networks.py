@@ -1,4 +1,7 @@
+import sys
 import tempfile
+import threading
+import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
 
@@ -25,6 +28,17 @@ from ritzlab.networks import (
     values_and_input_gradients,
     weighted_parameter_gradient,
 )
+
+from ritzlab.gadgets import (
+    build_gradient_norm_network,
+    build_spline_combination,
+    fit_spline_coefficients,
+    prescribe_architecture,
+)
+from ritzlab.problems import make_cosine_problem
+from ritzlab.ritz import loss_and_parameter_gradient
+from ritzlab.sampling import make_sample_set, sample_domain
+from ritzlab.training import init_network
 
 from conftest import points_away_from_kinks, random_relu2_net, rng_for
 
@@ -229,7 +243,7 @@ def test_weighted_parameter_gradient_chunking_invariant(monkeypatch):
     v = rng.standard_normal(37)
     m = rng.standard_normal((37, 2))
     full = weighted_parameter_gradient(net, x, v, m)
-    monkeypatch.setattr(networks, "_gradient_chunk_size", lambda _net: 5)
+    monkeypatch.setattr(networks, "_CHUNK_ROWS", 5)
     small = weighted_parameter_gradient(net, x, v, m)
     assert np.allclose(full, small, rtol=1e-13, atol=1e-13)
 
@@ -284,7 +298,7 @@ def _old_adjoint(net, tape, lam, mat, grad_w, grad_b):
 
 
 def _old_values_and_input_gradients(net, x):
-    chunk = networks._gradient_chunk_size(net)
+    chunk = networks._CHUNK_ROWS
     vals, grads = np.empty(len(x)), np.empty(x.shape)
     for lo in range(0, len(x), chunk):
         fs, _, _, gs = _old_forward_caches(net, x[lo:lo + chunk], True)
@@ -294,7 +308,7 @@ def _old_values_and_input_gradients(net, x):
 
 
 def _old_weighted_parameter_gradient(net, x, v, m=None):
-    chunk = networks._gradient_chunk_size(net)
+    chunk = networks._CHUNK_ROWS
     grad_w = [np.zeros_like(w) for w in net.weights]
     grad_b = [np.zeros_like(b) for b in net.biases]
     for lo in range(0, len(x), chunk):
@@ -335,7 +349,7 @@ def test_unit_major_tape_bitwise_equals_batch_major(monkeypatch, kind, d):
         e = np.zeros((1, d))
         e[0, i] = 1.0
         assert np.array_equal(dgrad[i], _old_weighted_parameter_gradient(net, x[:1], np.zeros(1), e))
-    monkeypatch.setattr(networks, "_gradient_chunk_size", lambda _net: 7)
+    monkeypatch.setattr(networks, "_CHUNK_ROWS", 7)
     assert np.array_equal(weighted_parameter_gradient(net, x, v, m),
                           _old_weighted_parameter_gradient(net, x, v, m))
 
@@ -351,10 +365,91 @@ def test_forward_batch_chunk_invariant(monkeypatch, dims, acts):
     net = Network(Architecture(dims, acts), ws, bs)
     x = rng.uniform(-1, 1, size=(37, dims[0]))
     whole = forward_batch(net, x)
-    monkeypatch.setattr(networks, "_forward_chunk_size", lambda _net: 7)
+    monkeypatch.setattr(networks, "_CHUNK_ROWS", 7)
     chunked = forward_batch(net, x)
     assert chunked.shape == whole.shape == ((37,) if dims[-1] == 1 else (37, dims[-1]))
     assert np.array_equal(chunked, whole)
+
+
+def _block_edge_nets():
+    wide = init_network(prescribe_architecture(2, 4096, 0.0), 1.0, 96)
+    # (2, 6, 6, 24, 4, 1) with a mixed first layer.  No layer maps 40 or more
+    # units onto 2-5: OpenBLAS picks the kernel of such a product by its size,
+    # so its rows round differently at 256 and at 1000 rows, blocked or not.
+    gadget = build_gradient_norm_network(random_relu2_net(2, (3, 3), seed=97))
+    assert not isinstance(gadget.architecture.activations[0], str)
+    return {"wide": wide, "mixed gadget": gadget}
+
+
+@pytest.mark.parametrize("label", ["wide", "mixed gadget"])
+def test_blocked_passes_bitwise_equal_one_block(monkeypatch, label):
+    # 1000 points: three full 256-row blocks and one partial block
+    net = _block_edge_nets()[label]
+    x = rng_for(98).uniform(0.0, 1.0, size=(1000, 2))
+    blocked = (forward_batch(net, x), *values_and_input_gradients(net, x))
+    monkeypatch.setattr(networks, "_CHUNK_ROWS", 4096)
+    single = (forward_batch(net, x), *values_and_input_gradients(net, x))
+    for got, want in zip(blocked, single):
+        assert np.array_equal(got, want)
+
+
+def test_threads_never_share_a_workspace():
+    # four nets of one shape, so every thread asks for the same workspace key
+    nets = [random_relu2_net(2, (64, 64), seed=60 + i) for i in range(4)]
+    x = rng_for(99).uniform(0.0, 1.0, size=(600, 2))
+    want = [values_and_input_gradients(net, x) for net in nets]
+    wrong = []
+
+    def work(i):
+        for _ in range(10):
+            got = values_and_input_gradients(nets[i], x)
+            if not all(np.array_equal(g, w) for g, w in zip(got, want[i])):
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def _traced_peak(fn):
+    """(result, peak traced bytes above the start) of one call of fn."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_values_and_input_gradients_reuses_its_workspace():
+    p = make_cosine_problem(2)
+    net = build_spline_combination(fit_spline_coefficients(p.u_star, 2, 2))
+    x = sample_domain(100_000, 2, 3)
+    values_and_input_gradients(net, x)  # warm-up: allocates the workspace
+    (vals, grads), peak = _traced_peak(lambda: values_and_input_gradients(net, x))
+    assert peak <= vals.nbytes + grads.nbytes + 4 * 2**20
+
+
+def test_training_step_allocates_no_block_sized_array():
+    p = make_cosine_problem(2)
+    net = init_network(prescribe_architecture(2, 4096, 0.0), 1.0, 0)
+    assert net.architecture.layer_dims == (2, 128, 128, 128, 1)
+    samples = make_sample_set(256, 256, 2, 4)
+    loss_and_parameter_gradient(net, p, samples)  # warm-up
+    (_, grad), peak = _traced_peak(lambda: loss_and_parameter_gradient(net, p, samples))
+    # the fresh gradient is the one large allocation; a 256 x 128 block
+    # alive next to it would push the peak past this bound
+    assert peak < grad.nbytes + networks._CHUNK_ROWS * 128 * 8
 
 
 @st.composite
@@ -395,10 +490,10 @@ def test_chunked_paths_match_unchunked(case):
     rng = rng_for(x.shape[0])
     v = rng.standard_normal(x.shape[0])
     m = rng.standard_normal(x.shape)
-    # the default chunk (>= 64 points) holds the whole batch of <= 40 points
+    # the default block (256 rows) holds the whole batch of <= 40 points
     full_vals, full_grads = values_and_input_gradients(net, x)
     full = [weighted_parameter_gradient(net, x, v, mm) for mm in (None, m)]
-    with patch.object(networks, "_gradient_chunk_size", lambda _net: chunk):
+    with patch.object(networks, "_CHUNK_ROWS", chunk):
         vals, grads = values_and_input_gradients(net, x)
         chunked = [weighted_parameter_gradient(net, x, v, mm) for mm in (None, m)]
     _assert_close_scaled(vals, full_vals)

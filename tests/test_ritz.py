@@ -262,8 +262,8 @@ def two_pass_loss_and_gradient(net, p, samples):
 @pytest.mark.parametrize("chunk_size", [None, 7])
 def test_fused_loss_gradient_bitwise_equals_two_pass(monkeypatch, make_problem, d, chunk_size):
     if chunk_size is not None:
-        # default chunks hold all 50 domain points; force 8 value+Jacobian chunks
-        monkeypatch.setattr("ritzlab.networks._gradient_chunk_size", lambda net: chunk_size)
+        # the default block holds all 50 domain points; force 8 value+Jacobian blocks
+        monkeypatch.setattr("ritzlab.networks._CHUNK_ROWS", chunk_size)
     p = make_problem(d)
     s = make_sample_set(50, 30, d, seed=40 + d)
     net = random_relu2_net(d, (6, 5), seed=41)

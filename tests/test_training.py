@@ -74,6 +74,28 @@ def test_adam_matches_hand_computed_steps():
     assert theta[0] == pytest.approx(want, rel=1e-12)
 
 
+def test_adam_updates_moments_in_place_bitwise():
+    rng = np.random.default_rng(5)
+    n = 257
+    adam = AdamState(n, betas=(0.9, 0.999), eps=1e-8)
+    m_buf, v_buf = adam.m, adam.v
+    theta = ref_theta = rng.standard_normal(n)
+    m = v = np.zeros(n)
+    for t in range(1, 31):
+        grad = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 3, n)
+        before = theta.copy()
+        new = adam.step(theta, grad, 1e-3)
+        assert np.array_equal(theta, before) and new is not theta
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * grad**2
+        m_hat, v_hat = m / (1.0 - 0.9**t), v / (1.0 - 0.999**t)
+        ref_theta = ref_theta - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        theta = new
+        assert np.array_equal(theta, ref_theta)
+        assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v)
+    assert adam.m is m_buf and adam.v is v_buf
+
+
 # ------------------------------------------------------------ train
 
 
@@ -167,6 +189,18 @@ def test_config_rejects_zero_eval_every():
 def test_config_rejects_empty_batches(field):
     with pytest.raises(ValueError, match="batch"):
         TrainConfig(**{field: 0})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("iterations", 2.5),
+    ("batch_domain", True),
+    ("batch_boundary", 16.0),
+    ("eval_every", 2.0),
+    ("seed", None),
+])
+def test_config_rejects_non_int_counts(key, value):
+    with pytest.raises(ValueError, match=key):
+        TrainConfig(**{key: value})
 
 
 def test_config_rejects_negative_iterations():
