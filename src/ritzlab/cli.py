@@ -25,6 +25,7 @@ from .harness import (
     DecompositionConfig,
     StudyConfig,
     TrainRunConfig,
+    _architecture_block,
     config_from_dict,
     gradient_norm_check,
     load_config,
@@ -102,8 +103,7 @@ def _cmd_train(args) -> int:
         "rng_algorithm": RNG_ALGORITHM,
         "training_protocol_note": "optimizer, initialization and step counts are "
                                   "implementation choices, not theory-mandated",
-        "architecture": {"layer_dims": list(arch.layer_dims), "depth": arch.depth,
-                         "width": arch.width},
+        "architecture": _architecture_block(arch),
         "final_loss": empirical_loss(trained, problem, samples).to_json_dict(),
         "train_summary": history.summary(),
         "h1_err": err.h1_err,

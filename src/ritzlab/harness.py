@@ -13,8 +13,6 @@ import csv
 import dataclasses
 import json
 import math
-import types
-import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,8 +50,9 @@ from .ritz import (
 )
 from .sampling import RNG_ALGORITHM, h1_error, make_sample_set, rng_stream, sample_domain
 from .training import (
+    ConfigError,
     TrainConfig,
-    _check_int_fields,
+    _check_field_types,
     init_network,
     optimization_error_estimate,
     train,
@@ -63,36 +62,12 @@ from .training import (
 # ------------------------------------------------------------ config files
 
 
-class ConfigError(ValueError):
-    """A config is not a mapping, has an unknown key, lacks a required key, or
-    holds a value of the wrong type."""
-
-
-def _fits(value, hint) -> bool:
-    """Whether a parsed YAML value fits a config field's type annotation.
-
-    A bool is not an int, and an int is accepted for a float.
-    """
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is tuple:
-        if not isinstance(value, tuple):
-            return False
-        items = args[:1] * len(value) if args[1:] == (Ellipsis,) else args
-        return len(value) == len(items) and all(map(_fits, value, items))
-    if origin is types.UnionType:
-        return any(_fits(value, h) for h in args)
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
 def config_from_dict(cls, raw):
     """The config dataclass cls built from a parsed YAML mapping.
 
-    Keys are the fields of cls; YAML lists become tuples and the nested
-    `train` mapping becomes a TrainConfig by the same rules.  Each value must
-    fit its field's annotation (see _fits); range checks are left to
-    cls.__post_init__.
+    Keys are the fields of cls, and the nested `train` mapping becomes a
+    TrainConfig by the same rules; cls.__post_init__ checks each value's type
+    and range.
     """
     name = cls.__name__
     if not isinstance(raw, dict):
@@ -106,19 +81,9 @@ def config_from_dict(cls, raw):
                and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     if missing:
         raise ConfigError(f"missing required {name} key(s): {', '.join(missing)}")
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for f in fields:
-        if f.name not in raw:
-            continue
-        value = raw[f.name]
-        if f.name == "train":
-            value = config_from_dict(TrainConfig, value)
-        elif isinstance(value, list):
-            value = tuple(value)
-        if not _fits(value, hints[f.name]):
-            raise ConfigError(f"{name} key {f.name!r} must be {f.type}, got {value!r}")
-        kwargs[f.name] = value
+    kwargs = dict(raw)
+    if "train" in kwargs:
+        kwargs["train"] = config_from_dict(TrainConfig, kwargs["train"])
     return cls(**kwargs)
 
 
@@ -159,7 +124,7 @@ class TrainRunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_field_types(self)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.n_quad < 2:
@@ -181,10 +146,8 @@ class StudyConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        _check_int_fields(self)
-        ns = tuple(self.n_values)
-        if any(isinstance(n, bool) or not isinstance(n, int) for n in ns):
-            raise ValueError(f"StudyConfig.n_values must hold ints, got {self.n_values!r}")
+        _check_field_types(self)
+        ns = self.n_values
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n_values must be strictly increasing")
         if any(n < 1 for n in ns):
@@ -193,7 +156,6 @@ class StudyConfig:
             raise ValueError("need n_quad >= 2 for a standard error")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        object.__setattr__(self, "n_values", ns)
 
 
 def fit_rate(points):
@@ -224,14 +186,28 @@ def _measure_output_bound(net, d: int, seed: int, n_probe: int = 10_000) -> floa
     return float(max(np.max(np.abs(vals)), np.max(np.sum(grads**2, axis=1))))
 
 
-def _cell_train_config(base: TrainConfig, n: int, seed: int) -> TrainConfig:
-    """Per-cell trainer config: reseeded, batches clamped to the sample count."""
-    return replace(
+def _train_cell(p: Problem, arch: Architecture, n: int, base: TrainConfig, n_quad: int,
+                cell_seed: int):
+    """One study or decomposition cell: train at arch on N = M = n samples,
+    then estimate the H1 error and the energy excess of the best iterate.
+
+    The cell's trainer config is base reseeded with cell_seed, batches clamped
+    to n.  Samples, the H1 error and the excess draw from derived_seed(cell_seed,
+    1), (.., 2) and (.., 3).  Returns (samples, cell trainer config, best
+    iterate, history, H1 error report, energy excess report).
+    """
+    samples = make_sample_set(n, n, p.d, derived_seed(cell_seed, 1))
+    tcfg = replace(
         base,
-        seed=seed,
+        seed=cell_seed,
         batch_domain=min(base.batch_domain, n),
         batch_boundary=min(base.batch_boundary, n),
     )
+    net0 = init_network(arch, tcfg.init_scale, cell_seed)
+    trained, history = train(net0, p, samples, tcfg)
+    err = h1_error(trained, p, n_quad, derived_seed(cell_seed, 2))
+    exc = energy_excess(trained, p, n_quad, derived_seed(cell_seed, 3))
+    return samples, tcfg, trained, history, err, exc
 
 
 def run_convergence_study(cfg: StudyConfig) -> dict:
@@ -251,12 +227,8 @@ def run_convergence_study(cfg: StudyConfig) -> dict:
         cell_bs = []
         for rep in range(cfg.repetitions):
             cell_seed = derived_seed(cfg.seed, j * cfg.repetitions + rep)
-            samples = make_sample_set(n, n, cfg.d, derived_seed(cell_seed, 1))
-            tcfg = _cell_train_config(cfg.train, n, cell_seed)
-            net0 = init_network(arch, tcfg.init_scale, cell_seed)
-            trained, history = train(net0, p, samples, tcfg)
-            err = h1_error(trained, p, cfg.n_quad, derived_seed(cell_seed, 2))
-            exc = energy_excess(trained, p, cfg.n_quad, derived_seed(cell_seed, 3))
+            samples, _, trained, history, err, exc = _train_cell(
+                p, arch, n, cfg.train, cfg.n_quad, cell_seed)
             loss = empirical_loss(trained, p, samples)
             b_hat = _measure_output_bound(trained, cfg.d, derived_seed(cell_seed, 4))
             cell_bs.append(b_hat)
@@ -264,11 +236,7 @@ def run_convergence_study(cfg: StudyConfig) -> dict:
                 {
                     "n": n,
                     "rep": rep,
-                    "architecture": {
-                        "layer_dims": list(arch.layer_dims),
-                        "depth": arch.depth,
-                        "width": arch.width,
-                    },
+                    "architecture": _architecture_block(arch),
                     "h1_err": err.h1_err,
                     "h1_err_se": err.h1_err_se,
                     "l2_err": err.l2_err,
@@ -346,6 +314,10 @@ def _problem_block(p: Problem) -> dict:
     }
 
 
+def _architecture_block(arch: Architecture) -> dict:
+    return {"layer_dims": list(arch.layer_dims), "depth": arch.depth, "width": arch.width}
+
+
 @dataclass(frozen=True)
 class DecompositionConfig:
     """One-cell error decomposition: proxies for the approximation,
@@ -364,7 +336,7 @@ class DecompositionConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_field_types(self)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.n_quad < 2:
@@ -393,13 +365,8 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
 
     arch = prescribe_architecture(cfg.d, cfg.n, cfg.nu)
     cell_seed = derived_seed(cfg.seed, 0)
-    samples = make_sample_set(cfg.n, cfg.n, cfg.d, derived_seed(cell_seed, 1))
-    tcfg = _cell_train_config(cfg.train, cfg.n, cell_seed)
-    net0 = init_network(arch, tcfg.init_scale, cell_seed)
-    trained, history = train(net0, p, samples, tcfg)
-
-    err = h1_error(trained, p, cfg.n_quad, derived_seed(cell_seed, 2))
-    exc = energy_excess(trained, p, cfg.n_quad, derived_seed(cell_seed, 3))
+    samples, tcfg, trained, history, err, exc = _train_cell(
+        p, arch, cfg.n, cfg.train, cfg.n_quad, cell_seed)
 
     comb = fit_spline_coefficients(lambda q: p.u_star(q), cfg.spline_level, cfg.d)
     spline_net = build_spline_combination(comb)
@@ -430,11 +397,7 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
         "config": config_to_dict(cfg),
         "rng_algorithm": RNG_ALGORITHM,
         "problem": _problem_block(p),
-        "architecture": {
-            "layer_dims": list(arch.layer_dims),
-            "depth": arch.depth,
-            "width": arch.width,
-        },
+        "architecture": _architecture_block(arch),
         "h1_err": err.h1_err,
         "h1_err_se": err.h1_err_se,
         "h1_err_sq": err.h1_err**2,

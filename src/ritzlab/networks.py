@@ -5,9 +5,10 @@ constructed gadget nets.  Because every activation is piecewise polynomial,
 input gradients and parameter sensitivities have closed-form layered
 recursions; no general-purpose autodiff is involved.
 
-Every pass runs over its points in blocks of _CHUNK_ROWS rows, recording
-each block's tape into a workspace that is allocated once per thread and
-shape and reused by every later block and call (_Workspace).
+Every pass is one block loop, _block_pass: it records each _CHUNK_ROWS-row
+block's tape once into a workspace kept per thread and shape (_Workspace).
+Activations have one in-place implementation (_activate); mixed layers
+apply each tag's formula to its units through per-unit masks.
 """
 
 from __future__ import annotations
@@ -113,51 +114,10 @@ class Architecture:
 
 
 @functools.lru_cache(maxsize=256)
-def _act_tables(spec):
-    """(value, first, second) derivative callables for one layer spec, built
-    once and shared by every net with that spec (a mixed spec fixes the width)."""
-    if isinstance(spec, str):
-        if spec == RELU:
-            return (
-                lambda z: np.maximum(z, 0.0),
-                lambda z: (z > 0.0).astype(float),
-                lambda z: np.zeros_like(z),
-            )
-        if spec == RELU2:
-            def val(z):
-                zp = np.maximum(z, 0.0)
-                return zp * zp
-
-            return (
-                val,
-                lambda z: 2.0 * np.maximum(z, 0.0),
-                lambda z: 2.0 * (z > 0.0),
-            )
-        return (lambda z: z, lambda z: np.ones_like(z), lambda z: np.zeros_like(z))
-
+def _unit_masks(spec: tuple):
+    """(is ReLU, is ReLU^2) per unit of a mixed layer spec; the rest are identity."""
     tags = np.array(spec)
-    is_relu = tags == RELU
-    is_relu2 = tags == RELU2
-
-    def val(z):
-        out = z.copy()
-        zp = np.maximum(z, 0.0)
-        out[..., is_relu] = zp[..., is_relu]
-        out[..., is_relu2] = (zp * zp)[..., is_relu2]
-        return out
-
-    def d1(z):
-        out = np.ones_like(z)
-        out[..., is_relu] = (z[..., is_relu] > 0.0).astype(float)
-        out[..., is_relu2] = 2.0 * np.maximum(z[..., is_relu2], 0.0)
-        return out
-
-    def d2(z):
-        out = np.zeros_like(z)
-        out[..., is_relu2] = 2.0 * (z[..., is_relu2] > 0.0)
-        return out
-
-    return val, d1, d2
+    return tags == RELU, tags == RELU2
 
 
 def _layer_views(arch: Architecture, flat: np.ndarray):
@@ -206,7 +166,6 @@ class Network:
         self._arch = architecture
         self._theta = theta
         self._weights, self._biases = map(tuple, _layer_views(architecture, theta))
-        self._acts = tuple(_act_tables(spec) for spec in architecture.activations)
 
     @property
     def architecture(self) -> Architecture:
@@ -377,29 +336,12 @@ def _workspace(dims: tuple, rows: int, need_input_gradient: bool) -> _Workspace:
     return ws
 
 
-def _blocks(net: Network, n: int, need_input_gradient: bool):
-    """(lo, hi, workspace) for each _CHUNK_ROWS-row block of n rows.
-
-    All blocks share one workspace, so a block's tape is overwritten by the
-    next: read what is needed off it before advancing.
-    """
-    if n == 0:
-        return
-    rows = min(n, _CHUNK_ROWS)
-    ws = _workspace(net.architecture.layer_dims, rows, need_input_gradient)
-    try:
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            yield lo, hi, ws.head(hi - lo)
-    finally:
-        ws.release_input()
-
-
-def _activate(spec, table, z: np.ndarray, f: np.ndarray, fp: np.ndarray | None) -> None:
+def _activate(spec, z: np.ndarray, f: np.ndarray, fp: np.ndarray | None) -> None:
     """f = act(z) and, unless fp is None, fp = act'(z), written in place.
 
-    ReLU^2 takes max(z, 0) once for both; the values are bitwise those of the
-    closures of _act_tables, which mixed layers still use.
+    ReLU^2 takes max(z, 0) once for both.  A mixed spec applies the same
+    formulas to the units of each tag through where= masks (_unit_masks), so
+    every element gets the ufunc of its tag on the same operand.
     """
     if spec == RELU2:
         zp = np.maximum(z, 0.0, out=f if fp is None else fp)
@@ -415,13 +357,18 @@ def _activate(spec, table, z: np.ndarray, f: np.ndarray, fp: np.ndarray | None) 
         if fp is not None:
             fp.fill(1.0)
     else:
-        val, d1, _ = table
-        f[...] = val(z)
+        relu, relu2 = _unit_masks(spec)
+        zp = np.maximum(z, 0.0)
+        np.copyto(f, z)
+        np.copyto(f, zp, where=relu)
+        np.multiply(zp, zp, out=f, where=relu2)
         if fp is not None:
-            fp[...] = d1(z)
+            fp.fill(1.0)
+            np.greater(z, 0.0, out=fp, where=relu)
+            np.multiply(zp, 2.0, out=fp, where=relu2)
 
 
-def _second_derivative(spec, table, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _second_derivative(spec, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """act''(z) written into out."""
     if spec == RELU2:
         np.greater(z, 0.0, out=out)
@@ -429,12 +376,14 @@ def _second_derivative(spec, table, z: np.ndarray, out: np.ndarray) -> np.ndarra
     elif isinstance(spec, str):
         out.fill(0.0)
     else:
-        out[...] = table[2](z)
+        out.fill(0.0)
+        np.greater(z, 0.0, out=out, where=_unit_masks(spec)[1])
+        out *= 2.0
     return out
 
 
 def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace,
-                    values_only: bool = False) -> _Workspace:
+                    values_only: bool) -> _Workspace:
     """Record one block's forward tape into ws (see _Workspace) and return it.
 
     x holds exactly ws.rows points.  The input Jacobians are recorded when ws
@@ -446,15 +395,56 @@ def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace,
     """
     ws.fs[0] = x
     need_input_gradient = ws.ps is not None
-    layers = zip(net.architecture.activations, net._acts, net.weights, net.biases)
-    for k, (spec, table, w, bias) in enumerate(layers):
+    layers = zip(net.architecture.activations, net.weights, net.biases)
+    for k, (spec, w, bias) in enumerate(layers):
         z = np.matmul(ws.fs[k], w.T, out=ws.zs[k])
         z += bias
-        _activate(spec, table, z, ws.fs[k + 1], None if values_only else ws.fps[k])
+        _activate(spec, z, ws.fs[k + 1], None if values_only else ws.fps[k])
         if need_input_gradient:
             np.matmul(w, ws.gs[k], out=ws.ps[k])
             np.multiply(ws.fps[k].T[:, :, None], ws.ps3[k], out=ws.gs3[k + 1])
     return ws
+
+
+def _block_pass(net: Network, x: np.ndarray, input_gradients: bool = False, seeds=None):
+    """The one loop of every network pass: one forward tape per block.
+
+    For each _CHUNK_ROWS-row block of the batch x the tape is recorded once,
+    and its values (all output columns) and, when input_gradients, its input
+    gradients are copied out.  When seeds is given, seeds(lo, hi, values,
+    gradients) -> (value_weights, gradient_weights or None) is called on the
+    block's copies and _adjoint replays the same tape; gradient weights need
+    input_gradients.  All blocks share one workspace, so each block's tape
+    overwrites the last, and seeds must not run a network pass itself.
+    Returns (values (B, N_L), input gradients (B, d) or None, flat parameter
+    gradient or None).
+    """
+    arch = net.architecture
+    if (input_gradients or seeds is not None) and arch.output_dim != 1:
+        raise DimensionMismatchError("expects a scalar-output network")
+    n = x.shape[0]
+    vals = np.empty((n, arch.output_dim))
+    grads = np.empty((n, arch.input_dim)) if input_gradients else None
+    grad = None if seeds is None else np.zeros(net.n_parameters)
+    if grad is not None:
+        grad_w, grad_b = _layer_views(arch, grad)
+    if n == 0:
+        return vals, grads, grad
+    values_only = not input_gradients and seeds is None
+    ws = _workspace(arch.layer_dims, min(n, _CHUNK_ROWS), input_gradients)
+    try:
+        for lo in range(0, n, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, n)
+            tape = _forward_caches(net, x[lo:hi], ws.head(hi - lo), values_only)
+            vals[lo:hi] = tape.fs[-1]
+            if input_gradients:
+                grads[lo:hi] = tape.gs3[-1][0]
+            if seeds is not None:
+                v, m = seeds(lo, hi, vals[lo:hi, 0], None if grads is None else grads[lo:hi])
+                _adjoint(net, tape, v[:, None], None if m is None else m[None], grad_w, grad_b)
+    finally:
+        ws.release_input()
+    return vals, grads, grad
 
 
 def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
@@ -463,14 +453,8 @@ def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
     Rows are pushed through in _CHUNK_ROWS-row blocks on a reused workspace,
     so a large batch allocates nothing but its result.
     """
-    x = _as_batch(net, x)
-    n = x.shape[0]
-    out = np.empty((n, net.architecture.output_dim))
-    for lo, hi, ws in _blocks(net, n, need_input_gradient=False):
-        out[lo:hi] = _forward_caches(net, x[lo:hi], ws, values_only=True).fs[-1]
-    if net.architecture.output_dim == 1:
-        return out[:, 0]
-    return out
+    vals = _block_pass(net, _as_batch(net, x))[0]
+    return vals[:, 0] if net.architecture.output_dim == 1 else vals
 
 
 def forward(net: Network, x) -> float:
@@ -482,23 +466,13 @@ def forward(net: Network, x) -> float:
 
 def values_and_input_gradients(net: Network, x: np.ndarray):
     """Batched (values, input gradients) for a scalar net, in _CHUNK_ROWS-row blocks."""
-    x = _as_batch(net, x)
-    if net.architecture.output_dim != 1:
-        raise DimensionMismatchError("expects a scalar-output network")
-    n = x.shape[0]
-    vals = np.empty(n)
-    grads = np.empty((n, net.architecture.input_dim))
-    for lo, hi, ws in _blocks(net, n, need_input_gradient=True):
-        tape = _forward_caches(net, x[lo:hi], ws)
-        vals[lo:hi] = tape.fs[-1][:, 0]
-        grads[lo:hi] = tape.gs3[-1][0]
-    return vals, grads
+    vals, grads, _ = _block_pass(net, _as_batch(net, x), input_gradients=True)
+    return vals[:, 0], grads
 
 
 def forward_with_input_gradient(net: Network, x) -> EvalResult:
     """Value and exact gradient of the piecewise-polynomial net at one point."""
-    xb = _as_batch(net, x)
-    vals, grads = values_and_input_gradients(net, xb)
+    vals, grads = values_and_input_gradients(net, x)
     return EvalResult(value=float(vals[0]), input_gradient=grads[0].copy())
 
 
@@ -534,16 +508,16 @@ def _adjoint(net: Network, tape: _Workspace, lam: np.ndarray, mat, grad_w: list,
     layer has no parameters.
     """
     t = tape
-    layers = list(zip(net.architecture.activations, net._acts, net.weights))
+    layers = list(zip(net.architecture.activations, net.weights))
     for k in range(net.architecture.depth - 1, -1, -1):
-        spec, table, w = layers[k]
+        spec, w = layers[k]
         fp = t.fps[k]
         delta = np.multiply(lam, fp, out=t.delta[k])
         gw = t.gw[k]
         if mat is not None:
             # z_k also enters G_k through act'(z_k); d2 carries that path
             s = _sum_of_products(mat, t.ps3[k], t.s[k].T, t.d2[k].T, t.q3[k])
-            d2 = _second_derivative(spec, table, t.zs[k], t.d2[k])
+            d2 = _second_derivative(spec, t.zs[k], t.d2[k])
             d2 *= s.T
             delta += d2
             np.multiply(fp.T[:, :, None], mat, out=t.q3[k])
@@ -583,35 +557,7 @@ def weighted_parameter_gradient(
     def seeds(lo, hi, _vals, _grads):
         return v[lo:hi], None if m is None else m[lo:hi]
 
-    return _values_and_seeded_adjoint(net, x, seeds, m is not None)[2]
-
-
-def _values_and_seeded_adjoint(net: Network, x: np.ndarray, seeds, need_input_gradient: bool):
-    """Values, input gradients and a weighted parameter gradient from ONE tape per block.
-
-    For each _CHUNK_ROWS-row block the forward tape is recorded once; its
-    values and (when need_input_gradient) input gradients are handed to
-    seeds(lo, hi, values, gradients) -> (value_weights, gradient_weights or
-    None), and the adjoint replays the same tape.  seeds must not run a
-    network pass itself, since that could overwrite the tape.  The values and
-    input gradients are bitwise those of values_and_input_gradients.
-    Returns (values (B,), input gradients (B, d) or None, flat gradient).
-    """
-    if net.architecture.output_dim != 1:
-        raise DimensionMismatchError("expects a scalar-output network")
-    n = x.shape[0]
-    vals = np.empty(n)
-    grads = np.empty((n, net.architecture.input_dim)) if need_input_gradient else None
-    grad = np.zeros(net.n_parameters)
-    grad_w, grad_b = _layer_views(net.architecture, grad)
-    for lo, hi, ws in _blocks(net, n, need_input_gradient):
-        tape = _forward_caches(net, x[lo:hi], ws)
-        vals[lo:hi] = tape.fs[-1][:, 0]
-        if need_input_gradient:
-            grads[lo:hi] = tape.gs3[-1][0]
-        v, m = seeds(lo, hi, vals[lo:hi], grads[lo:hi] if need_input_gradient else None)
-        _adjoint(net, tape, v[:, None], None if m is None else m[None], grad_w, grad_b)
-    return vals, grads, grad
+    return _block_pass(net, x, input_gradients=m is not None, seeds=seeds)[2]
 
 
 def parameter_sensitivities(net: Network, x):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .networks import (
     Network,
-    _values_and_seeded_adjoint,
+    _block_pass,
     forward_batch,
     values_and_input_gradients,
     weighted_parameter_gradient,
@@ -169,10 +169,10 @@ def loss_and_parameter_gradient(net: Network, p: Problem, samples: SampleSet):
     def domain_seeds(lo, hi, vals, grads):
         return (w_vals[lo:hi] * vals - f_vals[lo:hi]) / n, grads / n
 
-    vals, grads, grad = _values_and_seeded_adjoint(net, x, domain_seeds, need_input_gradient=True)
+    vals, grads, grad = _block_pass(net, x, input_gradients=True, seeds=domain_seeds)
     if np.any(g_vals):
         grad += weighted_parameter_gradient(net, y, -(2.0 * p.d / m) * g_vals)
-    pieces = _domain_pieces(vals, grads, lambda: w_vals, lambda: f_vals)
+    pieces = _domain_pieces(vals[:, 0], grads, lambda: w_vals, lambda: f_vals)
     report = _loss_report(p.d, pieces, forward_batch(net, y), g_vals)
     return report, grad
 

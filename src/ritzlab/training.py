@@ -9,8 +9,11 @@ selected among periodic checkpoints.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
+import types
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,14 +31,48 @@ class TrainingDivergedError(RuntimeError):
     """Loss or gradient became non-finite during optimization."""
 
 
-def _check_int_fields(cfg) -> None:
-    """Raise ValueError naming the first int field of a config dataclass that
-    holds anything but an int (a bool included), so a config built in Python
-    fails at construction, not with a TypeError or a float count mid-run."""
+class ConfigError(ValueError):
+    """A config is not a mapping, has an unknown key, lacks a required key, or
+    holds a value of the wrong type."""
+
+
+def _fits(value, hint) -> bool:
+    """Whether a value fits a config field's type annotation.
+
+    A bool is not an int, and an int is accepted for a float.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        if not isinstance(value, tuple):
+            return False
+        items = args[:1] * len(value) if args[1:] == (Ellipsis,) else args
+        return len(value) == len(items) and all(map(_fits, value, items))
+    if origin is types.UnionType:
+        return any(_fits(value, h) for h in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+# The annotations are strings (postponed evaluation); resolve them once per class.
+_field_hints = functools.cache(typing.get_type_hints)
+
+
+def _check_field_types(cfg) -> None:
+    """Check every field of a config dataclass against its annotation.
+
+    A list in a tuple-typed field becomes a tuple first; a value that does not
+    fit (see _fits) raises ConfigError naming the field, so a config built in
+    Python or from YAML fails at construction, not with a TypeError mid-run.
+    """
+    hints = _field_hints(type(cfg))
     for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ValueError(f"{type(cfg).__name__}.{f.name} must be an int, got {value!r}")
+        value, hint = getattr(cfg, f.name), hints[f.name]
+        if isinstance(value, list) and typing.get_origin(hint) is tuple:
+            value = tuple(value)
+            object.__setattr__(cfg, f.name, value)
+        if not _fits(value, hint):
+            raise ConfigError(f"{type(cfg).__name__}.{f.name} must be {f.type}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,7 +91,7 @@ class TrainConfig:
     eval_every: int = 50
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_field_types(self)
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError("optimizer must be 'sgd' or 'adam'")
         if self.resample not in ("fixed_set", "fresh_each_step"):
@@ -69,7 +106,7 @@ class TrainConfig:
             raise ValueError("batch sizes must be >= 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
-        if not (len(self.adam_betas) == 2 and all(0 <= b < 1 for b in self.adam_betas)):
+        if not all(0 <= b < 1 for b in self.adam_betas):
             raise ValueError("adam_betas must be two finite values in [0, 1)")
         if not 0 < self.adam_eps < math.inf:
             raise ValueError("adam_eps must be finite and > 0")

@@ -231,6 +231,25 @@ def test_python_built_configs_reject_non_int_counts(cls, bad):
         cls(**{**MINIMAL[cls], **bad})
 
 
+@pytest.mark.parametrize("cls,bad", [
+    (TrainConfig, {"learning_rate": "0.1"}),
+    (TrainConfig, {"lr_decay": None}),
+    (StudyConfig, {"nu": "0"}),
+    (StudyConfig, {"problem": 3}),
+    (StudyConfig, {"train": {"iterations": 3}}),
+    (DecompositionConfig, {"nu": None}),
+    (TrainRunConfig, {"nu": "x"}),
+])
+def test_python_built_configs_reject_wrong_types(cls, bad):
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        cls(**{**MINIMAL.get(cls, {}), **bad})
+
+
+def test_python_built_configs_turn_lists_into_tuples():
+    assert StudyConfig(n_values=[16, 32]).n_values == (16, 32)
+    assert TrainConfig(adam_betas=[0.9, 0.99]).adam_betas == (0.9, 0.99)
+
+
 # ------------------------------------------------------- decomposition
 
 

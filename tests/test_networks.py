@@ -251,8 +251,29 @@ def test_weighted_parameter_gradient_chunking_invariant(monkeypatch):
 # ------------------------------- bitwise pin to the batch-major recursion
 #
 # The library stores its Jacobian stacks unit-major, (N_l, B, d).  Below is a
-# copy of the earlier batch-major, (B, N_l, d), recursion; the library must
-# stay bitwise equal to it.
+# copy of the earlier batch-major, (B, N_l, d), recursion, on activation
+# tables of its own; the library must stay bitwise equal to it.
+
+
+def _unit_tables(net):
+    """Per layer, (act, act', act'') callables chosen per unit with np.where."""
+    tables = []
+    for spec, w in zip(net.architecture.activations, net.weights):
+        tags = np.array([spec] * w.shape[0] if isinstance(spec, str) else spec)
+        relu, relu2 = tags == RELU, tags == RELU2
+
+        def val(z, relu=relu, relu2=relu2):
+            zp = np.maximum(z, 0.0)
+            return np.where(relu, zp, np.where(relu2, zp * zp, z))
+
+        def d1(z, relu=relu, relu2=relu2):
+            return np.where(relu, 1.0 * (z > 0.0), np.where(relu2, 2.0 * np.maximum(z, 0.0), 1.0))
+
+        def d2(z, relu2=relu2):
+            return np.where(relu2, 2.0 * (z > 0.0), 0.0)
+
+        tables.append((val, d1, d2))
+    return tables
 
 
 def _old_jacobian_matmul(a, g):
@@ -267,7 +288,7 @@ def _old_forward_caches(net, x, need_input_gradient):
     zs = []
     ps = [] if need_input_gradient else None
     gs = [np.broadcast_to(np.eye(d), (b_sz, d, d))] if need_input_gradient else None
-    for (val, d1, _), w, bias in zip(net._acts, net.weights, net.biases):
+    for (val, d1, _), w, bias in zip(_unit_tables(net), net.weights, net.biases):
         z = fs[-1] @ w.T + bias
         zs.append(z)
         fs.append(val(z))
@@ -280,8 +301,9 @@ def _old_forward_caches(net, x, need_input_gradient):
 
 def _old_adjoint(net, tape, lam, mat, grad_w, grad_b):
     fs, zs, ps, gs = tape
+    tables = _unit_tables(net)
     for k in range(net.architecture.depth - 1, -1, -1):
-        _, d1f, d2f = net._acts[k]
+        _, d1f, d2f = tables[k]
         d1 = d1f(zs[k])
         delta = lam * d1
         if mat is not None:

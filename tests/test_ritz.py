@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ritzlab.networks import (
     IDENTITY,
@@ -111,6 +113,23 @@ def test_loss_permutation_invariant_to_rounding():
     net = random_relu2_net(2, (5,), seed=9)
     a, b = empirical_loss(net, p, s), empirical_loss(net, p, s2)
     assert a.total == pytest.approx(b.total, rel=1e-13)
+
+
+@settings(max_examples=15)
+@given(st.sampled_from([1, 2, 3]), st.permutations(range(600)), st.permutations(range(600)))
+def test_loss_and_gradient_invariant_under_point_permutations(d, perm_d, perm_b):
+    # 600 points per set span three 256-row blocks; g is nonzero on the
+    # boundary, so the boundary adjoint runs too
+    p = make_quadratic_problem(d)
+    s = make_sample_set(600, 600, d, seed=50 + d)
+    s2 = SampleSet(s.domain_points[perm_d], s.boundary_points[perm_b],
+                   s.boundary_faces[perm_b], seed=s.seed)
+    net = random_relu2_net(d, (12, 12), seed=51)
+    (rep, grad), (rep2, grad2) = (loss_and_parameter_gradient(net, p, t) for t in (s, s2))
+    for a, b in ((rep, rep2), (empirical_loss(net, p, s), empirical_loss(net, p, s2))):
+        assert list(b.to_json_dict().values()) == pytest.approx(
+            list(a.to_json_dict().values()), rel=1e-12)
+    assert np.max(np.abs(grad2 - grad)) <= 1e-12 * np.max(np.abs(grad))
 
 
 def test_large_sample_loss_near_analytic_energy():

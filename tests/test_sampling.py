@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from ritzlab.gadgets import prescribe_architecture
 from ritzlab.problems import make_cosine_problem, make_quadratic_problem
+from ritzlab.ritz import energy_excess
 from ritzlab.sampling import (
     SampleSet,
     h1_error,
@@ -12,6 +14,8 @@ from ritzlab.sampling import (
     sample_boundary,
     sample_domain,
 )
+
+from ritzlab.training import TrainConfig, init_network, train
 
 from conftest import random_relu2_net, rng_for, sum_of_squares_net
 
@@ -158,3 +162,30 @@ def test_h1_error_repeated_run_variance_scales():
     large = np.array([h1_error(net, p, 1000, seed=3000 + k).h1_err for k in range(200)])
     ratio = np.var(small) / np.var(large)
     assert 1.2 <= ratio <= 3.2
+
+
+# 99.9% band of sqrt(chi2_39 / 39): the spread of a 40-seed standard deviation
+# around the true one.
+_SD_RATIO_BAND = (0.646, 1.384)
+
+
+@pytest.mark.parametrize("label", ["zero", "random", "trained"])
+def test_reported_standard_errors_match_realized_spread(label):
+    p = make_cosine_problem(1)
+    net = random_relu2_net(1, (12, 12), seed=5)
+    if label == "zero":
+        net = net.with_parameters(np.zeros(net.n_parameters))
+    elif label == "trained":
+        net0 = init_network(prescribe_architecture(1, 256, 0.0), 1.0, 0)
+        net, _ = train(net0, p, make_sample_set(256, 256, 1, 1),
+                       TrainConfig(iterations=600, eval_every=100))
+    reports = [(h1_error(net, p, 4000, s), energy_excess(net, p, 4000, s)) for s in range(40)]
+    # h1_err_se is left out: hypot(l2 SE, seminorm SE) ignores their covariance
+    fields = [(0, "l2_err"), (0, "h1_semi_err"), (1, "excess"), (1, "h1_sq_of_diff")]
+    if label == "zero":
+        fields.remove((1, "excess"))  # exactly 0 with SE 0 on the zero net
+    for which, name in fields:
+        values = np.array([getattr(r[which], name) for r in reports])
+        ses = np.array([getattr(r[which], name + "_se") for r in reports])
+        ratio = np.std(values, ddof=1) / np.median(ses)
+        assert _SD_RATIO_BAND[0] <= ratio <= _SD_RATIO_BAND[1], (name, ratio)
