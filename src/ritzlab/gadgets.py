@@ -142,13 +142,8 @@ def build_product_gadget() -> Network:
 
 
 def build_univariate_bspline(level: int, i: int) -> Network:
-    """Depth-2, width-4 ReLU^2 net realizing N_{l,i} from its closed form."""
-    SplineIndex(level, (i,))  # validates the range
-    h = 2.0 ** (-level)
-    w1 = np.ones((4, 1))
-    b1 = np.array([-(i + j) * h for j in range(4)])
-    w2 = 2.0 ** (2 * level - 1) * np.array([_BINOM3])
-    return Network(Architecture((1, 4, 1), (RELU2, IDENTITY)), [w1, w2], [b1, np.zeros(1)])
+    """Depth-2, width-4 ReLU^2 net realizing N_{l,i}: the d = 1 tensor product."""
+    return build_multivariate_bspline(SplineIndex(level, (i,)))
 
 
 # ------------------------------------------- staged affine assembly
@@ -198,9 +193,7 @@ class _StagedNet:
 
     def identity_rows(self, pos: slice) -> np.ndarray:
         """Affine rows selecting a group of the current stage's outputs."""
-        rows = np.zeros((pos.stop - pos.start, self.width))
-        rows[np.arange(pos.stop - pos.start), np.arange(pos.start, pos.stop)] = 1.0
-        return rows
+        return np.eye(pos.stop - pos.start, self.width, pos.start)
 
 
 def _product_gadget_rows(ra, ca, rb, cb):
@@ -214,58 +207,49 @@ def _product_gadget_rows(ra, ca, rb, cb):
 _PROD_COMBINE = np.array([0.25, 0.25, -0.25, -0.25])
 
 
+def _factor_biases(idx: SplineIndex) -> np.ndarray:
+    """First-layer biases -(i_a + j) h of the 4 shifted sigma2 units per axis a."""
+    h = 2.0 ** (-idx.level)
+    return np.array([-(i + j) * h for i in idx.index for j in range(4)])
+
+
 def build_multivariate_bspline(idx: SplineIndex) -> Network:
     """Tensor-product B-spline as a ReLU^2 net via a binary product tree.
 
     Depth <= ceil(log2 d) + 2 and width <= 4d, both asserted.
     """
     d = idx.dim
-    if d == 1:
-        return build_univariate_bspline(idx.level, idx.index[0])
-    h = 2.0 ** (-idx.level)
     net = _StagedNet(d)
 
     # stage 1: the 4 shifted sigma2 units of every univariate factor
     net.begin_stage()
-    slices = []
-    for axis, i in enumerate(idx.index):
-        rows = np.zeros((4, d))
-        rows[:, axis] = 1.0
-        biases = np.array([-(i + j) * h for j in range(4)])
-        slices.append(net.add_units(rows, biases, RELU2))
+    net.add_units(np.repeat(np.eye(d), 4, axis=0), _factor_biases(idx), RELU2)
     net.commit_stage()
 
     scale = 2.0 ** (2 * idx.level - 1)
     values = []
-    for s in slices:
+    for axis in range(d):
         row = np.zeros(net.width)
-        row[s] = scale * np.array(_BINOM3)
-        values.append((row, 0.0))
+        row[4 * axis : 4 * axis + 4] = scale * np.array(_BINOM3)
+        values.append(row)
 
     # product tree; an odd value passes through one identity unit per level
     while len(values) > 1:
         net.begin_stage()
-        queued = []
+        queued = []  # (unit positions, output combination) per new value
         for k in range(0, len(values) - 1, 2):
-            (ra, ca), (rb, cb) = values[k], values[k + 1]
-            rows, biases = _product_gadget_rows(ra, ca, rb, cb)
-            queued.append(("prod", net.add_units(rows, biases, RELU2)))
+            rows, biases = _product_gadget_rows(values[k], 0.0, values[k + 1], 0.0)
+            queued.append((net.add_units(rows, biases, RELU2), _PROD_COMBINE))
         if len(values) % 2 == 1:
-            r, c = values[-1]
-            queued.append(("pass", net.add_units(r[None, :], np.array([c]), IDENTITY)))
+            queued.append((net.add_units(values[-1][None, :], np.array([0.0]), IDENTITY), 1.0))
         net.commit_stage()
         values = []
-        for kind, pos in queued:
+        for pos, combine in queued:
             row = np.zeros(net.width)
-            if kind == "prod":
-                row[pos] = _PROD_COMBINE
-                values.append((row, 0.0))
-            else:
-                row[pos.start] = 1.0
-                values.append((row, 0.0))
+            row[pos] = combine
+            values.append(row)
 
-    row, c = values[0]
-    built = net.finish(row, c)
+    built = net.finish(values[0], 0.0)
     _assert_bounds(built, math.ceil(math.log2(d)) + 2, 4 * d, "multivariate B-spline")
     return built
 
@@ -282,53 +266,44 @@ def _assert_bounds(net: Network, max_depth: int, max_width: int, what: str) -> N
 
 
 def build_spline_combination(comb: SplineCombination) -> Network:
-    """Single net computing sum_j c_j N_{l, i_j}: parallel subnets merged into
-    shared layers, coefficients folded into the final affine map."""
+    """Single net computing sum_j c_j N_{l, i_j} as K parallel subnets.
+
+    Every term is the same product-tree net (build_multivariate_bspline)
+    up to its first-layer biases, the knots -(i_a + j) h: no other weight
+    or bias depends on the index.  So one template net supplies every
+    layer: K stacked copies of its first weight matrix with each term's
+    biases, block-diagonal copies of its middle layers, and an output row
+    of c_j times its output row per term.
+    """
     if not comb.coefficients:
         raise ValueError("combination has no coefficients")
     items = sorted(comb.coefficients.items(), key=lambda kv: kv[0].index)
-    subnets = [build_multivariate_bspline(idx) for idx, _ in items]
-    coeffs = [c for _, c in items]
+    k_terms = len(items)
+    template = build_multivariate_bspline(items[0][0])
+    arch = template.architecture
 
-    depth = subnets[0].architecture.depth
-    merged_w, merged_b, merged_acts = [], [], []
-    for k in range(depth - 1):
-        ws = [s.weights[k] for s in subnets]
-        if k == 0:
-            w = np.vstack(ws)  # all subnets read the shared input
-        else:
-            w = _block_diag(ws)
-        merged_w.append(w)
-        merged_b.append(np.concatenate([s.biases[k] for s in subnets]))
-        tags = []
-        for s in subnets:
-            spec = s.architecture.activations[k]
-            n_units = s.architecture.layer_dims[k + 1]
-            tags.extend([spec] * n_units if isinstance(spec, str) else list(spec))
-        merged_acts.append(tuple(tags))
-    out_row = np.hstack([c * s.weights[-1] for c, s in zip(coeffs, subnets)])
-    out_bias = np.array([sum(c * s.biases[-1][0] for c, s in zip(coeffs, subnets))])
-    merged_w.append(out_row)
-    merged_b.append(out_bias)
-    merged_acts.append(IDENTITY)
+    weights = [np.vstack([template.weights[0]] * k_terms)]  # all read the shared input
+    biases = [np.concatenate([_factor_biases(idx) for idx, _ in items])]
+    for w, b in zip(template.weights[1:-1], template.biases[1:-1]):
+        # assignment into zeros keeps the template's -0.0 entries and +0.0 elsewhere
+        blocks = np.zeros((k_terms, w.shape[0], k_terms, w.shape[1]))
+        blocks[range(k_terms), :, range(k_terms)] = w
+        weights.append(blocks.reshape(k_terms * w.shape[0], k_terms * w.shape[1]))
+        biases.append(np.tile(b, k_terms))
+    weights.append(np.hstack([c * template.weights[-1] for _, c in items]))
+    biases.append(np.array([sum(c * template.biases[-1][0] for _, c in items)]))
 
-    dims = (comb.dim, *(w.shape[0] for w in merged_w))
-    built = Network(Architecture(dims, tuple(merged_acts)), merged_w, merged_b)
+    acts = []
+    for spec, n_units in zip(arch.activations[:-1], arch.layer_dims[1:]):
+        tags = (spec,) * n_units if isinstance(spec, str) else spec
+        acts.append(tags * k_terms)
+    acts.append(IDENTITY)
+
+    dims = (comb.dim, *(w.shape[0] for w in weights))
+    built = Network(Architecture(dims, tuple(acts)), weights, biases)
     if built.architecture.depth > math.ceil(math.log2(max(comb.dim, 1))) + 3:
         raise AssertionError("spline combination exceeded its depth bound")
     return built
-
-
-def _block_diag(mats):
-    rows = sum(m.shape[0] for m in mats)
-    cols = sum(m.shape[1] for m in mats)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for m in mats:
-        out[r : r + m.shape[0], c : c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
-    return out
 
 
 def fit_spline_coefficients(target, level: int, dim: int,
@@ -412,40 +387,27 @@ def build_gradient_norm_network(net: Network) -> Network:
 
     g = _StagedNet(d)
 
-    if depth == 2:
-        # D_i u is affine in sigma1(z1); only the squaring stage needs gadgets
-        g.begin_stage()
-        r1 = g.add_units(w_in[0], b_in[0], RELU)
-        g.commit_stage()
-        r1_rows = g.identity_rows(r1)
-        du_rows = 2.0 * (w_in[0].T * w_in[1][0][None, :]) @ r1_rows  # (d, width)
-        built = _finish_with_squares(g, du_rows, np.zeros(d))
-        _assert_bounds(built, depth + 3, d * (depth + 2) * arch.width, "gradient-norm net")
-        return built
-
-    # depth >= 3: stage 1 computes f1 and r1 = sigma1(z1)
+    # stage 1: r1 = sigma1(z1), and f1 = sigma2(z1) when a later layer reads it
     g.begin_stage()
-    f_pos = g.add_units(w_in[0], b_in[0], RELU2)
+    f_pos = g.add_units(w_in[0], b_in[0], RELU2) if depth >= 3 else None
     r_pos = g.add_units(w_in[0], b_in[0], RELU)
     g.commit_stage()
-    f_rows = g.identity_rows(f_pos)
     r_rows = g.identity_rows(r_pos)
-    # D_i f^(1)_q = 2 a^(1)_{qi} r1_q, affine in r1
+    # D_i f^(1)_q = 2 a^(1)_{qi} r1_q, affine in r1; for depth 2 that is D_i u
     d_rows = 2.0 * w_in[0][:, :, None] * r_rows[:, None, :]  # (n1, d, width)
     d_const = np.zeros((n[1], d))
 
-    # stage 2: f2 (if needed), r2, and a ReLU pass-through of r1 (r1 >= 0)
-    g.begin_stage()
-    pre = w_in[1] @ f_rows
-    f2_pos = g.add_units(pre, b_in[1], RELU2) if depth >= 4 else None
-    r2_pos = g.add_units(pre, b_in[1], RELU)
-    r1c_pos = g.add_units(r_rows, np.zeros(n[1]), RELU)
-    g.commit_stage()
-    f_rows = g.identity_rows(f2_pos) if f2_pos is not None else None
-    r_rows = g.identity_rows(r2_pos)
-    r1c_rows = g.identity_rows(r1c_pos)
-    d_rows = 2.0 * w_in[0][:, :, None] * r1c_rows[:, None, :]
-    d_const = np.zeros((n[1], d))
+    if depth >= 3:
+        # stage 2: f2 (if needed), r2, and a ReLU pass-through of r1 (r1 >= 0)
+        g.begin_stage()
+        pre = w_in[1] @ g.identity_rows(f_pos)
+        f2_pos = g.add_units(pre, b_in[1], RELU2) if depth >= 4 else None
+        r2_pos = g.add_units(pre, b_in[1], RELU)
+        r1c_pos = g.add_units(r_rows, np.zeros(n[1]), RELU)
+        g.commit_stage()
+        f_rows = g.identity_rows(f2_pos) if f2_pos is not None else None
+        r_rows = g.identity_rows(r2_pos)
+        d_rows = 2.0 * w_in[0][:, :, None] * g.identity_rows(r1c_pos)[:, None, :]
 
     # stages t = 3 .. depth: product gadgets for layer t-1 derivatives,
     # plus f_t / r_t while the original net still has hidden layers ahead
@@ -474,24 +436,14 @@ def build_gradient_norm_network(net: Network) -> Network:
         r_rows = g.identity_rows(new_r_pos) if new_r_pos is not None else None
         d_rows = np.zeros((n[t - 1], d, g.width))
         d_const = np.zeros((n[t - 1], d))
-        k = 0
-        for q in range(n[t - 1]):
-            for i in range(d):
-                # D_i f^(t-1)_q = 2 * product = (g1 + g2 - g3 - g4) / 2
-                d_rows[q, i, gadget_pos[k]] = 2.0 * _PROD_COMBINE
-                k += 1
+        for k, pos in enumerate(gadget_pos):  # queued in (q, i) order
+            # D_i f^(t-1)_q = 2 * product = (g1 + g2 - g3 - g4) / 2
+            d_rows[k // d, k % d, pos] = 2.0 * _PROD_COMBINE
 
     du_rows = np.einsum("j,jiw->iw", w_in[depth - 1][0], d_rows)
     du_const = w_in[depth - 1][0] @ d_const
-    built = _finish_with_squares(g, du_rows, du_const)
-    _assert_bounds(built, depth + 3, d * (depth + 2) * arch.width, "gradient-norm net")
-    return built
-
-
-def _finish_with_squares(g: _StagedNet, du_rows: np.ndarray, du_const: np.ndarray) -> Network:
-    """Final stage: x^2 = sigma2(x) + sigma2(-x) per component, then sum."""
+    # final stage: x^2 = sigma2(x) + sigma2(-x) per component, then sum
     g.begin_stage()
-    d = du_rows.shape[0]
     for i in range(d):
         g.add_units(
             np.stack([du_rows[i], -du_rows[i]]),
@@ -499,7 +451,9 @@ def _finish_with_squares(g: _StagedNet, du_rows: np.ndarray, du_const: np.ndarra
             RELU2,
         )
     g.commit_stage()
-    return g.finish(np.ones(2 * d), 0.0)
+    built = g.finish(np.ones(2 * d), 0.0)
+    _assert_bounds(built, depth + 3, d * (depth + 2) * arch.width, "gradient-norm net")
+    return built
 
 
 # ------------------------------------------------ prescribed shapes

@@ -365,11 +365,12 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
 
     arch = prescribe_architecture(cfg.d, cfg.n, cfg.nu)
     cell_seed = derived_seed(cfg.seed, 0)
+    # fit first: an oversized collocation system fails before any training
+    comb = fit_spline_coefficients(lambda q: p.u_star(q), cfg.spline_level, cfg.d)
+    spline_net = build_spline_combination(comb)
     samples, tcfg, trained, history, err, exc = _train_cell(
         p, arch, cfg.n, cfg.train, cfg.n_quad, cell_seed)
 
-    comb = fit_spline_coefficients(lambda q: p.u_star(q), cfg.spline_level, cfg.d)
-    spline_net = build_spline_combination(comb)
     spline_err = h1_error(spline_net, p, cfg.n_quad, derived_seed(cell_seed, 5))
     spline_exc = energy_excess(spline_net, p, cfg.n_quad, derived_seed(cell_seed, 6))
     w_top = max(p.w_sup, 1.0)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import operator
 import threading
 from dataclasses import dataclass
 import numpy as np
@@ -56,6 +57,16 @@ def _normalize_layer_activation(spec, n_units: int):
     return tags
 
 
+def _layer_dim(n) -> int:
+    """An integer layer size; int() would truncate 2.7, True or "3" silently."""
+    try:
+        if not isinstance(n, bool):
+            return operator.index(n)
+    except TypeError:
+        pass
+    raise ValueError(f"layer dim {n!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class Architecture:
     """Layer sizes N_0..N_L plus one activation spec per layer 1..L.
@@ -70,7 +81,7 @@ class Architecture:
     activations: tuple
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.layer_dims)
+        dims = tuple(map(_layer_dim, self.layer_dims))
         if len(dims) < 2:
             raise ValueError("need at least input and output layer dims")
         if any(n <= 0 for n in dims):

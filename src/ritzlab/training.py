@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import time
 import types
 import typing
 from dataclasses import dataclass, field, replace
@@ -127,10 +126,9 @@ class TrainHistory:
     checkpoints: list = field(default_factory=list)
     best_iteration: int = 0
     best_loss: float = math.inf
-    wall_seconds: float = 0.0
 
     def summary(self) -> dict:
-        """Deterministic fields only; wall time stays out of reports."""
+        """The deterministic fields that reports carry."""
         return {
             "best_iteration": self.best_iteration,
             "best_loss": self.best_loss,
@@ -205,7 +203,6 @@ def train(net: Network, p: Problem, samples: SampleSet, cfg: TrainConfig):
         if cfg.batch_domain > samples.n_domain or cfg.batch_boundary > samples.n_boundary:
             raise ValueError("batch sizes exceed the fixed sample set")
 
-    t_start = time.perf_counter()
     theta = net.flatten_parameters()
     adam = AdamState(theta.size, cfg.adam_betas, cfg.adam_eps) if cfg.optimizer == "adam" else None
     rng = rng_stream(cfg.seed, _TAG_BATCH)
@@ -261,7 +258,6 @@ def train(net: Network, p: Problem, samples: SampleSet, cfg: TrainConfig):
             if checkpoint(step, current):
                 best_theta = theta.copy()
 
-    history.wall_seconds = time.perf_counter() - t_start
     return net.with_parameters(best_theta), history
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -192,6 +193,39 @@ def test_combination_rejects_mixed_levels():
         SplineCombination(2, 1, {SplineIndex(3, (0,)): 1.0})
     with pytest.raises(ValueError):
         build_spline_combination(SplineCombination(2, 1, {}))
+
+
+def _unit_tags(arch, k):
+    spec = arch.activations[k]
+    return (spec,) * arch.layer_dims[k + 1] if isinstance(spec, str) else spec
+
+
+@pytest.mark.parametrize("d, level", [(1, 3), (2, 2), (3, 1)])
+def test_combination_layout_is_stacked_term_nets(d, level):
+    # term j's block of every layer is byte-equal to its own product-tree net
+    idxs = [SplineIndex(level, i) for i in itertools.product(full_index_range(level), repeat=d)]
+    coeffs = rng_for(303).normal(size=len(idxs))
+    coeffs[:3] = (-1.5, 0.0, -0.0)
+    cnet = build_spline_combination(
+        SplineCombination(level, d, {idx: float(c) for idx, c in zip(idxs, coeffs)}))
+    subs = [build_multivariate_bspline(idx) for idx in idxs]  # idxs are sorted
+    depth = subs[0].architecture.depth
+    assert cnet.architecture.depth == depth
+    for k in range(depth - 1):
+        rows, cols = subs[0].weights[k].shape
+        for j, sub in enumerate(subs):
+            r = slice(j * rows, (j + 1) * rows)
+            c = slice(None) if k == 0 else slice(j * cols, (j + 1) * cols)
+            assert cnet.weights[k][r, c].tobytes() == sub.weights[k].tobytes()
+            assert cnet.biases[k][r].tobytes() == sub.biases[k].tobytes()
+            assert _unit_tags(cnet.architecture, k)[r] == _unit_tags(sub.architecture, k)
+            if k > 0:
+                off = np.delete(cnet.weights[k][r], c, axis=1)
+                assert np.all(off == 0.0) and not np.signbit(off).any()
+    cols = subs[0].weights[-1].shape[1]
+    for j, (sub, coef) in enumerate(zip(subs, coeffs)):
+        block = cnet.weights[-1][:, j * cols : (j + 1) * cols]
+        assert block.tobytes() == (coef * sub.weights[-1]).tobytes()
 
 
 def test_partition_of_unity_via_combination():

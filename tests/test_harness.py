@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 import ritzlab.cli as cli
+import ritzlab.harness as harness
 from ritzlab.gadgets import build_square_gadget
 from ritzlab.harness import (
     ConfigError,
@@ -276,6 +277,16 @@ def test_decomposition_single_restart_has_zero_optimization_proxy():
     assert run_error_decomposition(cfg)["e_opt_proxy"] == 0.0
     with pytest.raises(ValueError, match="restarts"):
         run_error_decomposition(DecompositionConfig(restarts=0, train=tiny_train(10)))
+
+
+def test_decomposition_rejects_oversized_spline_fit_before_training(monkeypatch):
+    # level 12 at d = 1: 16 385 points x 4 098 basis functions, over the limit
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the spline fit was checked")
+
+    monkeypatch.setattr(harness, "_train_cell", no_training)
+    with pytest.raises(ValueError, match="collocation system too large"):
+        run_error_decomposition(DecompositionConfig(spline_level=12, train=tiny_train(10)))
 
 
 def test_decomposition_deterministic():

@@ -617,6 +617,14 @@ def test_flat_parameters_round_trip_and_stay_private(case):
             a[...] = 0.0
 
 
+@pytest.mark.parametrize("bad", [2.7, True, "3"])
+def test_architecture_rejects_non_integer_dims(bad):
+    with pytest.raises(ValueError, match="layer dim"):
+        Architecture((1, bad, 1), (RELU2, IDENTITY))
+    dims = Architecture((np.int64(1), np.int32(2), 1), (RELU2, IDENTITY)).layer_dims
+    assert dims == (1, 2, 1) and all(type(n) is int for n in dims)
+
+
 def test_architecture_checks_spec_count_before_specs():
     with pytest.raises(DimensionMismatchError):
         Architecture((1, 3, 1), (RELU2, IDENTITY, IDENTITY))

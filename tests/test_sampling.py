@@ -5,7 +5,7 @@ import pytest
 
 from ritzlab.gadgets import prescribe_architecture
 from ritzlab.problems import make_cosine_problem, make_quadratic_problem
-from ritzlab.ritz import energy_excess
+from ritzlab.ritz import energy_excess, statistical_gap_estimate
 from ritzlab.sampling import (
     SampleSet,
     h1_error,
@@ -179,11 +179,16 @@ def test_reported_standard_errors_match_realized_spread(label):
         net0 = init_network(prescribe_architecture(1, 256, 0.0), 1.0, 0)
         net, _ = train(net0, p, make_sample_set(256, 256, 1, 1),
                        TrainConfig(iterations=600, eval_every=100))
-    reports = [(h1_error(net, p, 4000, s), energy_excess(net, p, 4000, s)) for s in range(40)]
+    estimators = [lambda s: h1_error(net, p, 4000, s), lambda s: energy_excess(net, p, 4000, s)]
     # h1_err_se is left out: hypot(l2 SE, seminorm SE) ignores their covariance
     fields = [(0, "l2_err"), (0, "h1_semi_err"), (1, "excess"), (1, "h1_sq_of_diff")]
     if label == "zero":
-        fields.remove((1, "excess"))  # exactly 0 with SE 0 on the zero net
+        fields.remove((1, "excess"))  # exactly 0 with SE 0 on the zero net, as is the gap
+    else:
+        estimators.append(
+            lambda s: statistical_gap_estimate(net, p, 64, 20, s, reference_n=50_000))
+        fields.append((2, "mean_abs_gap"))
+    reports = [[estimate(s) for estimate in estimators] for s in range(40)]
     for which, name in fields:
         values = np.array([getattr(r[which], name) for r in reports])
         ses = np.array([getattr(r[which], name + "_se") for r in reports])

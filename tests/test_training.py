@@ -256,7 +256,7 @@ def test_history_summary_has_no_wall_time():
     p, samples, net = small_setup(n=64)
     _, hist = train(net, p, samples, TrainConfig(iterations=10, batch_domain=32,
                                                  batch_boundary=32, eval_every=5, seed=9))
-    assert hist.wall_seconds > 0
+    assert not hasattr(hist, "wall_seconds")
     assert "wall_seconds" not in hist.summary()
 
 
