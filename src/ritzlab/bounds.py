@@ -7,6 +7,7 @@ defaulting to 1 and echoed in reports; logarithms are natural throughout
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -27,8 +28,9 @@ class BoundInputs:
     def __post_init__(self):
         if min(self.depth, self.width, self.d, self.n) < 1:
             raise ValueError("depth, width, d, n must be positive")
-        if self.B <= 0 or self.c3 <= 0 or self.nu < 0 or self.pdim_constant <= 0:
-            raise ValueError("B, c3, pdim_constant must be positive and nu >= 0")
+        # B = 0 is the sup bound of an identically zero net
+        if self.B < 0 or self.c3 <= 0 or self.nu < 0 or self.pdim_constant <= 0:
+            raise ValueError("c3, pdim_constant must be positive and B, nu >= 0")
 
 
 def pdim_bound(depth: int, width: int, pdim_constant: float = 1.0) -> float:
@@ -87,18 +89,7 @@ def all_bounds(inputs: BoundInputs, C_Bc3: float = 1.0, eps: float = 1.0) -> dic
     """One dictionary with every bound value for a given input setting."""
     pdim = pdim_bound(inputs.depth, inputs.width, inputs.pdim_constant)
     out = {
-        "inputs": {
-            "depth": inputs.depth,
-            "width": inputs.width,
-            "d": inputs.d,
-            "n": inputs.n,
-            "B": inputs.B,
-            "c3": inputs.c3,
-            "nu": inputs.nu,
-            "pdim_constant": inputs.pdim_constant,
-            "C_Bc3": C_Bc3,
-            "eps": eps,
-        },
+        "inputs": {**dataclasses.asdict(inputs), "C_Bc3": C_Bc3, "eps": eps},
         "pdim_bound": pdim,
         "statistical_error_bound": statistical_error_bound(inputs, C_Bc3),
     }

@@ -15,6 +15,7 @@ a bad config or any failed check exits nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -104,7 +105,7 @@ def _cmd_train(args) -> int:
         "training_protocol_note": "optimizer, initialization and step counts are "
                                   "implementation choices, not theory-mandated",
         "architecture": _architecture_block(arch),
-        "final_loss": empirical_loss(trained, problem, samples).to_json_dict(),
+        "final_loss": empirical_loss(trained, problem, samples)._asdict(),
         "train_summary": history.summary(),
         "h1_err": err.h1_err,
         "h1_err_se": err.h1_err_se,
@@ -144,16 +145,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    inputs = BoundInputs(
-        depth=args.depth,
-        width=args.width,
-        d=args.d,
-        n=args.n,
-        B=args.B,
-        c3=args.c3,
-        nu=args.nu,
-        pdim_constant=args.pdim_constant,
-    )
+    # every BoundInputs field is an option of the same name
+    inputs = BoundInputs(**{f.name: getattr(args, f.name)
+                            for f in dataclasses.fields(BoundInputs)})
     _emit(all_bounds(inputs, C_Bc3=args.c_bc3, eps=args.eps), args.out)
     return 0
 

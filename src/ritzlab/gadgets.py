@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .networks import IDENTITY, RELU, RELU2, Architecture, Network
+from .networks import IDENTITY, RELU, RELU2, Architecture, Network, _as_int
 
 _BINOM3 = (1.0, -3.0, 3.0, -1.0)  # (-1)^j * C(3, j)
+_POINTS_PER_INTERVAL = 4  # collocation points per knot interval and axis in a spline fit
 
 
 class InvalidSplineIndexError(ValueError):
@@ -34,6 +35,14 @@ class SingularFitError(RuntimeError):
     """Spline collocation system was rank deficient."""
 
 
+def _spline_level(level) -> int:
+    """A dyadic level as an int >= 1; anything else raises InvalidSplineIndexError."""
+    level = _as_int(level, "spline level", InvalidSplineIndexError)
+    if level < 1:
+        raise InvalidSplineIndexError(f"level must be >= 1, got {level}")
+    return level
+
+
 @dataclass(frozen=True)
 class SplineIndex:
     """Identifies one tensor-product B-spline: level l and index vector i."""
@@ -42,14 +51,17 @@ class SplineIndex:
     index: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "index", tuple(int(i) for i in np.atleast_1d(self.index)))
-        if self.level < 1:
-            raise InvalidSplineIndexError(f"level must be >= 1, got {self.level}")
-        top = 2**self.level - 1
-        for i in self.index:
+        level = _spline_level(self.level)
+        # dtype=object keeps each entry's own type, so a bool or float is caught
+        index = tuple(_as_int(i, "spline index", InvalidSplineIndexError)
+                      for i in np.atleast_1d(np.asarray(self.index, dtype=object)))
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "index", index)
+        top = 2**level - 1
+        for i in index:
             if not -2 <= i <= top:
                 raise InvalidSplineIndexError(
-                    f"index {i} outside [-2, {top}] at level {self.level}"
+                    f"index {i} outside [-2, {top}] at level {level}"
                 )
 
     @property
@@ -76,7 +88,7 @@ class SplineCombination:
 
 def full_index_range(level: int):
     """All univariate indices whose support intersects [0, 1]."""
-    return range(-2, 2**level)
+    return range(-2, 2 ** _spline_level(level))
 
 
 def bspline_value(level: int, i: int, x) -> np.ndarray:
@@ -306,22 +318,19 @@ def build_spline_combination(comb: SplineCombination) -> Network:
     return built
 
 
-def fit_spline_coefficients(target, level: int, dim: int,
-                            points_per_interval: int = 4) -> SplineCombination:
+def fit_spline_coefficients(target, level: int, dim: int) -> SplineCombination:
     """Least-squares fit of the full tensor-product basis on a uniform
-    collocation grid (points_per_interval points per knot interval per axis).
+    collocation grid (_POINTS_PER_INTERVAL points per knot interval per axis).
 
     target maps an (n, d) array to n values.
     """
-    if points_per_interval < 4:
-        raise ValueError("need at least 4 collocation points per knot interval")
+    n_axis = _POINTS_PER_INTERVAL * 2**level + 1
     n_basis = (2**level + 2) ** dim
-    n_grid = (points_per_interval * 2**level + 1) ** dim
+    n_grid = n_axis**dim
     if n_basis * n_grid > 5e7:
         raise ValueError(
             f"collocation system too large: {n_grid} points x {n_basis} basis functions"
         )
-    n_axis = points_per_interval * 2**level + 1
     axis_pts = np.linspace(0.0, 1.0, n_axis)
     uni = np.stack([bspline_value(level, i, axis_pts) for i in full_index_range(level)],
                    axis=1)  # (n_axis, 2^l + 2)

@@ -243,7 +243,7 @@ def run_convergence_study(cfg: StudyConfig) -> dict:
                     "l2_err_se": err.l2_err_se,
                     "excess": exc.excess,
                     "excess_se": exc.excess_se,
-                    "loss": loss.to_json_dict(),
+                    "loss": loss._asdict(),
                     "train_summary": history.summary(),
                     "measured_B": b_hat,
                 }
@@ -302,16 +302,9 @@ def run_convergence_study(cfg: StudyConfig) -> dict:
 
 
 def _problem_block(p: Problem) -> dict:
-    return {
-        "name": p.name,
-        "d": p.d,
-        "c1": p.c1,
-        "c2": p.c2,
-        "c3": p.c3,
-        "w_sup": p.w_sup,
-        "analytic_energy": p.analytic_energy,
-        "analytic_h1_norm_sq": p.analytic_h1_norm_sq,
-    }
+    """The Problem's data fields by name; its callables stay out of reports."""
+    return {f.name: getattr(p, f.name) for f in dataclasses.fields(p)
+            if not callable(getattr(p, f.name))}
 
 
 def _architecture_block(arch: Architecture) -> dict:
@@ -410,7 +403,7 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
         "e_app_spline_excess": spline_exc.excess,
         "e_app_spline_excess_se": spline_exc.excess_se,
         "e_sta_proxy": e_sta,
-        "e_sta_gap_per_term": gap.to_json_dict(),
+        "e_sta_gap_per_term": gap._asdict(),
         "e_opt_proxy": e_opt,
         "decomposition_lhs": lhs,
         "decomposition_rhs_proxies": proxies,

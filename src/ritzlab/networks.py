@@ -18,6 +18,8 @@ import functools
 import operator
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 RELU = "relu"
@@ -57,14 +59,14 @@ def _normalize_layer_activation(spec, n_units: int):
     return tags
 
 
-def _layer_dim(n) -> int:
-    """An integer layer size; int() would truncate 2.7, True or "3" silently."""
+def _as_int(n, what: str = "layer dim", error: type = ValueError) -> int:
+    """n as an int, else error naming `what`; int() would truncate 2.7, True or "3"."""
     try:
         if not isinstance(n, bool):
             return operator.index(n)
     except TypeError:
         pass
-    raise ValueError(f"layer dim {n!r} is not an integer")
+    raise error(f"{what} {n!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class Architecture:
     activations: tuple
 
     def __post_init__(self):
-        dims = tuple(map(_layer_dim, self.layer_dims))
+        dims = tuple(map(_as_int, self.layer_dims))
         if len(dims) < 2:
             raise ValueError("need at least input and output layer dims")
         if any(n <= 0 for n in dims):
@@ -219,8 +221,7 @@ class Network:
         return Network._from_parameters(self._arch, theta)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """Value and exact input gradient of a scalar network at one point."""
 
     value: float

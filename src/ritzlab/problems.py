@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -149,20 +149,22 @@ def problem_by_name(name: str, d: int) -> Problem:
     return factory(d)
 
 
-@dataclass(frozen=True)
-class ProblemVerification:
+class ProblemVerification(NamedTuple):
     max_pde_residual: float
     max_flux_residual: float
     n_probe: int
 
 
-def verify_problem(p: Problem, n_probe: int, seed: int, tol: float = 1e-6,
-                   fd_step: float = 1e-4) -> ProblemVerification:
+_VERIFY_TOL = 1e-6  # largest residual verify_problem accepts
+_FD_STEP = 1e-4  # step of verify_problem's central second differences
+
+
+def verify_problem(p: Problem, n_probe: int, seed: int) -> ProblemVerification:
     """Check -lap(u*) + w u* - f and grad(u*) . n - g at seeded random probes.
 
     The Laplacian is formed by central second differences so problems never
     need analytic second derivatives.  Raises ProblemDefinitionError when
-    either residual exceeds tol.
+    either residual exceeds _VERIFY_TOL.
     """
     if n_probe < 1:
         raise ValueError("n_probe must be >= 1")
@@ -173,8 +175,8 @@ def verify_problem(p: Problem, n_probe: int, seed: int, tol: float = 1e-6,
     u0 = p.u_star(x)
     for axis in range(p.d):
         step = np.zeros(p.d)
-        step[axis] = fd_step
-        lap += (p.u_star(x + step) - 2.0 * u0 + p.u_star(x - step)) / fd_step**2
+        step[axis] = _FD_STEP
+        lap += (p.u_star(x + step) - 2.0 * u0 + p.u_star(x - step)) / _FD_STEP**2
     pde_res = float(np.max(np.abs(-lap + p.w(x) * u0 - p.f(x))))
 
     n_bnd = max(n_probe, 2 * p.d)
@@ -187,10 +189,9 @@ def verify_problem(p: Problem, n_probe: int, seed: int, tol: float = 1e-6,
     flux = p.grad_u_star(pts)[np.arange(n_bnd), axes] * normal_sign
     flux_res = float(np.max(np.abs(flux - p.g(pts, faces))))
 
-    report = ProblemVerification(pde_res, flux_res, n_probe)
-    if pde_res > tol or flux_res > tol:
+    if pde_res > _VERIFY_TOL or flux_res > _VERIFY_TOL:
         raise ProblemDefinitionError(
             f"problem {p.name!r} failed verification: "
-            f"pde residual {pde_res:.3e}, flux residual {flux_res:.3e} (tol {tol:.1e})"
+            f"pde residual {pde_res:.3e}, flux residual {flux_res:.3e} (tol {_VERIFY_TOL:.1e})"
         )
-    return report
+    return ProblemVerification(pde_res, flux_res, n_probe)

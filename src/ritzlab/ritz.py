@@ -12,7 +12,7 @@ reported with the gradient, mass, forcing and boundary terms separated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,28 +41,18 @@ def derived_seed(seed: int, k: int) -> int:
     return (seed * 1_000_003 + k) % 2**63
 
 
-@dataclass(frozen=True)
-class LossReport:
+class LossReport(NamedTuple):
     """Total empirical Ritz loss and its four terms.
 
-    total = term_gradient + term_mass - term_forcing - term_boundary, exactly
+    total = grad_term + mass_term - forcing_term - boundary_term, exactly
     as computed (the additivity identity is preserved to rounding).
     """
 
     total: float
-    term_gradient: float
-    term_mass: float
-    term_forcing: float
-    term_boundary: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "grad_term": self.term_gradient,
-            "mass_term": self.term_mass,
-            "forcing_term": self.term_forcing,
-            "boundary_term": self.term_boundary,
-        }
+    grad_term: float
+    mass_term: float
+    forcing_term: float
+    boundary_term: float
 
 
 def _domain_pieces(vals, grads, w_at, f_at):
@@ -113,8 +103,7 @@ def population_loss_estimate(net: Network, p: Problem, n_quad: int, seed: int) -
     return MCEstimate(dom.value - bnd.value, math.hypot(dom.std_error, bnd.std_error))
 
 
-@dataclass(frozen=True)
-class EnergyExcessReport:
+class EnergyExcessReport(NamedTuple):
     """L(u) - L(u*) next to the matching quadratic form of the difference.
 
     For the weak solution u*, L(u) - L(u*) = (grad v, grad v)/2 + (v, v)_w / 2
@@ -177,32 +166,22 @@ def loss_and_parameter_gradient(net: Network, p: Problem, samples: SampleSet):
     return report, grad
 
 
-@dataclass(frozen=True)
-class StatisticalGapReport:
-    """Mean absolute loss gap of a fixed net at sample size n, per term too."""
+class StatisticalGapReport(NamedTuple):
+    """Mean absolute loss gap of a fixed net at sample size n, per term too.
+
+    The *_term fields are the mean absolute gaps of the LossReport fields
+    of the same names.
+    """
 
     mean_abs_gap: float
-    gap_gradient: float
-    gap_mass: float
-    gap_forcing: float
-    gap_boundary: float
+    grad_term: float
+    mass_term: float
+    forcing_term: float
+    boundary_term: float
     mean_abs_gap_se: float
     n: int
     reps: int
     reference_n: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mean_abs_gap": self.mean_abs_gap,
-            "mean_abs_gap_se": self.mean_abs_gap_se,
-            "grad_term": self.gap_gradient,
-            "mass_term": self.gap_mass,
-            "forcing_term": self.gap_forcing,
-            "boundary_term": self.gap_boundary,
-            "n": self.n,
-            "reps": self.reps,
-            "reference_n": self.reference_n,
-        }
 
 
 def statistical_gap_estimate(
@@ -224,16 +203,10 @@ def statistical_gap_estimate(
         raise ValueError("need reps >= 2")
     ref = empirical_loss(net, p, make_sample_set(reference_n, reference_n, p.d,
                                                  derived_seed(seed, 0)))
-    gaps = np.zeros((reps, 5))
+    gaps = np.zeros((reps, len(ref)))
     for r in range(reps):
         rep = empirical_loss(net, p, make_sample_set(n, n, p.d, derived_seed(seed, r + 1)))
-        gaps[r] = [
-            abs(rep.total - ref.total),
-            abs(rep.term_gradient - ref.term_gradient),
-            abs(rep.term_mass - ref.term_mass),
-            abs(rep.term_forcing - ref.term_forcing),
-            abs(rep.term_boundary - ref.term_boundary),
-        ]
+        gaps[r] = np.abs(np.subtract(rep, ref))
     means = gaps.mean(axis=0)
     se = mc_mean(gaps[:, 0]).std_error
     return StatisticalGapReport(*map(float, means), mean_abs_gap_se=se,

@@ -139,8 +139,7 @@ def mc_mean(values, volume: float = 1.0) -> MCEstimate:
     )
 
 
-@dataclass(frozen=True)
-class H1ErrorReport:
+class H1ErrorReport(NamedTuple):
     """MC estimates of the L2, H1-seminorm and full H1 errors vs u*."""
 
     l2_err: float

@@ -113,8 +113,7 @@ class TrainConfig:
             raise ValueError("init_scale must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(typing.NamedTuple):
     iteration: int
     loss: float
 

@@ -122,3 +122,14 @@ def test_bound_inputs_validation():
         BoundInputs(depth=0, width=1, d=1, n=1, B=1.0, c3=1.0)
     with pytest.raises(ValueError):
         BoundInputs(depth=1, width=1, d=1, n=1, B=-1.0, c3=1.0)
+
+
+def test_zero_sup_bound_is_accepted_where_no_bound_reads_it():
+    # an identically zero net measures B = 0; the statistical bound's C_Bc3 absorbs B
+    inputs = BoundInputs(depth=2, width=3, d=1, n=10_000, B=0.0, c3=1.0)
+    assert statistical_error_bound(inputs) > 0.0
+    pdim = pdim_bound(2, 3)
+    with pytest.raises(ValueError):
+        dudley_rademacher_bound(inputs.n, inputs.B, pdim)
+    with pytest.raises(ValueError):
+        log_covering_bound(1.0, inputs.n, inputs.B, pdim)

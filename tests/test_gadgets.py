@@ -94,6 +94,18 @@ def test_univariate_bspline_index_range():
         SplineIndex(0, (0,))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SplineIndex(2, (1.7, True)),  # int() would make this index (1, 1)
+    lambda: SplineIndex(2, (1, True)),
+    lambda: SplineIndex(2.5, (0,)),  # would build knots at multiples of 2^-2.5
+    lambda: SplineIndex(True, (0,)),
+    lambda: full_index_range(2.5),
+], ids=["float-and-bool-index", "bool-index", "float-level", "bool-level", "range-float-level"])
+def test_spline_level_and_index_must_be_integers(make):
+    with pytest.raises(InvalidSplineIndexError, match="is not an integer"):
+        make()
+
+
 def test_bspline_nonnegative_and_supported():
     x = np.linspace(-1, 2, 1501)
     for level in (1, 2, 3):

@@ -28,6 +28,7 @@ from ritzlab.harness import (
     write_study_csv,
 )
 from ritzlab.networks import save_network
+from ritzlab.ritz import LossReport, StatisticalGapReport
 from ritzlab.training import TrainConfig
 
 from conftest import rng_for
@@ -406,6 +407,48 @@ def test_cli_train(tmp_path, capsys):
     assert [ln.split(",")[0] for ln in history[1:]] == ["0", "10", "20", "30"]
     summary = json.loads((tmp_path / "run" / "train_summary.json").read_text())
     assert summary["train_summary"]["n_checkpoints"] >= 2
+
+
+def test_cli_study_of_identically_zero_nets_writes_report(tmp_path, capsys):
+    # init_scale 0 and learning_rate 0 keep every cell's net at u = 0, so B = 0
+    cfg = {
+        "problem": "cosine", "d": 1, "n_values": [32], "repetitions": 1, "n_quad": 2000,
+        "seed": 3,
+        "train": {"learning_rate": 0.0, "init_scale": 0.0, "iterations": 4,
+                  "batch_domain": 32, "batch_boundary": 32, "eval_every": 2},
+    }
+    path = tmp_path / "zero.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert cli.main(["study", str(path), "--out", str(tmp_path / "zero")]) == 0
+    report = json.loads((tmp_path / "zero" / "study_report.json").read_text())
+    assert report["cells"][0]["measured_B"] == 0.0
+    assert report["theory_bounds"][0]["measured_B_median"] == 0.0
+
+
+# The README's names of the loss split and of the per-term statistical gap.
+README_LOSS_KEYS = {"total", "grad_term", "mass_term", "forcing_term", "boundary_term"}
+README_GAP_KEYS = README_LOSS_KEYS - {"total"} | {
+    "mean_abs_gap", "mean_abs_gap_se", "n", "reps", "reference_n"}
+
+
+def test_record_built_report_blocks_carry_the_record_fields(tmp_path, capsys):
+    study = run_convergence_study(StudyConfig(
+        problem="quadratic", d=1, n_values=(32,), repetitions=1, n_quad=2000,
+        train=tiny_train(10), seed=6))
+    assert set(study["cells"][0]["loss"]) == set(LossReport._fields) == README_LOSS_KEYS
+
+    cfg = {"problem": "quadratic", "d": 1, "n": 32, "n_quad": 2000, "seed": 6,
+           "train": {"iterations": 10, "batch_domain": 32, "batch_boundary": 32}}
+    path = tmp_path / "train.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert cli.main(["train", str(path), "--out", str(tmp_path / "run")]) == 0
+    summary = json.loads((tmp_path / "run" / "train_summary.json").read_text())
+    assert set(summary["final_loss"]) == set(LossReport._fields)
+
+    dec = run_error_decomposition(DecompositionConfig(
+        problem="quadratic", d=1, n=32, spline_level=2, gap_reps=2, restarts=1,
+        n_quad=2000, train=tiny_train(10), seed=6))
+    assert set(dec["e_sta_gap_per_term"]) == set(StatisticalGapReport._fields) == README_GAP_KEYS
 
 
 def test_cli_train_rejects_misspelled_key_before_training(tmp_path):

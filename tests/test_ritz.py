@@ -73,7 +73,7 @@ def test_zero_net_has_zero_loss():
     s = make_sample_set(200, 100, 2, seed=1)
     rep = empirical_loss(zero_net(2), p, s)
     assert rep.total == 0.0
-    assert rep.term_gradient == rep.term_mass == rep.term_forcing == rep.term_boundary == 0.0
+    assert rep.grad_term == rep.mass_term == rep.forcing_term == rep.boundary_term == 0.0
 
 
 def test_constant_net_loss_hand_computation():
@@ -82,8 +82,8 @@ def test_constant_net_loss_hand_computation():
     rep = empirical_loss(constant_net(2, 1.0), p, s)
     f_bar = float(np.mean(p.f(s.domain_points)))
     assert rep.total == pytest.approx(0.5 - f_bar, rel=1e-12)
-    assert rep.term_mass == pytest.approx(0.5, rel=1e-12)
-    assert rep.term_gradient == 0.0
+    assert rep.mass_term == pytest.approx(0.5, rel=1e-12)
+    assert rep.grad_term == 0.0
 
 
 def test_loss_matches_resummation_oracle():
@@ -98,7 +98,7 @@ def test_loss_additivity_identity():
     p = make_quadratic_problem(2)
     s = make_sample_set(300, 150, 2, seed=5)
     rep = empirical_loss(random_relu2_net(2, (6,), seed=6), p, s)
-    lhs = rep.term_gradient + rep.term_mass - rep.term_forcing - rep.term_boundary
+    lhs = rep.grad_term + rep.mass_term - rep.forcing_term - rep.boundary_term
     assert rep.total == pytest.approx(lhs, rel=1e-12, abs=1e-15)
 
 
@@ -127,8 +127,8 @@ def test_loss_and_gradient_invariant_under_point_permutations(d, perm_d, perm_b)
     net = random_relu2_net(d, (12, 12), seed=51)
     (rep, grad), (rep2, grad2) = (loss_and_parameter_gradient(net, p, t) for t in (s, s2))
     for a, b in ((rep, rep2), (empirical_loss(net, p, s), empirical_loss(net, p, s2))):
-        assert list(b.to_json_dict().values()) == pytest.approx(
-            list(a.to_json_dict().values()), rel=1e-12)
+        assert list(b._asdict().values()) == pytest.approx(
+            list(a._asdict().values()), rel=1e-12)
     assert np.max(np.abs(grad2 - grad)) <= 1e-12 * np.max(np.abs(grad))
 
 
@@ -288,8 +288,8 @@ def test_fused_loss_gradient_bitwise_equals_two_pass(monkeypatch, make_problem, 
     net = random_relu2_net(d, (6, 5), seed=41)
     rep, grad = loss_and_parameter_gradient(net, p, s)
     terms, grad_ref = two_pass_loss_and_gradient(net, p, s)
-    assert (rep.total, rep.term_gradient, rep.term_mass, rep.term_forcing,
-            rep.term_boundary) == terms
+    assert (rep.total, rep.grad_term, rep.mass_term, rep.forcing_term,
+            rep.boundary_term) == terms
     assert np.array_equal(grad, grad_ref)
     assert rep == empirical_loss(net, p, s)
 
@@ -320,7 +320,7 @@ def test_boundary_term_enters_gradient_when_g_nonzero():
     net = random_relu2_net(2, (4, 3), seed=43)
     rep, grad = loss_and_parameter_gradient(net, p, s)
     rep0, grad0 = loss_and_parameter_gradient(net, no_g, s)
-    assert rep.term_boundary != 0.0 and rep0.term_boundary == 0.0
+    assert rep.boundary_term != 0.0 and rep0.boundary_term == 0.0
     lam_bnd = -(2.0 * p.d / s.n_boundary) * p.g(s.boundary_points, s.boundary_faces)
     boundary_grad = weighted_parameter_gradient(net, s.boundary_points, lam_bnd)
     assert np.max(np.abs(boundary_grad)) > 0.0
@@ -340,7 +340,7 @@ def test_non_finite_boundary_value_still_diverges_when_g_is_zero():
     cfg = TrainConfig(iterations=2, batch_domain=4, batch_boundary=2, eval_every=1)
     with np.errstate(over="ignore", invalid="ignore"):
         rep, grad = loss_and_parameter_gradient(blown, p, s)
-        assert math.isnan(rep.term_boundary) and math.isnan(rep.total)
+        assert math.isnan(rep.boundary_term) and math.isnan(rep.total)
         assert np.all(np.isfinite(grad))
         with pytest.raises(TrainingDivergedError):
             train(blown, p, s, cfg)
@@ -368,7 +368,7 @@ def test_gap_triangle_inequality_per_term():
     p = make_quadratic_problem(2)
     net = random_relu2_net(2, (4,), seed=34)
     rep = statistical_gap_estimate(net, p, 128, reps=5, seed=35, reference_n=50_000)
-    term_sum = rep.gap_gradient + rep.gap_mass + rep.gap_forcing + rep.gap_boundary
+    term_sum = rep.grad_term + rep.mass_term + rep.forcing_term + rep.boundary_term
     assert rep.mean_abs_gap <= term_sum + 1e-12
 
 
