@@ -96,11 +96,12 @@ def all_bounds(inputs: BoundInputs, C_Bc3: float = 1.0, eps: float = 1.0) -> dic
     rate_sq, rate = predicted_rates(inputs.d, inputs.nu)
     out["h1_sq_rate_exponent"] = rate_sq
     out["h1_rate_exponent"] = rate
-    if inputs.n > pdim:
+    out["dudley_rademacher_bound"] = out["log_covering_bound"] = None
+    if inputs.n <= pdim:
+        out["note"] = "n <= pdim bound: covering/Rademacher forms require n > Pdim"
+    elif inputs.B == 0:
+        out["note"] = "B = 0: covering/Rademacher forms require B > 0"
+    else:
         out["dudley_rademacher_bound"] = dudley_rademacher_bound(inputs.n, inputs.B, pdim)
         out["log_covering_bound"] = log_covering_bound(eps, inputs.n, inputs.B, pdim)
-    else:
-        out["dudley_rademacher_bound"] = None
-        out["log_covering_bound"] = None
-        out["note"] = "n <= pdim bound: covering/Rademacher forms require n > Pdim"
     return out

@@ -27,6 +27,7 @@ from .harness import (
     StudyConfig,
     TrainRunConfig,
     _architecture_block,
+    _train_cell,
     config_from_dict,
     gradient_norm_check,
     load_config,
@@ -40,9 +41,7 @@ from .harness import (
 )
 from .networks import load_network, save_network
 from .problems import problem_by_name
-from .ritz import derived_seed, empirical_loss
-from .sampling import RNG_ALGORITHM, h1_error, make_sample_set, rng_stream
-from .training import init_network, train as run_train
+from .sampling import RNG_ALGORITHM, rng_stream
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -88,10 +87,8 @@ def _cmd_train(args) -> int:
     cfg = config_from_dict(TrainRunConfig, raw)
     problem = problem_by_name(cfg.problem, cfg.d)
     arch = prescribe_architecture(problem.d, cfg.n, cfg.nu)
-    samples = make_sample_set(cfg.n, cfg.n, problem.d, derived_seed(cfg.seed, 1))
-    net0 = init_network(arch, cfg.train.init_scale, cfg.seed)
-    trained, history = run_train(net0, problem, samples, cfg.train)
-    err = h1_error(trained, problem, cfg.n_quad, derived_seed(cfg.seed, 2))
+    _, trained, history, loss, err = _train_cell(problem, arch, cfg.n, cfg.train, cfg.n_quad,
+                                                 cfg.seed)
 
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -105,7 +102,7 @@ def _cmd_train(args) -> int:
         "training_protocol_note": "optimizer, initialization and step counts are "
                                   "implementation choices, not theory-mandated",
         "architecture": _architecture_block(arch),
-        "final_loss": empirical_loss(trained, problem, samples)._asdict(),
+        "final_loss": loss._asdict(),
         "train_summary": history.summary(),
         "h1_err": err.h1_err,
         "h1_err_se": err.h1_err_se,

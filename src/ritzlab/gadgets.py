@@ -93,21 +93,13 @@ def full_index_range(level: int):
 
 def bspline_value(level: int, i: int, x) -> np.ndarray:
     """Closed-form order-3 cardinal B-spline value, vectorized over x."""
+    level = _spline_level(level)
+    i = _as_int(i, "spline index", InvalidSplineIndexError)
     h = 2.0 ** (-level)
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     for j, c in enumerate(_BINOM3):
         out += c * np.maximum(x - (i + j) * h, 0.0) ** 2
-    return 2.0 ** (2 * level - 1) * out
-
-
-def bspline_derivative(level: int, i: int, x) -> np.ndarray:
-    """Closed-form derivative of the order-3 cardinal B-spline."""
-    h = 2.0 ** (-level)
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for j, c in enumerate(_BINOM3):
-        out += c * 2.0 * np.maximum(x - (i + j) * h, 0.0)
     return 2.0 ** (2 * level - 1) * out
 
 
@@ -117,15 +109,6 @@ def multivariate_bspline_value(idx: SplineIndex, x) -> np.ndarray:
     out = np.ones(x.shape[0])
     for axis, i in enumerate(idx.index):
         out *= bspline_value(idx.level, i, x[:, axis])
-    return out
-
-
-def evaluate_spline_combination(comb: SplineCombination, x) -> np.ndarray:
-    """Closed-form evaluation of a spline combination (the network-free route)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = np.zeros(x.shape[0])
-    for idx, c in comb.coefficients.items():
-        out += c * multivariate_bspline_value(idx, x)
     return out
 
 

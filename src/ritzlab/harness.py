@@ -54,7 +54,6 @@ from .training import (
     TrainConfig,
     _check_field_types,
     init_network,
-    optimization_error_estimate,
     train,
 )
 
@@ -167,6 +166,8 @@ def fit_rate(points):
         raise ValueError("rate fitting needs finite sample sizes and errors")
     if any(n <= 0 or e <= 0 for n, e in pts):
         raise ValueError("rate fitting needs positive sample sizes and errors")
+    if len({n for n, _ in pts}) < 2:
+        raise ValueError("rate fitting needs at least 2 distinct sample sizes")
     x = np.log([n for n, _ in pts])
     y = np.log([e for _, e in pts])
     xm, ym = x.mean(), y.mean()
@@ -186,28 +187,25 @@ def _measure_output_bound(net, d: int, seed: int, n_probe: int = 10_000) -> floa
     return float(max(np.max(np.abs(vals)), np.max(np.sum(grads**2, axis=1))))
 
 
-def _train_cell(p: Problem, arch: Architecture, n: int, base: TrainConfig, n_quad: int,
-                cell_seed: int):
-    """One study or decomposition cell: train at arch on N = M = n samples,
-    then estimate the H1 error and the energy excess of the best iterate.
+def _cell_config(base: TrainConfig, n: int, cell_seed: int) -> TrainConfig:
+    """A study or decomposition cell's trainer config: base reseeded with
+    cell_seed, batches clamped to n."""
+    return replace(base, seed=cell_seed, batch_domain=min(base.batch_domain, n),
+                   batch_boundary=min(base.batch_boundary, n))
 
-    The cell's trainer config is base reseeded with cell_seed, batches clamped
-    to n.  Samples, the H1 error and the excess draw from derived_seed(cell_seed,
-    1), (.., 2) and (.., 3).  Returns (samples, cell trainer config, best
-    iterate, history, H1 error report, energy excess report).
+
+def _train_cell(p: Problem, arch: Architecture, n: int, cfg: TrainConfig, n_quad: int,
+                seed: int):
+    """One training run: the body of `ritzlab train` and of every study and
+    decomposition cell.  It trains at arch on N = M = n samples drawn from
+    derived_seed(seed, 1), starting from init_network at seed, with minibatches
+    from cfg.seed.  Returns (samples, best iterate, history, the best iterate's
+    empirical loss report, its H1 error report at derived_seed(seed, 2)).
     """
-    samples = make_sample_set(n, n, p.d, derived_seed(cell_seed, 1))
-    tcfg = replace(
-        base,
-        seed=cell_seed,
-        batch_domain=min(base.batch_domain, n),
-        batch_boundary=min(base.batch_boundary, n),
-    )
-    net0 = init_network(arch, tcfg.init_scale, cell_seed)
-    trained, history = train(net0, p, samples, tcfg)
-    err = h1_error(trained, p, n_quad, derived_seed(cell_seed, 2))
-    exc = energy_excess(trained, p, n_quad, derived_seed(cell_seed, 3))
-    return samples, tcfg, trained, history, err, exc
+    samples = make_sample_set(n, n, p.d, derived_seed(seed, 1))
+    trained, history = train(init_network(arch, cfg.init_scale, seed), p, samples, cfg)
+    err = h1_error(trained, p, n_quad, derived_seed(seed, 2))
+    return samples, trained, history, empirical_loss(trained, p, samples), err
 
 
 def run_convergence_study(cfg: StudyConfig) -> dict:
@@ -227,9 +225,9 @@ def run_convergence_study(cfg: StudyConfig) -> dict:
         cell_bs = []
         for rep in range(cfg.repetitions):
             cell_seed = derived_seed(cfg.seed, j * cfg.repetitions + rep)
-            samples, _, trained, history, err, exc = _train_cell(
-                p, arch, n, cfg.train, cfg.n_quad, cell_seed)
-            loss = empirical_loss(trained, p, samples)
+            _, trained, history, loss, err = _train_cell(
+                p, arch, n, _cell_config(cfg.train, n, cell_seed), cfg.n_quad, cell_seed)
+            exc = energy_excess(trained, p, cfg.n_quad, derived_seed(cell_seed, 3))
             b_hat = _measure_output_bound(trained, cfg.d, derived_seed(cell_seed, 4))
             cell_bs.append(b_hat)
             cells.append(
@@ -361,8 +359,9 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
     # fit first: an oversized collocation system fails before any training
     comb = fit_spline_coefficients(lambda q: p.u_star(q), cfg.spline_level, cfg.d)
     spline_net = build_spline_combination(comb)
-    samples, tcfg, trained, history, err, exc = _train_cell(
-        p, arch, cfg.n, cfg.train, cfg.n_quad, cell_seed)
+    tcfg = _cell_config(cfg.train, cfg.n, cell_seed)
+    samples, trained, history, loss, err = _train_cell(p, arch, cfg.n, tcfg, cfg.n_quad, cell_seed)
+    exc = energy_excess(trained, p, cfg.n_quad, derived_seed(cell_seed, 3))
 
     spline_err = h1_error(spline_net, p, cfg.n_quad, derived_seed(cell_seed, 5))
     spline_exc = energy_excess(spline_net, p, cfg.n_quad, derived_seed(cell_seed, 6))
@@ -373,13 +372,14 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
     gap = statistical_gap_estimate(trained, p, cfg.n, cfg.gap_reps, derived_seed(cell_seed, 7))
     e_sta = 2.0 * gap.mean_abs_gap
 
-    # Restart 0 (seed cell_seed) would rerun the trained net exactly and find
-    # its own loss, so only restarts 1..R-1 are trained.
-    e_opt = 0.0
-    if cfg.restarts > 1:
-        e_opt = optimization_error_estimate(
-            trained, p, samples, tcfg, cfg.restarts - 1, cell_seed + 1
-        )
+    # Restart k trains from seed cell_seed + k on the cell's samples; restart 0
+    # is the cell itself, so e_opt is the cell's loss minus the best of all.
+    best = loss.total
+    for k in range(1, cfg.restarts):
+        net0 = init_network(arch, tcfg.init_scale, cell_seed + k)
+        _, restart_history = train(net0, p, samples, replace(tcfg, seed=cell_seed + k))
+        best = min(best, restart_history.best_loss)
+    e_opt = loss.total - best
 
     c_low = min(p.c1, 1.0)
     lhs = 0.5 * c_low * err.h1_err**2

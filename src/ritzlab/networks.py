@@ -18,7 +18,6 @@ import functools
 import operator
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -219,13 +218,6 @@ class Network:
     def with_parameters(self, theta: np.ndarray) -> "Network":
         """Same-architecture network on theta, bound as in _from_parameters."""
         return Network._from_parameters(self._arch, theta)
-
-
-class EvalResult(NamedTuple):
-    """Value and exact input gradient of a scalar network at one point."""
-
-    value: float
-    input_gradient: np.ndarray
 
 
 def _as_batch(net: Network, x) -> np.ndarray:
@@ -469,23 +461,10 @@ def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
     return vals[:, 0] if net.architecture.output_dim == 1 else vals
 
 
-def forward(net: Network, x) -> float:
-    """Scalar network value at a single point."""
-    if net.architecture.output_dim != 1:
-        raise DimensionMismatchError("forward() expects a scalar-output network")
-    return float(forward_batch(net, x)[0])
-
-
 def values_and_input_gradients(net: Network, x: np.ndarray):
     """Batched (values, input gradients) for a scalar net, in _CHUNK_ROWS-row blocks."""
     vals, grads, _ = _block_pass(net, _as_batch(net, x), input_gradients=True)
     return vals[:, 0], grads
-
-
-def forward_with_input_gradient(net: Network, x) -> EvalResult:
-    """Value and exact gradient of the piecewise-polynomial net at one point."""
-    vals, grads = values_and_input_gradients(net, x)
-    return EvalResult(value=float(vals[0]), input_gradient=grads[0].copy())
 
 
 def _sum_of_products(a: np.ndarray, b: np.ndarray, out: np.ndarray,
@@ -553,8 +532,8 @@ def weighted_parameter_gradient(
 
     Returns sum_b [ v_b * du(x_b)/dphi + sum_i m_{b,i} * d(D_i u)(x_b)/dphi ]
     as a flat vector in the documented parameter order.  Its reverse pass,
-    _adjoint, is the one behind both parameter_sensitivities and the Ritz
-    loss gradient; exact for the piecewise-polynomial activations used here.
+    _adjoint, is also the one behind the Ritz loss gradient; exact for the
+    piecewise-polynomial activations used here.
     """
     x = _as_batch(net, x)
     v = np.asarray(value_weights, dtype=float)
@@ -570,23 +549,6 @@ def weighted_parameter_gradient(
         return v[lo:hi], None if m is None else m[lo:hi]
 
     return _block_pass(net, x, input_gradients=m is not None, seeds=seeds)[2]
-
-
-def parameter_sensitivities(net: Network, x):
-    """Exact derivatives of u(x) and of each input-gradient component w.r.t. phi.
-
-    Returns (du_dphi, dgrad_dphi) with shapes (P,) and (d, P), flattened in
-    the documented parameter order.
-    """
-    xb = _as_batch(net, x)
-    d = net.architecture.input_dim
-    du = weighted_parameter_gradient(net, xb, np.ones(1))
-    dgrad = np.empty((d, net.n_parameters))
-    for i in range(d):
-        e = np.zeros((1, d))
-        e[0, i] = 1.0
-        dgrad[i] = weighted_parameter_gradient(net, xb, np.zeros(1), e)
-    return du, dgrad
 
 
 def _activation_spec_to_line(spec) -> str:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .networks import (
     Network,
+    _as_int,
     _block_pass,
     forward_batch,
     values_and_input_gradients,
@@ -199,7 +200,9 @@ def statistical_gap_estimate(
     absolute gap is reported overall and per loss term.  This estimates the
     fixed-net statistical fluctuation, not the supremum over a network class.
     """
-    if reps < 2:
+    if _as_int(n, "n") < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if _as_int(reps, "reps") < 2:
         raise ValueError("need reps >= 2")
     ref = empirical_loss(net, p, make_sample_set(reference_n, reference_n, p.d,
                                                  derived_seed(seed, 0)))

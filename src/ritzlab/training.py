@@ -13,7 +13,7 @@ import functools
 import math
 import types
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -259,29 +259,3 @@ def train(net: Network, p: Problem, samples: SampleSet, cfg: TrainConfig):
 
     return net.with_parameters(best_theta), history
 
-
-def optimization_error_estimate(
-    trained: Network,
-    p: Problem,
-    samples: SampleSet,
-    cfg: TrainConfig,
-    restarts: int,
-    seed: int,
-) -> float:
-    """Proxy for the optimization error: empirical loss of the trained net
-    minus the best loss found over independent restarts, clamped at zero.
-
-    Restart k reruns init_network + train with seed seed + k, so passing the
-    original run's seed makes restart 0 reproduce it exactly.
-    """
-    if restarts < 1:
-        raise ValueError("need restarts >= 1")
-    base = empirical_loss(trained, p, samples).total
-    best = math.inf
-    for k in range(restarts):
-        run_seed = seed + k
-        run_cfg = replace(cfg, seed=run_seed)
-        net0 = init_network(trained.architecture, cfg.init_scale, run_seed)
-        net_k, hist_k = train(net0, p, samples, run_cfg)
-        best = min(best, hist_k.best_loss)
-    return max(0.0, base - best)

@@ -36,14 +36,21 @@ from ritzlab.gadgets import (
     prescribe_architecture,
 )
 from ritzlab.harness import StudyConfig, fit_rate, run_convergence_study
-from ritzlab.networks import forward_batch, parameter_sensitivities, values_and_input_gradients
+from ritzlab.networks import forward_batch, values_and_input_gradients
 from ritzlab.problems import make_cosine_problem, make_quadratic_problem
 from ritzlab.ritz import empirical_loss, energy_excess, loss_and_parameter_gradient, \
     statistical_gap_estimate
 from ritzlab.sampling import h1_error, make_sample_set
 from ritzlab.training import TrainConfig
 
-from conftest import points_away_from_kinks, random_relu2_net, rng_for
+from conftest import (
+    forward,
+    forward_with_input_gradient,
+    parameter_sensitivities,
+    points_away_from_kinks,
+    random_relu2_net,
+    rng_for,
+)
 
 
 def _verdict(num, desc, ok, elapsed, detail=""):
@@ -151,8 +158,6 @@ def test_criterion_05_derivative_correctness():
     net = random_relu2_net(2, (6, 5), seed=9200)
     theta = net.flatten_parameters()
     x = points_away_from_kinks(net, rng, 2)
-    from ritzlab.networks import forward, forward_with_input_gradient
-
     for xi in x:
         du, dgrad = parameter_sensitivities(net, xi)
         for c in rng.choice(theta.size, size=25, replace=False):

@@ -9,7 +9,6 @@ from ritzlab.gadgets import (
     SplineCombination,
     SplineIndex,
     UnsupportedActivationError,
-    bspline_derivative,
     bspline_value,
     build_gradient_norm_network,
     build_multivariate_bspline,
@@ -17,15 +16,20 @@ from ritzlab.gadgets import (
     build_spline_combination,
     build_square_gadget,
     build_univariate_bspline,
-    evaluate_spline_combination,
     fit_spline_coefficients,
     full_index_range,
     multivariate_bspline_value,
     prescribe_architecture,
 )
-from ritzlab.networks import RELU2, forward, forward_batch, values_and_input_gradients
+from ritzlab.networks import RELU2, forward_batch, values_and_input_gradients
 
-from conftest import random_relu2_net, rng_for
+from conftest import (
+    bspline_derivative,
+    evaluate_spline_combination,
+    forward,
+    random_relu2_net,
+    rng_for,
+)
 
 
 # ----------------------------------------------------- square / product
@@ -104,6 +108,23 @@ def test_univariate_bspline_index_range():
 def test_spline_level_and_index_must_be_integers(make):
     with pytest.raises(InvalidSplineIndexError, match="is not an integer"):
         make()
+
+
+@pytest.mark.parametrize("level, i, match", [
+    (2.5, 0, "spline level"),
+    (True, 0, "spline level"),
+    (0, 0, "level must be >= 1"),
+    (2, 0.5, "spline index"),
+    (2, True, "spline index"),
+])
+def test_bspline_value_rejects_non_dyadic_level_or_index(level, i, match):
+    with pytest.raises(InvalidSplineIndexError, match=match):
+        bspline_value(level, i, [0.1, 0.2])
+
+
+def test_bspline_value_accepts_numpy_ints():
+    x = np.linspace(0.0, 1.0, 9)
+    assert np.array_equal(bspline_value(np.int64(2), np.int32(1), x), bspline_value(2, 1, x))
 
 
 def test_bspline_nonnegative_and_supported():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import yaml
 
 import ritzlab.cli as cli
 import ritzlab.harness as harness
-from ritzlab.gadgets import build_square_gadget
+from ritzlab.gadgets import build_square_gadget, prescribe_architecture
 from ritzlab.harness import (
     ConfigError,
     DecompositionConfig,
@@ -28,8 +29,10 @@ from ritzlab.harness import (
     write_study_csv,
 )
 from ritzlab.networks import save_network
-from ritzlab.ritz import LossReport, StatisticalGapReport
-from ritzlab.training import TrainConfig
+from ritzlab.problems import make_cosine_problem, make_quadratic_problem
+from ritzlab.ritz import LossReport, StatisticalGapReport, derived_seed
+from ritzlab.sampling import make_sample_set
+from ritzlab.training import TrainConfig, init_network, train
 
 from conftest import rng_for
 
@@ -68,6 +71,8 @@ def test_fit_rate_validation():
         fit_rate([(10, 1.0), (100, 0.5)])
     with pytest.raises(ValueError):
         fit_rate([(10, 1.0), (100, -0.5), (1000, 0.1)])
+    with pytest.raises(ValueError, match="distinct sample sizes"):
+        fit_rate([(10, 1.0), (10, 0.5), (10, 0.2)])
 
 
 @pytest.mark.parametrize("bad", [(1, math.nan), (1, math.inf), (math.nan, 1.0)])
@@ -280,6 +285,28 @@ def test_decomposition_single_restart_has_zero_optimization_proxy():
         run_error_decomposition(DecompositionConfig(restarts=0, train=tiny_train(10)))
 
 
+def test_decomposition_optimization_proxy_is_best_of_restarts():
+    # restart k trains from seed cell_seed + k on the cell's samples; restart 0 is the cell
+    train_cfg = TrainConfig(iterations=60, batch_domain=32, batch_boundary=32, eval_every=10)
+    cfg = DecompositionConfig(problem="cosine", d=1, n=128, spline_level=2, gap_reps=2,
+                              restarts=3, n_quad=5000, train=train_cfg, seed=0)
+    report = run_error_decomposition(cfg)
+
+    p = make_cosine_problem(1)
+    arch = prescribe_architecture(1, 128, 0.0)
+    cell_seed = derived_seed(cfg.seed, 0)
+    samples = make_sample_set(128, 128, 1, derived_seed(cell_seed, 1))
+
+    def best_loss(seed):
+        net0 = init_network(arch, train_cfg.init_scale, seed)
+        return train(net0, p, samples, replace(train_cfg, seed=seed))[1].best_loss
+
+    base = report["train_summary"]["best_loss"]
+    assert best_loss(cell_seed) == base
+    restart_best = min(best_loss(cell_seed + 1), best_loss(cell_seed + 2))
+    assert report["e_opt_proxy"] == base - restart_best > 0.0
+
+
 def test_decomposition_rejects_oversized_spline_fit_before_training(monkeypatch):
     # level 12 at d = 1: 16 385 points x 4 098 basis functions, over the limit
     def no_training(*args, **kwargs):
@@ -346,6 +373,14 @@ def test_cli_bounds_exit_zero(capsys):
     assert out["pdim_bound"] == pytest.approx(122318.617, abs=0.01)
     assert out["statistical_error_bound"] == pytest.approx(9.456, abs=0.01)
 
+    # B = 0 with n > Pdim: the covering and Rademacher forms need B > 0
+    rc = cli.main(["bounds", "--depth", "2", "--width", "3", "--d", "1",
+                   "--n", "100000", "--B", "0"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["dudley_rademacher_bound"] is None and out["log_covering_bound"] is None
+    assert "B = 0" in out["note"]
+
 
 def test_cli_construct_verify(tmp_path, capsys):
     out = tmp_path / "cv.json"
@@ -407,6 +442,26 @@ def test_cli_train(tmp_path, capsys):
     assert [ln.split(",")[0] for ln in history[1:]] == ["0", "10", "20", "30"]
     summary = json.loads((tmp_path / "run" / "train_summary.json").read_text())
     assert summary["train_summary"]["n_checkpoints"] >= 2
+
+
+def test_cli_train_keeps_the_readme_seed_convention(tmp_path, capsys):
+    # seed draws the samples and the initial net, train.seed the minibatches
+    cfg = {
+        "problem": "quadratic", "d": 1, "n": 64, "n_quad": 2000, "seed": 4,
+        "train": {"iterations": 30, "batch_domain": 32, "batch_boundary": 32,
+                  "eval_every": 10, "seed": 9},
+    }
+    path = tmp_path / "train.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert cli.main(["train", str(path), "--out", str(tmp_path / "run")]) == 0
+
+    tcfg = TrainConfig(**cfg["train"])
+    samples = make_sample_set(64, 64, 1, derived_seed(4, 1))
+    net0 = init_network(prescribe_architecture(1, 64, 0.0), tcfg.init_scale, 4)
+    trained, _ = train(net0, make_quadratic_problem(1), samples, tcfg)
+    save_network(trained, tmp_path / "by_hand.txt")
+    assert ((tmp_path / "run" / "trained_network.txt").read_text()
+            == (tmp_path / "by_hand.txt").read_text())
 
 
 def test_cli_study_of_identically_zero_nets_writes_report(tmp_path, capsys):

@@ -19,11 +19,8 @@ from ritzlab.networks import (
     DimensionMismatchError,
     Network,
     NetworkFormatError,
-    forward,
     forward_batch,
-    forward_with_input_gradient,
     load_network,
-    parameter_sensitivities,
     save_network,
     values_and_input_gradients,
     weighted_parameter_gradient,
@@ -40,7 +37,14 @@ from ritzlab.ritz import loss_and_parameter_gradient
 from ritzlab.sampling import make_sample_set, sample_domain
 from ritzlab.training import init_network
 
-from conftest import points_away_from_kinks, random_relu2_net, rng_for
+from conftest import (
+    forward,
+    forward_with_input_gradient,
+    parameter_sensitivities,
+    points_away_from_kinks,
+    random_relu2_net,
+    rng_for,
+)
 
 
 def single_relu2_neuron(a=1.0, b=0.0):

@@ -11,7 +11,6 @@ from ritzlab.networks import (
     Architecture,
     DimensionMismatchError,
     Network,
-    forward,
     forward_batch,
     values_and_input_gradients,
     weighted_parameter_gradient,
@@ -27,7 +26,13 @@ from ritzlab.ritz import (
 from ritzlab.sampling import SampleSet, make_sample_set
 from ritzlab.training import TrainConfig, TrainingDivergedError, train
 
-from conftest import random_relu2_net, rng_for, sum_of_squares_net
+from conftest import (
+    forward,
+    forward_with_input_gradient,
+    random_relu2_net,
+    rng_for,
+    sum_of_squares_net,
+)
 
 
 def zero_net(d):
@@ -43,8 +48,6 @@ def constant_net(d, c):
 
 def reference_loss(net, p, samples):
     """Direct re-summation oracle, written independently of the package path."""
-    from ritzlab.networks import forward_with_input_gradient
-
     n = samples.n_domain
     tg = tm = tf = 0.0
     for x in samples.domain_points:
@@ -370,6 +373,19 @@ def test_gap_triangle_inequality_per_term():
     rep = statistical_gap_estimate(net, p, 128, reps=5, seed=35, reference_n=50_000)
     term_sum = rep.grad_term + rep.mass_term + rep.forcing_term + rep.boundary_term
     assert rep.mean_abs_gap <= term_sum + 1e-12
+
+
+@pytest.mark.parametrize("n, reps, match", [
+    (0, 4, "need n >= 1"),
+    (1.5, 4, "n 1.5 is not an integer"),
+    (True, 4, "n True is not an integer"),
+    (64, 2.0, "reps 2.0 is not an integer"),
+    (64, 1, "need reps >= 2"),
+])
+def test_gap_rejects_bad_counts_naming_the_argument(n, reps, match):
+    with pytest.raises(ValueError, match=match):
+        statistical_gap_estimate(zero_net(1), make_cosine_problem(1), n, reps, seed=0,
+                                 reference_n=100)
 
 
 def test_gap_deterministic():

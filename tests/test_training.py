@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ritzlab.gadgets import prescribe_architecture
-from ritzlab.networks import Architecture, IDENTITY, RELU2, forward
-from ritzlab.problems import make_cosine_problem, make_quadratic_problem
+from ritzlab.networks import Architecture, IDENTITY, RELU2
+from ritzlab.problems import make_cosine_problem
 from ritzlab.ritz import loss_and_parameter_gradient
 from ritzlab.sampling import make_sample_set
 from ritzlab.training import (
@@ -13,9 +13,10 @@ from ritzlab.training import (
     TrainConfig,
     TrainingDivergedError,
     init_network,
-    optimization_error_estimate,
     train,
 )
+
+from conftest import forward
 
 
 def small_setup(seed=1, n=128, d=1):
@@ -258,31 +259,3 @@ def test_history_summary_has_no_wall_time():
                                                  batch_boundary=32, eval_every=5, seed=9))
     assert not hasattr(hist, "wall_seconds")
     assert "wall_seconds" not in hist.summary()
-
-
-# ------------------------------------------- optimization error proxy
-
-
-def _quick_cfg(seed):
-    return TrainConfig(iterations=30, batch_domain=32, batch_boundary=32,
-                       eval_every=10, seed=seed)
-
-
-def test_opt_error_reproduced_run_is_zero():
-    p = make_quadratic_problem(1)
-    samples = make_sample_set(64, 64, 1, seed=10)
-    cfg = _quick_cfg(seed=11)
-    net0 = init_network(Architecture((1, 6, 1), (RELU2, IDENTITY)), 1.0, 11)
-    trained, _ = train(net0, p, samples, cfg)
-    err = optimization_error_estimate(trained, p, samples, cfg, restarts=1, seed=11)
-    assert err == 0.0
-
-
-def test_opt_error_nonnegative():
-    p = make_quadratic_problem(1)
-    samples = make_sample_set(64, 64, 1, seed=12)
-    cfg = _quick_cfg(seed=13)
-    net0 = init_network(Architecture((1, 6, 1), (RELU2, IDENTITY)), 1.0, 13)
-    trained, _ = train(net0, p, samples, cfg)
-    err = optimization_error_estimate(trained, p, samples, cfg, restarts=3, seed=77)
-    assert err >= 0.0
