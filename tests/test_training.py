@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ritzlab.gadgets import prescribe_architecture
+from ritzlab.harness import DecompositionConfig, run_error_decomposition
 from ritzlab.networks import Architecture, IDENTITY, RELU2
-from ritzlab.problems import make_cosine_problem
-from ritzlab.ritz import loss_and_parameter_gradient
+from ritzlab.problems import make_cosine_problem, make_quadratic_problem
+from ritzlab.ritz import derived_seed, loss_and_parameter_gradient
 from ritzlab.sampling import make_sample_set
 from ritzlab.training import (
     AdamState,
@@ -259,3 +261,33 @@ def test_history_summary_has_no_wall_time():
                                                  batch_boundary=32, eval_every=5, seed=9))
     assert not hasattr(hist, "wall_seconds")
     assert "wall_seconds" not in hist.summary()
+
+
+# ------------------------------------------------- optimization error
+
+
+def _quick_decomposition(restarts, seed):
+    return DecompositionConfig(
+        problem="quadratic", d=1, n=64, spline_level=2, gap_reps=2, restarts=restarts,
+        n_quad=2000, seed=seed,
+        train=TrainConfig(iterations=30, batch_domain=32, batch_boundary=32, eval_every=10))
+
+
+def test_opt_error_reproduced_run_is_zero():
+    # retraining from the cell's seed on the cell's samples reproduces its
+    # best loss bitwise, so a lone restart leaves e_opt at exactly zero
+    cfg = _quick_decomposition(restarts=1, seed=11)
+    report = run_error_decomposition(cfg)
+    assert report["e_opt_proxy"] == 0.0
+
+    p = make_quadratic_problem(1)
+    cell_seed = derived_seed(cfg.seed, 0)
+    samples = make_sample_set(64, 64, 1, derived_seed(cell_seed, 1))
+    net0 = init_network(prescribe_architecture(1, 64, cfg.nu), cfg.train.init_scale, cell_seed)
+    _, hist = train(net0, p, samples, replace(cfg.train, seed=cell_seed))
+    assert hist.best_loss == report["train_summary"]["best_loss"]
+
+
+def test_opt_error_nonnegative():
+    report = run_error_decomposition(_quick_decomposition(restarts=3, seed=13))
+    assert report["e_opt_proxy"] >= 0.0
