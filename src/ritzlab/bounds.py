@@ -29,8 +29,15 @@ class BoundInputs:
         if min(self.depth, self.width, self.d, self.n) < 1:
             raise ValueError("depth, width, d, n must be positive")
         # B = 0 is the sup bound of an identically zero net
-        if self.B < 0 or self.c3 <= 0 or self.nu < 0 or self.pdim_constant <= 0:
-            raise ValueError("c3, pdim_constant must be positive and B, nu >= 0")
+        for name in ("B", "c3", "nu", "pdim_constant"):
+            _check_constant(name, getattr(self, name), positive=name in ("c3", "pdim_constant"))
+
+
+def _check_constant(name: str, value: float, positive: bool = True) -> None:
+    """Raise ValueError naming the input unless value is finite and > 0
+    (>= 0 when positive is False)."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
 
 
 def pdim_bound(depth: int, width: int, pdim_constant: float = 1.0) -> float:
@@ -87,6 +94,8 @@ def predicted_rates(d: int, nu: float):
 
 def all_bounds(inputs: BoundInputs, C_Bc3: float = 1.0, eps: float = 1.0) -> dict:
     """One dictionary with every bound value for a given input setting."""
+    _check_constant("C_Bc3", C_Bc3)
+    _check_constant("eps", eps)
     pdim = pdim_bound(inputs.depth, inputs.width, inputs.pdim_constant)
     out = {
         "inputs": {**dataclasses.asdict(inputs), "C_Bc3": C_Bc3, "eps": eps},

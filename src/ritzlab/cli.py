@@ -49,7 +49,7 @@ def _emit(report: dict, out: str | None) -> None:
         write_json_report(report, out)
         print(f"wrote {out}")
     else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
+        json.dump(report, sys.stdout, indent=2, sort_keys=True, allow_nan=False)
         print()
 
 
@@ -60,6 +60,8 @@ def _cmd_construct_verify(args) -> int:
 
 
 def _cmd_verify_gradnet(args) -> int:
+    if args.probes < 1:
+        raise ValueError(f"--probes must be >= 1, got {args.probes}")
     net = load_network(args.netfile)
     rng = rng_stream(args.seed, 3)
     pts = rng.uniform(-1.5, 1.5, size=(args.probes, net.architecture.input_dim))
@@ -102,7 +104,7 @@ def _cmd_train(args) -> int:
         "training_protocol_note": "optimizer, initialization and step counts are "
                                   "implementation choices, not theory-mandated",
         "architecture": _architecture_block(arch),
-        "final_loss": loss._asdict(),
+        "loss": loss._asdict(),
         "train_summary": history.summary(),
         "h1_err": err.h1_err,
         "h1_err_se": err.h1_err_se,

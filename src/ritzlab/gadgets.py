@@ -145,8 +145,8 @@ def build_univariate_bspline(level: int, i: int) -> Network:
 
 
 class _StagedNet:
-    """Builds a network stage by stage while values are tracked as affine maps
-    (matrix rows plus constants) over the most recent stage's outputs."""
+    """Builds a network stage by stage while values are tracked as linear maps
+    (matrix rows) over the most recent stage's outputs."""
 
     def __init__(self, input_dim: int):
         self.input_dim = input_dim
@@ -191,12 +191,12 @@ class _StagedNet:
         return np.eye(pos.stop - pos.start, self.width, pos.start)
 
 
-def _product_gadget_rows(ra, ca, rb, cb):
-    """Pre-activation rows/biases of the 4 sigma2 units multiplying two affine
+def _product_gadget_rows(ra, rb):
+    """Pre-activation rows/biases of the 4 sigma2 units multiplying two linear
     values; combine the outputs with (1, 1, -1, -1)/4 to get the product."""
     rows = np.stack([ra + rb, -(ra + rb), ra - rb, rb - ra])
-    biases = np.array([ca + cb, -(ca + cb), ca - cb, cb - ca])
-    return rows, biases
+    # the biases (a + b, -(a + b), a - b, b - a) at zero offsets a = b = 0.0
+    return rows, np.array([0.0, -0.0, 0.0, 0.0])
 
 
 _PROD_COMBINE = np.array([0.25, 0.25, -0.25, -0.25])
@@ -233,7 +233,7 @@ def build_multivariate_bspline(idx: SplineIndex) -> Network:
         net.begin_stage()
         queued = []  # (unit positions, output combination) per new value
         for k in range(0, len(values) - 1, 2):
-            rows, biases = _product_gadget_rows(values[k], 0.0, values[k + 1], 0.0)
+            rows, biases = _product_gadget_rows(values[k], values[k + 1])
             queued.append((net.add_units(rows, biases, RELU2), _PROD_COMBINE))
         if len(values) % 2 == 1:
             queued.append((net.add_units(values[-1][None, :], np.array([0.0]), IDENTITY), 1.0))
@@ -387,7 +387,6 @@ def build_gradient_norm_network(net: Network) -> Network:
     r_rows = g.identity_rows(r_pos)
     # D_i f^(1)_q = 2 a^(1)_{qi} r1_q, affine in r1; for depth 2 that is D_i u
     d_rows = 2.0 * w_in[0][:, :, None] * r_rows[:, None, :]  # (n1, d, width)
-    d_const = np.zeros((n[1], d))
 
     if depth >= 3:
         # stage 2: f2 (if needed), r2, and a ReLU pass-through of r1 (r1 >= 0)
@@ -406,7 +405,6 @@ def build_gradient_norm_network(net: Network) -> Network:
     for t in range(3, depth + 1):
         a_cur = w_in[t - 2]  # weights of original layer t-1: (n_{t-1}, n_{t-2})
         s_rows = np.einsum("qj,jiw->qiw", a_cur, d_rows)
-        s_const = np.einsum("qj,ji->qi", a_cur, d_const)
 
         g.begin_stage()
         new_f_pos = new_r_pos = None
@@ -418,30 +416,23 @@ def build_gradient_norm_network(net: Network) -> Network:
         gadget_pos = []
         for q in range(n[t - 1]):
             for i in range(d):
-                rows, biases = _product_gadget_rows(
-                    r_rows[q], 0.0, s_rows[q, i], s_const[q, i]
-                )
+                rows, biases = _product_gadget_rows(r_rows[q], s_rows[q, i])
                 gadget_pos.append(g.add_units(rows, biases, RELU2))
         g.commit_stage()
 
         f_rows = g.identity_rows(new_f_pos) if new_f_pos is not None else None
         r_rows = g.identity_rows(new_r_pos) if new_r_pos is not None else None
         d_rows = np.zeros((n[t - 1], d, g.width))
-        d_const = np.zeros((n[t - 1], d))
         for k, pos in enumerate(gadget_pos):  # queued in (q, i) order
             # D_i f^(t-1)_q = 2 * product = (g1 + g2 - g3 - g4) / 2
             d_rows[k // d, k % d, pos] = 2.0 * _PROD_COMBINE
 
     du_rows = np.einsum("j,jiw->iw", w_in[depth - 1][0], d_rows)
-    du_const = w_in[depth - 1][0] @ d_const
-    # final stage: x^2 = sigma2(x) + sigma2(-x) per component, then sum
+    # final stage: x^2 = sigma2(x) + sigma2(-x) per component, then sum; the
+    # biases are (c, -c) at c = 0.0
     g.begin_stage()
     for i in range(d):
-        g.add_units(
-            np.stack([du_rows[i], -du_rows[i]]),
-            np.array([du_const[i], -du_const[i]]),
-            RELU2,
-        )
+        g.add_units(np.stack([du_rows[i], -du_rows[i]]), np.array([0.0, -0.0]), RELU2)
     g.commit_stage()
     built = g.finish(np.ones(2 * d), 0.0)
     _assert_bounds(built, depth + 3, d * (depth + 2) * arch.width, "gradient-norm net")

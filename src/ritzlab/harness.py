@@ -147,6 +147,8 @@ class StudyConfig:
     def __post_init__(self):
         _check_field_types(self)
         ns = self.n_values
+        if not ns:
+            raise ValueError("n_values must hold at least one n")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n_values must be strictly increasing")
         if any(n < 1 for n in ns):
@@ -222,14 +224,12 @@ def run_convergence_study(cfg: StudyConfig) -> dict:
     bounds_rows = []
     for j, n in enumerate(cfg.n_values):
         arch = prescribe_architecture(cfg.d, n, cfg.nu)
-        cell_bs = []
         for rep in range(cfg.repetitions):
             cell_seed = derived_seed(cfg.seed, j * cfg.repetitions + rep)
             _, trained, history, loss, err = _train_cell(
                 p, arch, n, _cell_config(cfg.train, n, cell_seed), cfg.n_quad, cell_seed)
             exc = energy_excess(trained, p, cfg.n_quad, derived_seed(cell_seed, 3))
             b_hat = _measure_output_bound(trained, cfg.d, derived_seed(cell_seed, 4))
-            cell_bs.append(b_hat)
             cells.append(
                 {
                     "n": n,
@@ -246,6 +246,7 @@ def run_convergence_study(cfg: StudyConfig) -> dict:
                     "measured_B": b_hat,
                 }
             )
+        b_median = float(np.median([c["measured_B"] for c in cells[-cfg.repetitions:]]))
         pdim = pdim_bound(arch.depth, arch.width)
         sta = statistical_error_bound(
             BoundInputs(
@@ -253,7 +254,7 @@ def run_convergence_study(cfg: StudyConfig) -> dict:
                 width=arch.width,
                 d=cfg.d,
                 n=n,
-                B=float(np.median(cell_bs)),
+                B=b_median,
                 c3=p.c3,
                 nu=cfg.nu,
             ),
@@ -265,7 +266,7 @@ def run_convergence_study(cfg: StudyConfig) -> dict:
                 "pdim_bound": pdim,
                 "statistical_error_bound": sta,
                 "constants": {"pdim_constant": 1.0, "C_Bc3": 1.0},
-                "measured_B_median": float(np.median(cell_bs)),
+                "measured_B_median": b_median,
             }
         )
 
@@ -454,18 +455,16 @@ def verify_constructions(seed: int = 0) -> dict:
     for level in (1, 2, 3):
         worst = 0.0
         xs = rng.uniform(-0.5, 1.5, size=10_000)
+        grid = np.linspace(0.0, 1.0, 1000)
+        total = np.zeros_like(grid)
         for i in full_index_range(level):
             snet = build_univariate_bspline(level, i)
             worst = max(worst, float(np.max(np.abs(
                 forward_batch(snet, xs.reshape(-1, 1)) - bspline_value(level, i, xs)
             ))))
+            total += forward_batch(snet, grid.reshape(-1, 1))
         checks.append(_check(f"univariate_bspline_l{level}", worst, 1e-12, xs.size,
                              depth=2, width=4, depth_bound=2, width_bound=4))
-
-        grid = np.linspace(0.0, 1.0, 1000)
-        total = np.zeros_like(grid)
-        for i in full_index_range(level):
-            total += forward_batch(build_univariate_bspline(level, i), grid.reshape(-1, 1))
         checks.append(_check(f"partition_of_unity_l{level}", np.max(np.abs(total - 1.0)),
                              1e-12, grid.size))
 
@@ -575,7 +574,7 @@ def calibrate_spline_rate(levels=(2, 3, 4, 5), n_quad: int = 50_000, seed: int =
 def write_json_report(report: dict, path) -> None:
     """Deterministic JSON: sorted keys, fixed indentation, trailing newline."""
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

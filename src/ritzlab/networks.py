@@ -198,26 +198,21 @@ class Network:
     def flatten_parameters(self) -> np.ndarray:
         return self._theta.copy()
 
-    @classmethod
-    def _from_parameters(cls, architecture: Architecture, theta) -> "Network":
-        """Network of the given architecture on a flat parameter vector.
+    def with_parameters(self, theta: np.ndarray) -> "Network":
+        """Same-architecture network on a flat parameter vector.
 
         theta is bound without a copy: the network keeps read-only views of
         it, so the caller must not write into theta afterwards.
         """
         theta = np.asarray(theta, dtype=float)
-        n_par = architecture.n_parameters
+        n_par = self._arch.n_parameters
         if theta.shape != (n_par,):
             raise DimensionMismatchError(
                 f"parameter vector has shape {theta.shape}, expected ({n_par},)"
             )
-        net = cls.__new__(cls)
-        net._bind(architecture, theta)
+        net = Network.__new__(Network)
+        net._bind(self._arch, theta)
         return net
-
-    def with_parameters(self, theta: np.ndarray) -> "Network":
-        """Same-architecture network on theta, bound as in _from_parameters."""
-        return Network._from_parameters(self._arch, theta)
 
 
 def _as_batch(net: Network, x) -> np.ndarray:
@@ -621,6 +616,6 @@ def load_network(path) -> Network:
     if len(body) != n_par or line(3 + n_layers + n_par) != "end":
         raise NetworkFormatError("truncated parameter block")
     try:
-        return Network._from_parameters(arch, np.array([float(tok) for tok in body]))
+        return Network(arch, *_layer_views(arch, np.array([float(tok) for tok in body])))
     except ValueError as exc:
         raise NetworkFormatError(f"invalid parameter block: {exc}") from exc

@@ -28,6 +28,7 @@ from .problems import Problem
 from .sampling import (
     MCEstimate,
     SampleSet,
+    _check_seed,
     make_sample_set,
     mc_mean,
     sample_boundary,
@@ -39,7 +40,7 @@ _REFERENCE_SAMPLES = 1_000_000
 
 def derived_seed(seed: int, k: int) -> int:
     """Stable arithmetic child seeds for replications and reference draws."""
-    return (seed * 1_000_003 + k) % 2**63
+    return (_check_seed(seed) * 1_000_003 + k) % 2**63
 
 
 class LossReport(NamedTuple):

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .networks import Network, values_and_input_gradients
+from .networks import Network, _as_int, values_and_input_gradients
 from .problems import Problem
 
 RNG_ALGORITHM = "numpy.random.Philox(4x64), key=(seed, stream-tag)"
@@ -23,9 +23,17 @@ _TAG_DOMAIN = 0
 _TAG_BOUNDARY = 1
 
 
+def _check_seed(seed) -> int:
+    """seed as an int >= 0; anything else raises ValueError naming the seed."""
+    seed = _as_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def rng_stream(seed: int, tag: int = 0) -> np.random.Generator:
     """Independent reproducible stream for (seed, tag)."""
-    return np.random.Generator(np.random.Philox(key=[seed % 2**64, tag % 2**64]))
+    return np.random.Generator(np.random.Philox(key=[_check_seed(seed) % 2**64, tag % 2**64]))
 
 
 def _open_unit_uniform(rng: np.random.Generator, shape) -> np.ndarray:
@@ -70,7 +78,6 @@ class SampleSet:
     domain_points: np.ndarray
     boundary_points: np.ndarray
     boundary_faces: np.ndarray
-    seed: int
 
     def __post_init__(self):
         dp = np.asarray(self.domain_points, dtype=float)
@@ -112,7 +119,6 @@ def make_sample_set(n_domain: int, n_boundary: int, d: int, seed: int) -> Sample
         domain_points=sample_domain(n_domain, d, seed),
         boundary_points=pts,
         boundary_faces=faces,
-        seed=seed,
     )
 
 

@@ -186,7 +186,6 @@ def _batch_view(samples: SampleSet, idx_d, idx_b) -> SampleSet:
         samples.domain_points[idx_d],
         samples.boundary_points[idx_b],
         samples.boundary_faces[idx_b],
-        seed=samples.seed,
     )
 
 
@@ -196,8 +195,6 @@ def train(net: Network, p: Problem, samples: SampleSet, cfg: TrainConfig):
     Aborts with TrainingDivergedError and diagnostics if the loss, the
     gradient or the updated parameters stop being finite.
     """
-    if samples.d != p.d or net.architecture.input_dim != p.d:
-        raise ValueError("net/sample dimensions do not match the problem")
     if cfg.resample == "fixed_set":
         if cfg.batch_domain > samples.n_domain or cfg.batch_boundary > samples.n_boundary:
             raise ValueError("batch sizes exceed the fixed sample set")

@@ -17,6 +17,7 @@ from ritzlab.networks import (
     values_and_input_gradients,
     weighted_parameter_gradient,
 )
+from ritzlab.problems import Problem
 
 
 # Every property test draws a fixed example sequence and has no deadline, so
@@ -125,6 +126,58 @@ def evaluate_spline_combination(comb: SplineCombination, x) -> np.ndarray:
     for idx, c in comb.coefficients.items():
         out += c * multivariate_bspline_value(idx, x)
     return out
+
+
+class ProblemDefinitionError(RuntimeError):
+    """Manufactured data failed its own consistency check."""
+
+
+class ProblemVerification(NamedTuple):
+    max_pde_residual: float
+    max_flux_residual: float
+    n_probe: int
+
+
+_VERIFY_TOL = 1e-6  # largest residual verify_problem accepts
+_FD_STEP = 1e-4  # step of verify_problem's central second differences
+
+
+def verify_problem(p: Problem, n_probe: int, seed: int) -> ProblemVerification:
+    """Check -lap(u*) + w u* - f and grad(u*) . n - g at seeded random probes.
+
+    The Laplacian is formed by central second differences so problems never
+    need analytic second derivatives.  Raises ProblemDefinitionError when
+    either residual exceeds _VERIFY_TOL.
+    """
+    if n_probe < 1:
+        raise ValueError("n_probe must be >= 1")
+    rng = rng_for(seed)
+    x = rng.uniform(0.0, 1.0, size=(n_probe, p.d))
+
+    lap = np.zeros(n_probe)
+    u0 = p.u_star(x)
+    for axis in range(p.d):
+        step = np.zeros(p.d)
+        step[axis] = _FD_STEP
+        lap += (p.u_star(x + step) - 2.0 * u0 + p.u_star(x - step)) / _FD_STEP**2
+    pde_res = float(np.max(np.abs(-lap + p.w(x) * u0 - p.f(x))))
+
+    n_bnd = max(n_probe, 2 * p.d)
+    axes = rng.integers(0, p.d, size=n_bnd)
+    sides = rng.integers(0, 2, size=n_bnd)
+    pts = rng.uniform(0.0, 1.0, size=(n_bnd, p.d))
+    pts[np.arange(n_bnd), axes] = sides.astype(float)
+    faces = np.stack([axes, sides], axis=1)
+    normal_sign = 2.0 * sides - 1.0
+    flux = p.grad_u_star(pts)[np.arange(n_bnd), axes] * normal_sign
+    flux_res = float(np.max(np.abs(flux - p.g(pts, faces))))
+
+    if pde_res > _VERIFY_TOL or flux_res > _VERIFY_TOL:
+        raise ProblemDefinitionError(
+            f"problem {p.name!r} failed verification: "
+            f"pde residual {pde_res:.3e}, flux residual {flux_res:.3e} (tol {_VERIFY_TOL:.1e})"
+        )
+    return ProblemVerification(pde_res, flux_res, n_probe)
 
 
 @pytest.fixture

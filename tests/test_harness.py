@@ -219,6 +219,7 @@ def test_train_run_config_requires_problem_d_and_n(tmp_path, key):
     (DecompositionConfig, {"restarts": 0}),
     (TrainRunConfig, {"n": 0}),
     (TrainRunConfig, {"n_quad": 1}),
+    (StudyConfig, {"n_values": ()}),
 ])
 def test_configs_reject_bad_values_at_construction(cls, bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
@@ -398,6 +399,28 @@ def test_cli_verify_gradnet(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["passed"]
 
 
+def test_cli_verify_gradnet_needs_a_probe(tmp_path):
+    netfile = tmp_path / "sq.txt"
+    save_network(build_square_gadget(), netfile)
+    with pytest.raises(ValueError, match="--probes"):
+        cli.main(["verify-gradnet", str(netfile), "--probes", "0"])
+
+
+@pytest.mark.parametrize("flag,value,name", [
+    ("--B", "nan", "B"),
+    ("--eps", "nan", "eps"),
+    ("--nu", "nan", "nu"),
+    ("--c-bc3", "inf", "C_Bc3"),
+])
+def test_cli_bounds_rejects_non_finite_inputs(flag, value, name, tmp_path, capsys):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        cli.main(["bounds", "--depth", "2", "--width", "3", "--d", "1", "--n", "100000",
+                  flag, value])
+    assert capsys.readouterr().out == ""
+    with pytest.raises(ValueError):
+        write_json_report({name: float(value)}, tmp_path / "report.json")
+
+
 def test_cli_study_and_decompose(tmp_path, capsys):
     study_cfg = {
         "problem": "cosine", "d": 1, "n_values": [32, 64, 128], "repetitions": 1,
@@ -498,7 +521,7 @@ def test_record_built_report_blocks_carry_the_record_fields(tmp_path, capsys):
     path.write_text(yaml.safe_dump(cfg))
     assert cli.main(["train", str(path), "--out", str(tmp_path / "run")]) == 0
     summary = json.loads((tmp_path / "run" / "train_summary.json").read_text())
-    assert set(summary["final_loss"]) == set(LossReport._fields)
+    assert set(summary["loss"]) == set(LossReport._fields)
 
     dec = run_error_decomposition(DecompositionConfig(
         problem="quadratic", d=1, n=32, spline_level=2, gap_reps=2, restarts=1,
@@ -506,15 +529,29 @@ def test_record_built_report_blocks_carry_the_record_fields(tmp_path, capsys):
     assert set(dec["e_sta_gap_per_term"]) == set(StatisticalGapReport._fields) == README_GAP_KEYS
 
 
+def run_python(*args):
+    """A fresh interpreter, with this checkout's ritzlab on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
 def test_cli_train_rejects_misspelled_key_before_training(tmp_path):
     cfg = {"problem": "cosine", "d": 1, "n": 64, "train": {"iterations": 10}, "n_qaud": 10}
     path = tmp_path / "train.yaml"
     path.write_text(yaml.safe_dump(cfg))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-m", "ritzlab.cli", "train", str(path),
-                          "--out", str(tmp_path / "run")],
-                         capture_output=True, text=True, env=env, timeout=120)
+    run = run_python("-m", "ritzlab.cli", "train", str(path), "--out", str(tmp_path / "run"))
     assert run.returncode != 0
     assert "ConfigError" in run.stderr and "n_qaud" in run.stderr
     assert not (tmp_path / "run").exists()
+
+
+def test_import_ritzlab_loads_only_the_core_modules():
+    # yaml and the harness, cli and bounds modules would each add tens of
+    # milliseconds to every `import ritzlab`
+    run = run_python("-c", "import json, sys, ritzlab; print(json.dumps(sorted("
+                           "m for m in sys.modules if m.partition('.')[0] in ('ritzlab', 'yaml'))))")
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == ["ritzlab", *(f"ritzlab.{m}" for m in (
+        "gadgets", "networks", "problems", "ritz", "sampling", "training"))]

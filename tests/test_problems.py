@@ -5,13 +5,13 @@ import pytest
 
 from ritzlab.problems import (
     Problem,
-    ProblemDefinitionError,
     make_cosine_problem,
     make_quadratic_problem,
     problem_by_name,
-    verify_problem,
 )
 from ritzlab.sampling import mc_mean, sample_boundary, sample_domain
+
+from conftest import ProblemDefinitionError, verify_problem
 
 
 def test_cosine_analytic_energy_d3():

@@ -66,7 +66,7 @@ def reference_loss(net, p, samples):
 def test_empty_sample_set_rejected():
     p = make_cosine_problem(2)
     empty = SampleSet(np.empty((0, 2)), np.empty((0, 2)),
-                      np.empty((0, 2), dtype=int), seed=0)
+                      np.empty((0, 2), dtype=int))
     with pytest.raises(ValueError):
         empirical_loss(zero_net(2), p, empty)
 
@@ -112,7 +112,7 @@ def test_loss_permutation_invariant_to_rounding():
     perm_d = rng.permutation(400)
     perm_b = rng.permutation(200)
     s2 = SampleSet(s.domain_points[perm_d], s.boundary_points[perm_b],
-                   s.boundary_faces[perm_b], seed=s.seed)
+                   s.boundary_faces[perm_b])
     net = random_relu2_net(2, (5,), seed=9)
     a, b = empirical_loss(net, p, s), empirical_loss(net, p, s2)
     assert a.total == pytest.approx(b.total, rel=1e-13)
@@ -126,7 +126,7 @@ def test_loss_and_gradient_invariant_under_point_permutations(d, perm_d, perm_b)
     p = make_quadratic_problem(d)
     s = make_sample_set(600, 600, d, seed=50 + d)
     s2 = SampleSet(s.domain_points[perm_d], s.boundary_points[perm_b],
-                   s.boundary_faces[perm_b], seed=s.seed)
+                   s.boundary_faces[perm_b])
     net = random_relu2_net(d, (12, 12), seed=51)
     (rep, grad), (rep2, grad2) = (loss_and_parameter_gradient(net, p, t) for t in (s, s2))
     for a, b in ((rep, rep2), (empirical_loss(net, p, s), empirical_loss(net, p, s2))):
@@ -338,7 +338,7 @@ def test_non_finite_boundary_value_still_diverges_when_g_is_zero():
     blown = Network(arch, [np.array([[1e200]]), np.array([[1.0]])],
                     [np.array([-0.99e200]), np.array([0.0])])
     s = SampleSet(np.full((4, 1), 0.5), np.array([[0.0], [1.0]]),
-                  np.array([[0, 0], [0, 1]]), seed=0)
+                  np.array([[0, 0], [0, 1]]))
     assert not np.any(p.g(s.boundary_points, s.boundary_faces))
     cfg = TrainConfig(iterations=2, batch_domain=4, batch_boundary=2, eval_every=1)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ritzlab.cli as cli
 from ritzlab.gadgets import prescribe_architecture
+from ritzlab.harness import StudyConfig, run_convergence_study
 from ritzlab.problems import make_cosine_problem, make_quadratic_problem
 from ritzlab.ritz import energy_excess, statistical_gap_estimate
 from ritzlab.sampling import (
@@ -68,7 +71,7 @@ def test_sample_set_validation():
     bad_pts = s.boundary_points.copy()
     bad_pts[0, s.boundary_faces[0, 0]] = 0.5
     with pytest.raises(ValueError):
-        SampleSet(s.domain_points, bad_pts, s.boundary_faces, seed=17)
+        SampleSet(s.domain_points, bad_pts, s.boundary_faces)
 
 
 @pytest.mark.parametrize("point,faces", [
@@ -81,12 +84,34 @@ def test_sample_set_validation():
 ])
 def test_sample_set_rejects_bad_boundary_tags_and_points(point, faces):
     with pytest.raises(ValueError):
-        SampleSet(np.full((3, 2), 0.5), np.array([point]), np.array(faces), seed=0)
+        SampleSet(np.full((3, 2), 0.5), np.array([point]), np.array(faces))
 
 
 def test_sample_set_rejects_non_finite_domain_points():
     with pytest.raises(ValueError, match="interior"):
-        SampleSet(np.array([[0.5, np.nan]]), np.array([[0.5, 0.0]]), np.array([[1, 0]]), seed=0)
+        SampleSet(np.array([[0.5, np.nan]]), np.array([[0.5, 0.0]]), np.array([[1, 0]]))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_every_seeded_entry_rejects_a_negative_or_non_integer_seed(seed):
+    p = make_cosine_problem(1)
+    net = random_relu2_net(1, (3,), seed=0)
+    samples = make_sample_set(16, 16, 1, seed=0)
+    tcfg = TrainConfig(iterations=1, batch_domain=16, batch_boundary=16)
+    entries = [
+        lambda: init_network(net.architecture, 1.0, seed),
+        lambda: make_sample_set(16, 16, 1, seed),
+        lambda: h1_error(net, p, 100, seed),
+        lambda: energy_excess(net, p, 100, seed),
+        lambda: train(net, p, samples, replace(tcfg, seed=seed)),
+        lambda: run_convergence_study(StudyConfig(n_values=(16,), repetitions=1, n_quad=100,
+                                                  train=tcfg, seed=seed)),
+    ]
+    if seed == -1:  # argparse's type=int refuses 1.5 and True itself
+        entries.append(lambda: cli.main(["construct-verify", "--seed", "-1"]))
+    for entry in entries:
+        with pytest.raises(ValueError, match="seed"):
+            entry()
 
 
 def test_mc_mean_constants_exact():
