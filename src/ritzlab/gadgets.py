@@ -268,7 +268,8 @@ def build_spline_combination(comb: SplineCombination) -> Network:
     or bias depends on the index.  So one template net supplies every
     layer: K stacked copies of its first weight matrix with each term's
     biases, block-diagonal copies of its middle layers, and an output row
-    of c_j times its output row per term.
+    of c_j times its output row per term.  The middle layers are declared
+    block-diagonal, so evaluation multiplies each template matrix alone.
     """
     if not comb.coefficients:
         raise ValueError("combination has no coefficients")
@@ -295,7 +296,8 @@ def build_spline_combination(comb: SplineCombination) -> Network:
     acts.append(IDENTITY)
 
     dims = (comb.dim, *(w.shape[0] for w in weights))
-    built = Network(Architecture(dims, tuple(acts)), weights, biases)
+    middle = {k: k_terms for k in range(1, len(weights) - 1)}
+    built = Network(Architecture(dims, tuple(acts)), weights, biases, _blocks=middle)
     if built.architecture.depth > math.ceil(math.log2(max(comb.dim, 1))) + 3:
         raise AssertionError("spline combination exceeded its depth bound")
     return built
@@ -305,8 +307,11 @@ def fit_spline_coefficients(target, level: int, dim: int) -> SplineCombination:
     """Least-squares fit of the full tensor-product basis on a uniform
     collocation grid (_POINTS_PER_INTERVAL points per knot interval per axis).
 
-    target maps an (n, d) array to n values.
+    target maps an (n, d) array to n finite values.
     """
+    level = _spline_level(level)
+    if _as_int(dim, "dim") < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     n_axis = _POINTS_PER_INTERVAL * 2**level + 1
     n_basis = (2**level + 2) ** dim
     n_grid = n_axis**dim
@@ -324,6 +329,9 @@ def fit_spline_coefficients(target, level: int, dim: int) -> SplineCombination:
     grids = np.meshgrid(*([axis_pts] * dim), indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)
     rhs = np.asarray(target(pts), dtype=float)
+    if rhs.shape != (n_grid,) or not np.isfinite(rhs).all():
+        raise ValueError(f"target must map ({n_grid}, {dim}) points to {n_grid} finite "
+                         f"values, got shape {rhs.shape}")
 
     coef, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < design.shape[1]:

@@ -386,7 +386,7 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
     lhs = 0.5 * c_low * err.h1_err**2
     lhs_se = c_low * err.h1_err * err.h1_err_se
     proxies = e_app + e_sta + e_opt
-    slack = 5.0 * math.hypot(lhs_se, e_app_se)
+    slack = 5.0 * math.hypot(lhs_se, e_app_se, 2.0 * gap.mean_abs_gap_se)
     return {
         "kind": "error_decomposition",
         "config": config_to_dict(cfg),

@@ -155,8 +155,8 @@ class Network:
     order of _layer_views.  Every constructor rejects non-finite parameters.
     """
 
-    def __init__(self, architecture: Architecture, weights, biases):
-        """Copy the per-layer arrays into a fresh theta."""
+    def __init__(self, architecture: Architecture, weights, biases, _blocks=None):
+        """Copy the per-layer arrays into a fresh theta; _blocks as in _bind."""
         if len(weights) != architecture.depth or len(biases) != architecture.depth:
             raise DimensionMismatchError("need one weight matrix and bias per layer")
         theta = np.empty(architecture.n_parameters)
@@ -168,9 +168,11 @@ class Network:
                         f"layer {k + 1} {kind} shape {given.shape}, expected {view.shape}"
                     )
                 view[...] = given
-        self._bind(architecture, theta)
+        self._bind(architecture, theta, _blocks)
 
-    def _bind(self, architecture: Architecture, theta: np.ndarray) -> None:
+    def _bind(self, architecture: Architecture, theta: np.ndarray, blocks=None) -> None:
+        """Bind theta.  blocks {k: K} declares weights[k] == np.kron(np.eye(K), block),
+        checked exactly (else ValueError); _forward_caches then multiplies block alone."""
         if not np.isfinite(theta).all():
             raise ValueError("network has non-finite parameters")
         theta = theta.view()
@@ -178,6 +180,13 @@ class Network:
         self._arch = architecture
         self._theta = theta
         self._weights, self._biases = map(tuple, _layer_views(architecture, theta))
+        self._blocks = [None] * architecture.depth
+        for k, n_blocks in (blocks or {}).items():
+            w = self._weights[k]
+            block = w[: w.shape[0] // n_blocks, : w.shape[1] // n_blocks]
+            if not np.array_equal(w, np.kron(np.eye(n_blocks), block)):
+                raise ValueError(f"layer {k + 1} is not {n_blocks} diagonal copies of a block")
+            self._blocks[k] = block.copy()
 
     @property
     def architecture(self) -> Architecture:
@@ -386,7 +395,10 @@ def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace,
     """Record one block's forward tape into ws (see _Workspace) and return it.
 
     x holds exactly ws.rows points.  The input Jacobians are recorded when ws
-    has room for them.  values_only skips the derivatives f'_l,
+    has room for them.  A layer declared as K diagonal copies of one block
+    (Network._bind) multiplies that block alone, on (rows * K, n_in / K) and
+    (K, n_in / K, rows * d) views of the same buffers.  values_only skips the
+    derivatives f'_l,
     which only the input Jacobians and _adjoint read.  For d = 1 the G_l are
     point-major in memory (_stack): BLAS rounds the scalar-output products by
     operand orientation, and that layout keeps d = 1 results bitwise those of
@@ -394,13 +406,24 @@ def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace,
     """
     ws.fs[0] = x
     need_input_gradient = ws.ps is not None
-    layers = zip(net.architecture.activations, net.weights, net.biases)
-    for k, (spec, w, bias) in enumerate(layers):
-        z = np.matmul(ws.fs[k], w.T, out=ws.zs[k])
+    layers = zip(net.architecture.activations, net.weights, net.biases, net._blocks)
+    for k, (spec, w, bias, block) in enumerate(layers):
+        z = ws.zs[k]
+        if block is None:
+            np.matmul(ws.fs[k], w.T, out=z)
+        else:  # each row splits into K independent rows of the diagonal block
+            n_out, n_in = block.shape
+            np.matmul(ws.fs[k].reshape(-1, n_in, copy=False), block.T,
+                      out=z.reshape(-1, n_out, copy=False))
         z += bias
         _activate(spec, z, ws.fs[k + 1], None if values_only else ws.fps[k])
         if need_input_gradient:
-            np.matmul(w, ws.gs[k], out=ws.ps[k])
+            if block is None:
+                np.matmul(w, ws.gs[k], out=ws.ps[k])
+            else:  # one stacked GEMM over the K unit blocks of the Jacobians
+                stacked = (w.shape[0] // n_out, -1, ws.rows * ws.d)
+                np.matmul(block, ws.gs[k].reshape(stacked, copy=False),
+                          out=ws.ps[k].reshape(stacked, copy=False))
             np.multiply(ws.fps[k].T[:, :, None], ws.ps3[k], out=ws.gs3[k + 1])
     return ws
 

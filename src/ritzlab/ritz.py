@@ -28,6 +28,7 @@ from .problems import Problem
 from .sampling import (
     MCEstimate,
     SampleSet,
+    _check_n_quad,
     _check_seed,
     make_sample_set,
     mc_mean,
@@ -94,14 +95,20 @@ def empirical_loss(net: Network, p: Problem, samples: SampleSet) -> LossReport:
 
 
 def population_loss_estimate(net: Network, p: Problem, n_quad: int, seed: int) -> MCEstimate:
-    """Monte-Carlo estimate of the population Ritz energy on fresh samples."""
+    """Monte-Carlo estimate of the population Ritz energy on fresh samples.
+
+    Where g is zero at every boundary sample, those zeros are the boundary
+    integrand: u * g would only flip signs of zeros, which moves no bit.
+    """
+    n_quad = _check_n_quad(n_quad)
     x = sample_domain(n_quad, p.d, seed)
     grad_piece, mass_piece, forcing_piece = _domain_pieces(
         *values_and_input_gradients(net, x), lambda: p.w(x), lambda: p.f(x)
     )
     dom = mc_mean(grad_piece + mass_piece - forcing_piece)
     y, faces = sample_boundary(n_quad, p.d, seed)
-    bnd = mc_mean(forward_batch(net, y) * p.g(y, faces), 2.0 * p.d)
+    g_vals = p.g(y, faces)
+    bnd = mc_mean(forward_batch(net, y) * g_vals if np.any(g_vals) else g_vals, 2.0 * p.d)
     return MCEstimate(dom.value - bnd.value, math.hypot(dom.std_error, bnd.std_error))
 
 

@@ -31,6 +31,14 @@ def _check_seed(seed) -> int:
     return seed
 
 
+def _check_n_quad(n_quad) -> int:
+    """A quadrature size as an int >= 2, the fewest points with a standard error."""
+    n_quad = _as_int(n_quad, "n_quad")
+    if n_quad < 2:
+        raise ValueError(f"need n_quad >= 2 for a standard error, got {n_quad}")
+    return n_quad
+
+
 def rng_stream(seed: int, tag: int = 0) -> np.random.Generator:
     """Independent reproducible stream for (seed, tag)."""
     return np.random.Generator(np.random.Philox(key=[_check_seed(seed) % 2**64, tag % 2**64]))
@@ -168,8 +176,7 @@ def h1_error(net: Network, p: Problem, n_quad: int, seed: int) -> H1ErrorReport:
     """MC estimate of ||u - u*|| in L2, H1-seminorm and H1 over (0,1)^d."""
     if net.architecture.input_dim != p.d:
         raise ValueError("network input dimension does not match the problem")
-    if n_quad < 2:
-        raise ValueError("need n_quad >= 2 for a standard error")
+    n_quad = _check_n_quad(n_quad)
     x = sample_domain(n_quad, p.d, seed)
     vals, grads = values_and_input_gradients(net, x)
     e_sq = (vals - p.u_star(x)) ** 2

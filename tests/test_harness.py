@@ -325,6 +325,21 @@ def test_decomposition_deterministic():
     assert run_error_decomposition(cfg) == run_error_decomposition(cfg)
 
 
+def test_decomposition_slack_combines_every_proxy_standard_error():
+    cfg = DecompositionConfig(problem="cosine", d=1, n=64, spline_level=2,
+                              gap_reps=3, restarts=1, n_quad=4000,
+                              train=tiny_train(30), seed=8)
+    report = run_error_decomposition(cfg)
+    lhs_se = min(report["problem"]["c1"], 1.0) * report["h1_err"] * report["h1_err_se"]
+    e_app_se = report["e_app_proxy_se"]
+    e_sta_se = 2.0 * report["e_sta_gap_per_term"]["mean_abs_gap_se"]
+    slack = report["decomposition_check_slack"]
+    assert slack == 5.0 * math.hypot(lhs_se, e_app_se, e_sta_se)
+    assert slack > 5.0 * math.hypot(lhs_se, e_app_se)
+    assert report["decomposition_check_satisfied"] == (
+        report["decomposition_lhs"] <= report["decomposition_rhs_proxies"] + slack)
+
+
 def test_decomposition_requires_analytic_energy():
     cfg = DecompositionConfig(problem="cosine", d=1, n=64, train=tiny_train(10))
     # both shipped problems have analytic energy; simulate a missing one

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import tempfile
 import threading
@@ -27,9 +28,12 @@ from ritzlab.networks import (
 )
 
 from ritzlab.gadgets import (
+    SplineCombination,
+    SplineIndex,
     build_gradient_norm_network,
     build_spline_combination,
     fit_spline_coefficients,
+    full_index_range,
     prescribe_architecture,
 )
 from ritzlab.problems import make_cosine_problem
@@ -645,3 +649,105 @@ def test_parameter_order_is_layer_major_row_major_then_bias():
     back = net.with_parameters(net.flatten_parameters())
     assert np.array_equal(back.weights[0], w1)
     assert np.array_equal(back.biases[1], b2)
+
+
+# --------------------------------------------- block-diagonal spline layers
+
+
+def _random_combination(d, level):
+    """A spline-combination net with one seeded random coefficient per term."""
+    rng = rng_for(500 + 10 * d + level)
+    idxs = itertools.product(full_index_range(level), repeat=d)
+    return build_spline_combination(SplineCombination(
+        level, d, {SplineIndex(level, i): float(rng.normal()) for i in idxs}))
+
+
+def _max_rel_gap(a, b, scale):
+    return float(np.max(np.abs(a - b))) / scale
+
+
+@pytest.fixture(scope="module", params=[(2, 1), (2, 2), (3, 1), (3, 2)],
+                ids=lambda dl: f"d{dl[0]}-level{dl[1]}")
+def spline_pair(request):
+    """(block net, the same theta as a plain net, value scale, gradient scale).
+
+    The scales are the plain net's largest |u| and |grad u| on 1000 points, so
+    a gap is relative to the function's size, not to a value near a zero.
+    """
+    d, _ = request.param
+    net = _random_combination(*request.param)
+    plain = Network(net.architecture, net.weights, net.biases)
+    vals, grads = values_and_input_gradients(plain, sample_domain(1000, d, 60))
+    return net, plain, float(np.max(np.abs(vals))), float(np.max(np.abs(grads)))
+
+
+@pytest.mark.parametrize("n", [1, 255, 257, 1000])
+def test_block_spline_net_agrees_with_plain_net(spline_pair, n):
+    net, plain, v_scale, g_scale = spline_pair
+    depth, d = net.architecture.depth, net.architecture.input_dim
+    assert [b is not None for b in net._blocks] == [0 < k < depth - 1 for k in range(depth)]
+    assert not any(b is not None for b in plain._blocks)
+    x = sample_domain(n, d, 61)
+    vals, grads = values_and_input_gradients(net, x)
+    ref_vals, ref_grads = values_and_input_gradients(plain, x)
+    assert _max_rel_gap(vals, ref_vals, v_scale) <= 1e-14
+    assert _max_rel_gap(grads, ref_grads, g_scale) <= 1e-14
+    assert _max_rel_gap(forward_batch(net, x), forward_batch(plain, x), v_scale) <= 1e-14
+    rng = rng_for(62 + n)
+    v, m = rng.standard_normal(n), rng.standard_normal((n, d))
+    for gradient_weights in (None, m):
+        ref = weighted_parameter_gradient(plain, x, v, gradient_weights)
+        got = weighted_parameter_gradient(net, x, v, gradient_weights)
+        assert _max_rel_gap(got, ref, float(np.max(np.abs(ref)))) <= 1e-14
+
+
+def test_saved_and_rebuilt_spline_nets_are_plain(tmp_path):
+    net = _random_combination(2, 2)
+    save_network(net, tmp_path / "spline.txt")
+    loaded = load_network(tmp_path / "spline.txt")
+    rebuilt = net.with_parameters(net.flatten_parameters())
+    plain = Network(net.architecture, net.weights, net.biases)
+    x = sample_domain(257, 2, 63)
+    ref_vals, ref_grads = values_and_input_gradients(plain, x)
+    vals, grads = values_and_input_gradients(net, x)
+    for other in (loaded, rebuilt):
+        assert not any(b is not None for b in other._blocks)
+        assert np.array_equal(other.flatten_parameters(), net.flatten_parameters())
+        other_vals, other_grads = values_and_input_gradients(other, x)
+        assert np.array_equal(other_vals, ref_vals) and np.array_equal(other_grads, ref_grads)
+        assert _max_rel_gap(other_vals, vals, float(np.max(np.abs(vals)))) <= 1e-14
+        assert _max_rel_gap(other_grads, grads, float(np.max(np.abs(grads)))) <= 1e-14
+
+
+def test_false_block_declaration_raises():
+    net = _random_combination(2, 1)  # layer 2 is 16 copies of one 4 x 8 block
+    arch, ws, bs = net.architecture, [np.array(w) for w in net.weights], net.biases
+    assert Network(arch, ws, bs, _blocks={1: 16})._blocks[1].shape == (4, 8)
+    off_block = [w.copy() for w in ws]
+    off_block[1][0, -1] = 1.0
+    unequal = [w.copy() for w in ws]
+    unequal[1][-1, -1] += 1.0
+    for weights, blocks in ((off_block, {1: 16}), (unequal, {1: 16}), (ws, {1: 15}),
+                            (ws, {0: 16})):
+        with pytest.raises(ValueError, match="diagonal copies of a block"):
+            Network(arch, weights, bs, _blocks=blocks)
+    d1 = _random_combination(1, 3)
+    assert d1.architecture.depth == 2 and d1._blocks == [None, None]
+
+
+def test_block_layers_never_multiply_the_dense_matrices(monkeypatch):
+    net = _random_combination(3, 2)
+    assert net.architecture.layer_dims == (3, 2592, 1080, 864, 1)
+    dense = {(1080, 2592), (2592, 1080), (864, 1080), (1080, 864)}
+    shapes = []
+    matmul = np.matmul
+
+    def recording_matmul(*args, **kwargs):
+        shapes.extend(np.shape(a)[-2:] for a in (*args, kwargs.get("out")) if a is not None)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    x = sample_domain(256, 3, 64)
+    forward_batch(net, x)
+    values_and_input_gradients(net, x)
+    assert shapes and not dense & set(shapes)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ritzlab.gadgets import fit_spline_coefficients
 from ritzlab.networks import (
     IDENTITY,
     RELU2,
@@ -23,7 +24,15 @@ from ritzlab.ritz import (
     population_loss_estimate,
     statistical_gap_estimate,
 )
-from ritzlab.sampling import SampleSet, make_sample_set
+from ritzlab.sampling import (
+    MCEstimate,
+    SampleSet,
+    h1_error,
+    make_sample_set,
+    mc_mean,
+    sample_boundary,
+    sample_domain,
+)
 from ritzlab.training import TrainConfig, TrainingDivergedError, train
 
 from conftest import (
@@ -160,6 +169,38 @@ def test_population_loss_deterministic():
     a = population_loss_estimate(net, p, 20_000, seed=13)
     b = population_loss_estimate(net, p, 20_000, seed=13)
     assert a == b
+
+
+def boundary_pass_population_loss(net, p, n_quad, seed):
+    """Oracle: the population estimate with the boundary term always formed
+    as mean(u(Y) g(Y)), u evaluated at every boundary sample Y."""
+    x = sample_domain(n_quad, p.d, seed)
+    vals, grads = values_and_input_gradients(net, x)
+    dom = mc_mean(0.5 * np.sum(grads**2, axis=1) + 0.5 * p.w(x) * vals**2 - vals * p.f(x))
+    y, faces = sample_boundary(n_quad, p.d, seed)
+    bnd = mc_mean(forward_batch(net, y) * p.g(y, faces), 2.0 * p.d)
+    return MCEstimate(dom.value - bnd.value, math.hypot(dom.std_error, bnd.std_error))
+
+
+@pytest.mark.parametrize("make_problem, boundary_passes",
+                         [(make_cosine_problem, 0), (make_quadratic_problem, 1)])
+@pytest.mark.parametrize("d", [1, 2])
+def test_population_loss_evaluates_the_boundary_only_when_g_is_nonzero(
+        monkeypatch, make_problem, boundary_passes, d):
+    p = make_problem(d)
+    net = random_relu2_net(d, (5, 4), seed=23 + d)
+    calls = []
+
+    def counting_forward_batch(net, x):
+        calls.append(len(x))
+        return forward_batch(net, x)
+
+    monkeypatch.setattr("ritzlab.ritz.forward_batch", counting_forward_batch)
+    est = population_loss_estimate(net, p, 3000, seed=24)
+    assert calls == [3000] * boundary_passes
+    ref = boundary_pass_population_loss(net, p, 3000, seed=24)
+    assert est == ref
+    assert [v.hex() for v in est] == [v.hex() for v in ref]
 
 
 def test_energy_excess_at_exact_solution():
@@ -394,3 +435,31 @@ def test_gap_deterministic():
     a = statistical_gap_estimate(net, p, 128, reps=4, seed=37, reference_n=20_000)
     b = statistical_gap_estimate(net, p, 128, reps=4, seed=37, reference_n=20_000)
     assert a == b
+
+
+def _cosine_target(q):
+    return np.cos(np.pi * q[:, 0])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda net, p: h1_error(net, p, 10.5, 0), "n_quad 10.5 is not an integer"),
+    (lambda net, p: h1_error(net, p, True, 0), "n_quad True is not an integer"),
+    (lambda net, p: h1_error(net, p, 1, 0), "need n_quad >= 2"),
+    (lambda net, p: energy_excess(net, p, 10.5, 0), "n_quad 10.5 is not an integer"),
+    (lambda net, p: energy_excess(net, p, True, 0), "n_quad True is not an integer"),
+    (lambda net, p: energy_excess(net, p, 1, 0), "need n_quad >= 2"),
+    (lambda net, p: population_loss_estimate(net, p, 2.0, 0), "n_quad 2.0 is not an integer"),
+    (lambda net, p: fit_spline_coefficients(_cosine_target, 2, 0), "dim must be >= 1"),
+    (lambda net, p: fit_spline_coefficients(_cosine_target, 2, 2.0), "dim 2.0 is not"),
+    (lambda net, p: fit_spline_coefficients(_cosine_target, 2.0, 1), "level 2.0 is not"),
+    (lambda net, p: fit_spline_coefficients(_cosine_target, 0, 1), "level must be >= 1"),
+    (lambda net, p: fit_spline_coefficients(lambda q: np.full(len(q), np.nan), 2, 1),
+     "target must map"),
+    (lambda net, p: fit_spline_coefficients(lambda q: np.ones((len(q), 2)), 2, 1),
+     r"target must map .* got shape \(17, 2\)"),
+], ids=["h1-float", "h1-bool", "h1-one", "excess-float", "excess-bool", "excess-one",
+        "population-float", "fit-dim-zero", "fit-dim-float", "fit-level-float",
+        "fit-level-zero", "fit-nan-target", "fit-2-column-target"])
+def test_evaluation_entries_reject_bad_inputs_naming_them(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(zero_net(1), make_cosine_problem(1))
