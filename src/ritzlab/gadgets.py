@@ -456,8 +456,10 @@ def prescribe_architecture(d: int, n: int, nu: float) -> Architecture:
     Depth ceil(log2 d) + 3; width 4d * ceil(max(1, n^(1/(d+2+nu)) - 4))^d;
     all hidden layers ReLU^2, linear output.
     """
-    if d < 1 or n < 1 or nu < 0:
-        raise ValueError("need d >= 1, n >= 1, nu >= 0")
+    if _as_int(d, "d") < 1 or _as_int(n, "n") < 1:
+        raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
+    if not 0 <= nu < math.inf:
+        raise ValueError(f"nu must be finite and >= 0, got {nu!r}")
     base = max(1.0, n ** (1.0 / (d + 2 + nu)) - 4.0)
     width = 4 * d * math.ceil(base) ** d
     depth = math.ceil(math.log2(d)) + 3

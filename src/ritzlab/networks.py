@@ -270,13 +270,18 @@ class _Workspace:
     G_l = f'_l * P_l.  fs[0] is the block's input, gs[0] the identity.  The
     Jacobian stacks are unit-major: ps/gs hold the (N_l, rows * d) GEMM views
     and ps3/gs3 the (N_l, rows, d) views of the same memory, so each layer's
-    Jacobian product is one GEMM with no copy.  The other lists are scratch of
-    _adjoint.  GEMM outputs are C-ordered like numpy's fresh results, and the
-    G_l and q stacks follow _stack, so every value is bitwise that of freshly
-    allocated arrays.
+    Jacobian product is one GEMM with no copy.  P_1 = W_1 G_0 = W_1, so ps3[0]
+    is the view W_1[:, None, :], set by each pass and dropped by
+    release_input.  fpt holds each f'_l unit-major, (N_l, rows): at d = 1 as
+    the view fps[l].T, laid out like the point-major stacks, else in the
+    memory of d2[l], which _adjoint overwrites only after its last read of
+    f'_l.  The other lists are scratch of _adjoint.  GEMM outputs are
+    C-ordered like numpy's fresh results, and the G_l and q stacks follow
+    _stack, so every value is bitwise that of freshly allocated arrays.
     """
 
-    _ROW_BUFFERS = ("fs", "zs", "fps", "delta", "lam", "d2", "s")
+    _ROW_BUFFERS = ("fs", "zs", "fps", "delta", "lam", "d2")
+    _UNIT_BUFFERS = ("fpt", "s")
     _STACK_BUFFERS = ("ps", "gs", "q", "mat")
 
     def __init__(self, dims: tuple, rows: int, need_input_gradient: bool):
@@ -290,10 +295,13 @@ class _Workspace:
         self.zs, self.fps, self.delta = rows_by(units), rows_by(units), rows_by(units)
         self.lam = [None, *rows_by(hidden)]
         self.gw = [np.empty((n_out, n_in)) for n_in, n_out in zip(dims, units)]
-        self.d2 = self.s = self.ps = self.gs = self.q = self.mat = None
+        self.d2 = self.s = self.fpt = self.ps = self.gs = self.q = self.mat = None
         if need_input_gradient:
-            self.d2, self.s = rows_by(units), rows_by(units)
-            self.ps = [np.empty((n, rows * d)) for n in units]
+            self.d2 = rows_by(units)
+            self.s = [np.empty((n, rows)) for n in units]
+            self.fpt = ([fp.T for fp in self.fps] if d == 1 else
+                        [a.reshape(n, rows, copy=False) for n, a in zip(units, self.d2)])
+            self.ps = [None, *(np.empty((n, rows * d)) for n in units[1:])]
             eye = np.broadcast_to(np.eye(d), (rows, d, d)).transpose(1, 0, 2)
             self.gs = [eye.reshape(d, rows * d), *(_stack(n, rows, d) for n in units)]
             self.q = [_stack(n, rows, d) for n in units]
@@ -317,6 +325,7 @@ class _Workspace:
             head = copy.copy(self)
             head.rows, head._head = rows, None
             for names, cut in ((self._ROW_BUFFERS, lambda a: a[:rows]),
+                               (self._UNIT_BUFFERS, lambda a: a[:, :rows]),
                                (self._STACK_BUFFERS, lambda a: a[:, : rows * self.d])):
                 for name in names:
                     bufs = getattr(self, name)
@@ -327,10 +336,12 @@ class _Workspace:
         return self._head
 
     def release_input(self) -> None:
-        """Drop the tape's reference to the caller's points."""
+        """Drop the tape's references to the caller's points and to W_1."""
         for ws in (self, self._head):
             if ws is not None:
                 ws.fs[0] = None
+                if ws.ps is not None:
+                    ws.ps3[0] = None
 
 
 def _workspace(dims: tuple, rows: int, need_input_gradient: bool) -> _Workspace:
@@ -397,34 +408,45 @@ def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace,
     x holds exactly ws.rows points.  The input Jacobians are recorded when ws
     has room for them.  A layer declared as K diagonal copies of one block
     (Network._bind) multiplies that block alone, on (rows * K, n_in / K) and
-    (K, n_in / K, rows * d) views of the same buffers.  values_only skips the
-    derivatives f'_l,
-    which only the input Jacobians and _adjoint read.  For d = 1 the G_l are
-    point-major in memory (_stack): BLAS rounds the scalar-output products by
-    operand orientation, and that layout keeps d = 1 results bitwise those of
-    a batch-major (B, N_l, d) recursion.
+    (K, n_in / K, rows * d) views of the same buffers.  A layer with one input
+    maps values by an outer product: one product per element, as in its GEMM.
+    values_only skips the derivatives f'_l, which only the input Jacobians
+    and _adjoint read.  Layer 1 runs no Jacobian GEMM (P_1 = W_1), and each
+    G_l = f'_l * P_l is formed one d-component at a time on (N_l, rows) views
+    of fpt and the stacks, so inner loops run along rows, not along d.  For
+    d = 1 the G_l are point-major in memory (_stack): BLAS rounds the
+    scalar-output products by operand orientation, and that layout keeps
+    d = 1 results bitwise those of a batch-major (B, N_l, d) recursion.
     """
     ws.fs[0] = x
     need_input_gradient = ws.ps is not None
     layers = zip(net.architecture.activations, net.weights, net.biases, net._blocks)
     for k, (spec, w, bias, block) in enumerate(layers):
         z = ws.zs[k]
-        if block is None:
-            np.matmul(ws.fs[k], w.T, out=z)
-        else:  # each row splits into K independent rows of the diagonal block
+        if block is not None:  # each row splits into K independent rows of the diagonal block
             n_out, n_in = block.shape
             np.matmul(ws.fs[k].reshape(-1, n_in, copy=False), block.T,
                       out=z.reshape(-1, n_out, copy=False))
+        elif w.shape[1] == 1:
+            np.multiply(ws.fs[k], w.T, out=z)
+        else:
+            np.matmul(ws.fs[k], w.T, out=z)
         z += bias
         _activate(spec, z, ws.fs[k + 1], None if values_only else ws.fps[k])
         if need_input_gradient:
-            if block is None:
+            if k == 0:
+                ws.ps3[0] = w[:, None, :]
+            elif block is None:
                 np.matmul(w, ws.gs[k], out=ws.ps[k])
             else:  # one stacked GEMM over the K unit blocks of the Jacobians
                 stacked = (w.shape[0] // n_out, -1, ws.rows * ws.d)
                 np.matmul(block, ws.gs[k].reshape(stacked, copy=False),
                           out=ws.ps[k].reshape(stacked, copy=False))
-            np.multiply(ws.fps[k].T[:, :, None], ws.ps3[k], out=ws.gs3[k + 1])
+            fpt, p, g = ws.fpt[k], ws.ps3[k], ws.gs3[k + 1]
+            if ws.d > 1:
+                np.copyto(fpt, ws.fps[k].T)
+            for i in range(ws.d):
+                np.multiply(fpt, p[..., i], out=g[..., i])
     return ws
 
 
@@ -486,19 +508,19 @@ def values_and_input_gradients(net: Network, x: np.ndarray):
 
 
 def _sum_of_products(a: np.ndarray, b: np.ndarray, out: np.ndarray,
-                     scratch: np.ndarray, scratch3: np.ndarray) -> np.ndarray:
-    """np.sum(a * b, axis=2) written into out, bitwise, for stacks (N, B, d).
+                     scratch: np.ndarray) -> np.ndarray:
+    """np.sum(a * b, axis=2) written into out, bitwise, for stacks (N, B, d);
+    out is (N, B) and scratch, shaped like a, holds the products.
 
     numpy adds fewer than 8 terms in order, so for small d the d products are
-    accumulated one whole-array add at a time (through scratch, shaped like
-    out); a reduction over a length-d axis costs about ten times as much.
-    scratch3, shaped like a, holds the products for d >= 8.
+    accumulated one (N, B) array at a time, with inner loops along B; a
+    reduction over a length-d axis costs about ten times as much.
     """
     if a.shape[2] >= 8:
-        return np.sum(np.multiply(a, b, out=scratch3), axis=2, out=out)
+        return np.sum(np.multiply(a, b, out=scratch), axis=2, out=out)
     np.multiply(a[..., 0], b[..., 0], out=out)
     for i in range(1, a.shape[2]):
-        out += np.multiply(a[..., i], b[..., i], out=scratch)
+        out += np.multiply(a[..., i], b[..., i], out=scratch[..., i])
     return out
 
 
@@ -520,16 +542,16 @@ def _adjoint(net: Network, tape: _Workspace, lam: np.ndarray, mat, grad_w: list,
     layers = list(zip(net.architecture.activations, net.weights))
     for k in range(net.architecture.depth - 1, -1, -1):
         spec, w = layers[k]
-        fp = t.fps[k]
-        delta = np.multiply(lam, fp, out=t.delta[k])
+        delta = np.multiply(lam, t.fps[k], out=t.delta[k])
         gw = t.gw[k]
         if mat is not None:
             # z_k also enters G_k through act'(z_k); d2 carries that path
-            s = _sum_of_products(mat, t.ps3[k], t.s[k].T, t.d2[k].T, t.q3[k])
+            s = _sum_of_products(mat, t.ps3[k], t.s[k], t.q3[k])
+            for i in range(t.d):  # the last read of fpt[k], before d2[k] is written
+                np.multiply(t.fpt[k], mat[..., i], out=t.q3[k][..., i])
             d2 = _second_derivative(spec, t.zs[k], t.d2[k])
             d2 *= s.T
             delta += d2
-            np.multiply(fp.T[:, :, None], mat, out=t.q3[k])
             grad_w[k] += np.matmul(t.q[k], t.gs[k].T, out=gw)
             if k:
                 np.matmul(w.T, t.q[k], out=t.mat[k])

@@ -122,6 +122,9 @@ class SampleSet:
 
 
 def make_sample_set(n_domain: int, n_boundary: int, d: int, seed: int) -> SampleSet:
+    for name, n in (("n_domain", n_domain), ("n_boundary", n_boundary), ("d", d)):
+        if _as_int(n, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
     pts, faces = sample_boundary(n_boundary, d, seed)
     return SampleSet(
         domain_points=sample_domain(n_domain, d, seed),

@@ -139,6 +139,8 @@ class TrainHistory:
 
 def init_network(arch: Architecture, init_scale: float, seed: int) -> Network:
     """Glorot-style uniform weights scaled by init_scale, zero biases."""
+    if not 0 <= init_scale < math.inf:
+        raise ValueError(f"init_scale must be finite and >= 0, got {init_scale!r}")
     rng = rng_stream(seed, _TAG_INIT)
     dims = arch.layer_dims
     ws, bs = [], []

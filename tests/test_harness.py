@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -28,7 +29,7 @@ from ritzlab.harness import (
     write_json_report,
     write_study_csv,
 )
-from ritzlab.networks import save_network
+from ritzlab.networks import load_network, save_network
 from ritzlab.problems import make_cosine_problem, make_quadratic_problem
 from ritzlab.ritz import LossReport, StatisticalGapReport, derived_seed
 from ritzlab.sampling import make_sample_set
@@ -544,10 +545,12 @@ def test_record_built_report_blocks_carry_the_record_fields(tmp_path, capsys):
     assert set(dec["e_sta_gap_per_term"]) == set(StatisticalGapReport._fields) == README_GAP_KEYS
 
 
-def run_python(*args):
-    """A fresh interpreter, with this checkout's ritzlab on its path."""
+def run_python(*args, **env_vars):
+    """A fresh interpreter, with this checkout's ritzlab on its path and
+    env_vars added to its environment."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               **env_vars)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           timeout=120)
 
@@ -570,3 +573,24 @@ def test_import_ritzlab_loads_only_the_core_modules():
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == ["ritzlab", *(f"ritzlab.{m}" for m in (
         "gadgets", "networks", "problems", "ritz", "sampling", "training"))]
+
+
+def test_cli_train_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # (2,32,32,32,1), 150 Adam steps on the cosine problem
+    cfg = {"problem": "cosine", "d": 2, "n": 1024, "n_quad": 4999, "seed": 3,
+           "train": {"iterations": 150, "batch_domain": 256, "batch_boundary": 256}}
+    path = tmp_path / "train.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        run = run_python("-m", "ritzlab.cli", "train", str(path), "--out", str(out),
+                         OPENBLAS_NUM_THREADS=threads)
+        assert run.returncode == 0, run.stderr
+        net = load_network(out / "trained_network.txt")
+        assert net.architecture.layer_dims == (2, 32, 32, 32, 1)
+        summary = json.loads((out / "train_summary.json").read_text())
+        runs.append((net.flatten_parameters(), summary["train_summary"]["best_loss"]))
+    (theta_1, best_1), (theta_2, best_2) = runs
+    assert np.array_equal(theta_1, theta_2)
+    assert best_1 == best_2

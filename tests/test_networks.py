@@ -1,8 +1,10 @@
+import gc
 import itertools
 import sys
 import tempfile
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest.mock import patch
 
@@ -424,8 +426,10 @@ def test_blocked_passes_bitwise_equal_one_block(monkeypatch, label):
 
 
 def test_threads_never_share_a_workspace():
-    # four nets of one shape, so every thread asks for the same workspace key
+    # four nets of one shape, so every thread asks for the same workspace key,
+    # and a spline-combination net with block-diagonal layers
     nets = [random_relu2_net(2, (64, 64), seed=60 + i) for i in range(4)]
+    nets.append(_random_combination(2, 1))
     x = rng_for(99).uniform(0.0, 1.0, size=(600, 2))
     want = [values_and_input_gradients(net, x) for net in nets]
     wrong = []
@@ -439,7 +443,7 @@ def test_threads_never_share_a_workspace():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(nets))]
         for t in threads:
             t.start()
         for t in threads:
@@ -448,6 +452,46 @@ def test_threads_never_share_a_workspace():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_no_product_takes_the_identity_jacobian(monkeypatch, d):
+    # P_1 = W_1 G_0 is W_1 itself, so no pass multiplies by the identity stack
+    # G_0.  The one product that reads it is the adjoint's W_1 gradient
+    # q_1 G_0^T, whose rounding every W_1 gradient carries.
+    net = random_relu2_net(d, (16, 8), seed=66 + d)
+    p, samples = make_cosine_problem(d), make_sample_set(300, 8, d, 5)
+    calls = []
+    matmul = np.matmul
+
+    def recording_matmul(*args, **kwargs):
+        calls.append((*args, kwargs.get("out")))
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    values_and_input_gradients(net, samples.domain_points)
+    value_pass = len(calls)
+    loss_and_parameter_gradient(net, p, samples)
+    eye = networks._workspace(net.architecture.layer_dims, networks._CHUNK_ROWS, True).gs[0]
+    reads_eye = [i for i, call in enumerate(calls)
+                 if any(a is not None and np.shares_memory(a, eye) for a in call)]
+    assert reads_eye and all(i >= value_pass for i in reads_eye)
+    for i in reads_eye:
+        _, eye_t, out = calls[i]
+        assert np.shares_memory(eye_t, eye) and out.shape == net.weights[0].shape
+
+
+def test_passes_keep_no_reference_to_the_net():
+    # the tape holds P_1 as a view of W_1 only while a pass runs
+    theta = random_relu2_net(2, (8, 8), seed=67).flatten_parameters()
+    net = random_relu2_net(2, (8, 8), seed=0).with_parameters(theta)
+    held = weakref.ref(theta)
+    p, samples = make_cosine_problem(2), make_sample_set(300, 8, 2, 6)
+    values_and_input_gradients(net, samples.domain_points)
+    loss_and_parameter_gradient(net, p, samples)
+    del net, theta
+    gc.collect()
+    assert held() is None
 
 
 def _traced_peak(fn):

@@ -32,6 +32,27 @@ def small_setup(seed=1, n=128, d=1):
 # ------------------------------------------------------------- init
 
 
+TINY_ARCH = Architecture((1, 4, 1), (RELU2, IDENTITY))
+
+
+@pytest.mark.parametrize("entry,args,name", [
+    (make_sample_set, (2.5, 4, 1, 0), "n_domain"),
+    (make_sample_set, (4, True, 1, 0), "n_boundary"),
+    (make_sample_set, (4, 4, 0, 0), "d"),
+    (prescribe_architecture, (1, 256, math.nan), "nu"),
+    (prescribe_architecture, (1, 256, math.inf), "nu"),
+    (prescribe_architecture, (1, 256, -1.0), "nu"),
+    (prescribe_architecture, (1.5, 256, 0.0), "d"),
+    (prescribe_architecture, (1, 2.5, 0.0), "n"),
+    (init_network, (TINY_ARCH, math.nan, 0), "init_scale"),
+    (init_network, (TINY_ARCH, math.inf, 0), "init_scale"),
+    (init_network, (TINY_ARCH, -1.0, 0), "init_scale"),
+])
+def test_public_entries_name_their_bad_argument(entry, args, name):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        entry(*args)
+
+
 def test_init_deterministic():
     arch = Architecture((2, 16, 1), (RELU2, IDENTITY))
     a = init_network(arch, 1.0, seed=7)
