@@ -11,6 +11,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .networks import _as_int, _as_real
+
 
 @dataclass(frozen=True)
 class BoundInputs:
@@ -26,25 +28,18 @@ class BoundInputs:
     pdim_constant: float = 1.0
 
     def __post_init__(self):
-        if min(self.depth, self.width, self.d, self.n) < 1:
-            raise ValueError("depth, width, d, n must be positive")
+        for name in ("depth", "width", "d", "n"):
+            _as_int(getattr(self, name), name, 1)
         # B = 0 is the sup bound of an identically zero net
         for name in ("B", "c3", "nu", "pdim_constant"):
-            _check_constant(name, getattr(self, name), positive=name in ("c3", "pdim_constant"))
-
-
-def _check_constant(name: str, value: float, positive: bool = True) -> None:
-    """Raise ValueError naming the input unless value is finite and > 0
-    (>= 0 when positive is False)."""
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
+            _as_real(getattr(self, name), name, strict=name in ("c3", "pdim_constant"))
 
 
 def pdim_bound(depth: int, width: int, pdim_constant: float = 1.0) -> float:
     """Pseudo-dimension bound const * D^2 W^2 (D + ln W) for mixed
     ReLU/ReLU^2 networks."""
-    if depth < 1 or width < 1:
-        raise ValueError("need depth >= 1 and width >= 1")
+    depth, width = _as_int(depth, "depth", 1), _as_int(width, "width", 1)
+    _as_real(pdim_constant, "pdim_constant", strict=True)
     return pdim_constant * depth**2 * width**2 * (depth + math.log(width))
 
 
@@ -54,19 +49,20 @@ def log_covering_bound(eps: float, n: int, B: float, pdim: float) -> float:
     Returned in log form; the raw value overflows for realistic inputs.
     Requires n >= pdim, the regime where the bound form is valid.
     """
-    if eps <= 0 or B <= 0 or pdim < 1:
-        raise ValueError("need eps > 0, B > 0, pdim >= 1")
+    n, pdim = _as_int(n, "n", 1), _as_real(pdim, "pdim", 1)
+    _as_real(eps, "eps", strict=True)
+    _as_real(B, "B", strict=True)
     if n < pdim:
-        raise ValueError(f"bound requires n >= pdim, got n={n}, pdim={pdim}")
+        raise ValueError(f"n must be >= pdim for this bound, got n={n}, pdim={pdim}")
     return pdim * math.log(math.e * n * B / (eps * pdim))
 
 
 def dudley_rademacher_bound(n: int, B: float, pdim: float) -> float:
     """Chaining bound 28 sqrt(3/2) B sqrt(Pdim/n) sqrt(ln(en/Pdim))."""
-    if B <= 0 or pdim < 1:
-        raise ValueError("need B > 0 and pdim >= 1")
+    n, pdim = _as_int(n, "n", 1), _as_real(pdim, "pdim", 1)
+    _as_real(B, "B", strict=True)
     if n <= pdim:
-        raise ValueError(f"bound requires n > pdim, got n={n}, pdim={pdim}")
+        raise ValueError(f"n must be > pdim for this bound, got n={n}, pdim={pdim}")
     return 28.0 * math.sqrt(1.5) * B * math.sqrt(pdim / n) * math.sqrt(
         math.log(math.e * n / pdim)
     )
@@ -86,16 +82,15 @@ def statistical_error_bound(inputs: BoundInputs, C_Bc3: float = 1.0) -> float:
 
 def predicted_rates(d: int, nu: float):
     """Exponents of n for the squared-H1 error and the H1 error."""
-    if d < 1 or nu < 0:
-        raise ValueError("need d >= 1 and nu >= 0")
+    d, nu = _as_int(d, "d", 1), _as_real(nu, "nu")
     h1_sq = -1.0 / (d + 2 + nu)
     return h1_sq, h1_sq / 2.0
 
 
 def all_bounds(inputs: BoundInputs, C_Bc3: float = 1.0, eps: float = 1.0) -> dict:
     """One dictionary with every bound value for a given input setting."""
-    _check_constant("C_Bc3", C_Bc3)
-    _check_constant("eps", eps)
+    _as_real(C_Bc3, "C_Bc3", strict=True)
+    _as_real(eps, "eps", strict=True)
     pdim = pdim_bound(inputs.depth, inputs.width, inputs.pdim_constant)
     out = {
         "inputs": {**dataclasses.asdict(inputs), "C_Bc3": C_Bc3, "eps": eps},

@@ -27,6 +27,7 @@ from .harness import (
     StudyConfig,
     TrainRunConfig,
     _architecture_block,
+    _cell_config,
     _train_cell,
     config_from_dict,
     gradient_norm_check,
@@ -39,7 +40,7 @@ from .harness import (
     write_json_report,
     write_study_csv,
 )
-from .networks import load_network, save_network
+from .networks import _as_int, load_network, save_network
 from .problems import problem_by_name
 from .sampling import RNG_ALGORITHM, rng_stream
 
@@ -60,8 +61,7 @@ def _cmd_construct_verify(args) -> int:
 
 
 def _cmd_verify_gradnet(args) -> int:
-    if args.probes < 1:
-        raise ValueError(f"--probes must be >= 1, got {args.probes}")
+    _as_int(args.probes, "--probes", 1)
     net = load_network(args.netfile)
     rng = rng_stream(args.seed, 3)
     pts = rng.uniform(-1.5, 1.5, size=(args.probes, net.architecture.input_dim))
@@ -89,7 +89,8 @@ def _cmd_train(args) -> int:
     cfg = config_from_dict(TrainRunConfig, raw)
     problem = problem_by_name(cfg.problem, cfg.d)
     arch = prescribe_architecture(problem.d, cfg.n, cfg.nu)
-    _, trained, history, loss, err = _train_cell(problem, arch, cfg.n, cfg.train, cfg.n_quad,
+    train_cfg = _cell_config(cfg.train, cfg.n, cfg.train.seed)
+    _, trained, history, loss, err = _train_cell(problem, arch, cfg.n, train_cfg, cfg.n_quad,
                                                  cfg.seed)
 
     outdir = args.out or "."

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .networks import IDENTITY, RELU, RELU2, Architecture, Network, _as_int
+from .networks import IDENTITY, RELU, RELU2, Architecture, Network, _as_int, _as_real
 
 _BINOM3 = (1.0, -3.0, 3.0, -1.0)  # (-1)^j * C(3, j)
 _POINTS_PER_INTERVAL = 4  # collocation points per knot interval and axis in a spline fit
@@ -35,14 +35,6 @@ class SingularFitError(RuntimeError):
     """Spline collocation system was rank deficient."""
 
 
-def _spline_level(level) -> int:
-    """A dyadic level as an int >= 1; anything else raises InvalidSplineIndexError."""
-    level = _as_int(level, "spline level", InvalidSplineIndexError)
-    if level < 1:
-        raise InvalidSplineIndexError(f"level must be >= 1, got {level}")
-    return level
-
-
 @dataclass(frozen=True)
 class SplineIndex:
     """Identifies one tensor-product B-spline: level l and index vector i."""
@@ -51,9 +43,9 @@ class SplineIndex:
     index: tuple
 
     def __post_init__(self):
-        level = _spline_level(self.level)
+        level = _as_int(self.level, "spline level", 1, InvalidSplineIndexError)
         # dtype=object keeps each entry's own type, so a bool or float is caught
-        index = tuple(_as_int(i, "spline index", InvalidSplineIndexError)
+        index = tuple(_as_int(i, "spline index", error=InvalidSplineIndexError)
                       for i in np.atleast_1d(np.asarray(self.index, dtype=object)))
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "index", index)
@@ -88,13 +80,13 @@ class SplineCombination:
 
 def full_index_range(level: int):
     """All univariate indices whose support intersects [0, 1]."""
-    return range(-2, 2 ** _spline_level(level))
+    return range(-2, 2 ** _as_int(level, "spline level", 1, InvalidSplineIndexError))
 
 
 def bspline_value(level: int, i: int, x) -> np.ndarray:
     """Closed-form order-3 cardinal B-spline value, vectorized over x."""
-    level = _spline_level(level)
-    i = _as_int(i, "spline index", InvalidSplineIndexError)
+    level = _as_int(level, "spline level", 1, InvalidSplineIndexError)
+    i = _as_int(i, "spline index", error=InvalidSplineIndexError)
     h = 2.0 ** (-level)
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
@@ -309,9 +301,8 @@ def fit_spline_coefficients(target, level: int, dim: int) -> SplineCombination:
 
     target maps an (n, d) array to n finite values.
     """
-    level = _spline_level(level)
-    if _as_int(dim, "dim") < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    level = _as_int(level, "spline level", 1, InvalidSplineIndexError)
+    dim = _as_int(dim, "dim", 1)
     n_axis = _POINTS_PER_INTERVAL * 2**level + 1
     n_basis = (2**level + 2) ** dim
     n_grid = n_axis**dim
@@ -456,10 +447,7 @@ def prescribe_architecture(d: int, n: int, nu: float) -> Architecture:
     Depth ceil(log2 d) + 3; width 4d * ceil(max(1, n^(1/(d+2+nu)) - 4))^d;
     all hidden layers ReLU^2, linear output.
     """
-    if _as_int(d, "d") < 1 or _as_int(n, "n") < 1:
-        raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
-    if not 0 <= nu < math.inf:
-        raise ValueError(f"nu must be finite and >= 0, got {nu!r}")
+    d, n, nu = _as_int(d, "d", 1), _as_int(n, "n", 1), _as_real(nu, "nu")
     base = max(1.0, n ** (1.0 / (d + 2 + nu)) - 4.0)
     width = 4 * d * math.ceil(base) ** d
     depth = math.ceil(math.log2(d)) + 3

@@ -38,6 +38,7 @@ from .networks import (
     RELU2,
     Architecture,
     Network,
+    _as_int,
     forward_batch,
     values_and_input_gradients,
 )
@@ -124,10 +125,8 @@ class TrainRunConfig:
 
     def __post_init__(self):
         _check_field_types(self)
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.n_quad < 2:
-            raise ValueError("need n_quad >= 2 for a standard error")
+        _as_int(self.n, "n", 1)
+        _as_int(self.n_quad, "n_quad", 2)
 
 
 @dataclass(frozen=True)
@@ -151,12 +150,9 @@ class StudyConfig:
             raise ValueError("n_values must hold at least one n")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n_values must be strictly increasing")
-        if any(n < 1 for n in ns):
-            raise ValueError("n_values must be >= 1")
-        if self.n_quad < 2:
-            raise ValueError("need n_quad >= 2 for a standard error")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        _as_int(ns[0], "n_values", 1)  # the least of them
+        _as_int(self.n_quad, "n_quad", 2)
+        _as_int(self.repetitions, "repetitions", 1)
 
 
 def fit_rate(points):
@@ -177,8 +173,7 @@ def fit_rate(points):
     slope = float(np.sum((x - xm) * (y - ym)) / sxx)
     intercept = float(ym - slope * xm)
     resid = y - (intercept + slope * x)
-    dof = len(pts) - 2
-    slope_se = float(np.sqrt(np.sum(resid**2) / dof / sxx)) if dof > 0 else 0.0
+    slope_se = float(np.sqrt(np.sum(resid**2) / (len(pts) - 2) / sxx))  # dof >= 1
     return slope, intercept, slope_se
 
 
@@ -329,16 +324,9 @@ class DecompositionConfig:
 
     def __post_init__(self):
         _check_field_types(self)
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.n_quad < 2:
-            raise ValueError("need n_quad >= 2 for a standard error")
-        if self.spline_level < 1:
-            raise ValueError("spline_level must be >= 1")
-        if self.gap_reps < 2:
-            raise ValueError("need gap_reps >= 2")
-        if self.restarts < 1:
-            raise ValueError("need restarts >= 1")
+        for name, low in (("n", 1), ("n_quad", 2), ("spline_level", 1), ("gap_reps", 2),
+                          ("restarts", 1)):
+            _as_int(getattr(self, name), name, low)
 
 
 def run_error_decomposition(cfg: DecompositionConfig) -> dict:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
+import numbers
 import operator
 import threading
 from dataclasses import dataclass
@@ -58,14 +60,22 @@ def _normalize_layer_activation(spec, n_units: int):
     return tags
 
 
-def _as_int(n, what: str = "layer dim", error: type = ValueError) -> int:
-    """n as an int, else error naming `what`; int() would truncate 2.7, True or "3"."""
-    try:
-        if not isinstance(n, bool):
-            return operator.index(n)
-    except TypeError:
-        pass
-    raise error(f"{what} {n!r} is not an integer")
+def _as_int(n, what: str, low: int | None = None, error: type = ValueError) -> int:
+    """n as an int >= low (if given), else error naming `what`; int() alone would
+    truncate 2.7, True or "3".  The one check for every count, level and seed."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise error(f"{what} {n!r} is not an integer")
+    if low is not None and n < low:
+        raise error(f"{what} must be >= {low}, got {n}")
+    return operator.index(n)
+
+
+def _as_real(x, what: str, low: float = 0.0, strict: bool = False):
+    """x unchanged when it is a finite real >= low (> low when strict), else
+    ValueError naming `what`.  The one check for every finite-real range."""
+    if not (isinstance(x, numbers.Real) and math.isfinite(x) and (x > low if strict else x >= low)):
+        raise ValueError(f"{what} must be finite and {'>' if strict else '>='} {low:g}, got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -82,11 +92,9 @@ class Architecture:
     activations: tuple
 
     def __post_init__(self):
-        dims = tuple(map(_as_int, self.layer_dims))
+        dims = tuple(_as_int(n, "layer dim", 1) for n in self.layer_dims)
         if len(dims) < 2:
             raise ValueError("need at least input and output layer dims")
-        if any(n <= 0 for n in dims):
-            raise ValueError("layer dims must be positive")
         if len(self.activations) != len(dims) - 1:
             raise DimensionMismatchError(
                 f"{len(self.activations)} activation specs for {len(dims) - 1} layers"

@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .networks import _as_int
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -41,8 +43,7 @@ class Problem:
 
 def make_cosine_problem(d: int) -> Problem:
     """u*(x) = sum_i cos(pi x_i) with w = 1; the flux g vanishes identically."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    d = _as_int(d, "d", 1)
     pi = math.pi
 
     def u_star(x):
@@ -83,8 +84,7 @@ def make_cosine_problem(d: int) -> Problem:
 
 def make_quadratic_problem(d: int) -> Problem:
     """u*(x) = sum_i x_i^2 with w = 1; exercises a nonzero flux g."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    d = _as_int(d, "d", 1)
 
     def u_star(x):
         return np.sum(np.atleast_2d(x) ** 2, axis=1)

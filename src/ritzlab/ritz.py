@@ -28,8 +28,6 @@ from .problems import Problem
 from .sampling import (
     MCEstimate,
     SampleSet,
-    _check_n_quad,
-    _check_seed,
     make_sample_set,
     mc_mean,
     sample_boundary,
@@ -41,7 +39,7 @@ _REFERENCE_SAMPLES = 1_000_000
 
 def derived_seed(seed: int, k: int) -> int:
     """Stable arithmetic child seeds for replications and reference draws."""
-    return (_check_seed(seed) * 1_000_003 + k) % 2**63
+    return (_as_int(seed, "seed", 0) * 1_000_003 + _as_int(k, "k", 0)) % 2**63
 
 
 class LossReport(NamedTuple):
@@ -100,7 +98,7 @@ def population_loss_estimate(net: Network, p: Problem, n_quad: int, seed: int) -
     Where g is zero at every boundary sample, those zeros are the boundary
     integrand: u * g would only flip signs of zeros, which moves no bit.
     """
-    n_quad = _check_n_quad(n_quad)
+    n_quad = _as_int(n_quad, "n_quad", 2)
     x = sample_domain(n_quad, p.d, seed)
     grad_piece, mass_piece, forcing_piece = _domain_pieces(
         *values_and_input_gradients(net, x), lambda: p.w(x), lambda: p.f(x)
@@ -208,10 +206,8 @@ def statistical_gap_estimate(
     absolute gap is reported overall and per loss term.  This estimates the
     fixed-net statistical fluctuation, not the supremum over a network class.
     """
-    if _as_int(n, "n") < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if _as_int(reps, "reps") < 2:
-        raise ValueError("need reps >= 2")
+    n, reps = _as_int(n, "n", 1), _as_int(reps, "reps", 2)
+    reference_n = _as_int(reference_n, "reference_n", 1)
     ref = empirical_loss(net, p, make_sample_set(reference_n, reference_n, p.d,
                                                  derived_seed(seed, 0)))
     gaps = np.zeros((reps, len(ref)))

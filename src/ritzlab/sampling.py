@@ -23,25 +23,10 @@ _TAG_DOMAIN = 0
 _TAG_BOUNDARY = 1
 
 
-def _check_seed(seed) -> int:
-    """seed as an int >= 0; anything else raises ValueError naming the seed."""
-    seed = _as_int(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
-def _check_n_quad(n_quad) -> int:
-    """A quadrature size as an int >= 2, the fewest points with a standard error."""
-    n_quad = _as_int(n_quad, "n_quad")
-    if n_quad < 2:
-        raise ValueError(f"need n_quad >= 2 for a standard error, got {n_quad}")
-    return n_quad
-
-
 def rng_stream(seed: int, tag: int = 0) -> np.random.Generator:
     """Independent reproducible stream for (seed, tag)."""
-    return np.random.Generator(np.random.Philox(key=[_check_seed(seed) % 2**64, tag % 2**64]))
+    seed, tag = _as_int(seed, "seed", 0), _as_int(tag, "tag")
+    return np.random.Generator(np.random.Philox(key=[seed % 2**64, tag % 2**64]))
 
 
 def _open_unit_uniform(rng: np.random.Generator, shape) -> np.ndarray:
@@ -56,8 +41,7 @@ def _open_unit_uniform(rng: np.random.Generator, shape) -> np.ndarray:
 
 def sample_domain(n: int, d: int, seed: int) -> np.ndarray:
     """n i.i.d. uniform points strictly inside (0,1)^d, deterministic in seed."""
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
+    n, d = _as_int(n, "n", 1), _as_int(d, "d", 1)
     return _open_unit_uniform(rng_stream(seed, _TAG_DOMAIN), (n, d))
 
 
@@ -68,8 +52,7 @@ def sample_boundary(m: int, d: int, seed: int):
     and then a uniform point on it is the uniform distribution on the whole
     boundary.  Returns (points (m, d), faces (m, 2) ints).
     """
-    if m < 1 or d < 1:
-        raise ValueError("need m >= 1 and d >= 1")
+    m, d = _as_int(m, "m", 1), _as_int(d, "d", 1)
     rng = rng_stream(seed, _TAG_BOUNDARY)
     face = rng.integers(0, 2 * d, size=m)
     pts = _open_unit_uniform(rng, (m, d))
@@ -123,8 +106,7 @@ class SampleSet:
 
 def make_sample_set(n_domain: int, n_boundary: int, d: int, seed: int) -> SampleSet:
     for name, n in (("n_domain", n_domain), ("n_boundary", n_boundary), ("d", d)):
-        if _as_int(n, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {n}")
+        _as_int(n, name, 1)
     pts, faces = sample_boundary(n_boundary, d, seed)
     return SampleSet(
         domain_points=sample_domain(n_domain, d, seed),
@@ -179,7 +161,7 @@ def h1_error(net: Network, p: Problem, n_quad: int, seed: int) -> H1ErrorReport:
     """MC estimate of ||u - u*|| in L2, H1-seminorm and H1 over (0,1)^d."""
     if net.architecture.input_dim != p.d:
         raise ValueError("network input dimension does not match the problem")
-    n_quad = _check_n_quad(n_quad)
+    n_quad = _as_int(n_quad, "n_quad", 2)  # the fewest points with a standard error
     x = sample_domain(n_quad, p.d, seed)
     vals, grads = values_and_input_gradients(net, x)
     e_sq = (vals - p.u_star(x)) ** 2

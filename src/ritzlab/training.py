@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .networks import Architecture, Network
+from .networks import Architecture, Network, _as_int, _as_real
 from .problems import Problem
 from .ritz import derived_seed, empirical_loss, loss_and_parameter_gradient
 from .sampling import SampleSet, make_sample_set, rng_stream
@@ -95,22 +95,16 @@ class TrainConfig:
             raise ValueError("optimizer must be 'sgd' or 'adam'")
         if self.resample not in ("fixed_set", "fresh_each_step"):
             raise ValueError("resample must be 'fixed_set' or 'fresh_each_step'")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError("learning_rate must be finite and >= 0")
         if not 0 < self.lr_decay <= 1:
             raise ValueError("lr_decay must be in (0, 1]")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.batch_domain < 1 or self.batch_boundary < 1:
-            raise ValueError("batch sizes must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
         if not all(0 <= b < 1 for b in self.adam_betas):
             raise ValueError("adam_betas must be two finite values in [0, 1)")
-        if not 0 < self.adam_eps < math.inf:
-            raise ValueError("adam_eps must be finite and > 0")
-        if not 0 <= self.init_scale < math.inf:
-            raise ValueError("init_scale must be finite and >= 0")
+        for name, low in (("iterations", 0), ("batch_domain", 1), ("batch_boundary", 1),
+                          ("eval_every", 1), ("seed", 0)):
+            _as_int(getattr(self, name), name, low)
+        _as_real(self.learning_rate, "learning_rate")
+        _as_real(self.adam_eps, "adam_eps", strict=True)
+        _as_real(self.init_scale, "init_scale")
 
 
 class Checkpoint(typing.NamedTuple):
@@ -139,8 +133,7 @@ class TrainHistory:
 
 def init_network(arch: Architecture, init_scale: float, seed: int) -> Network:
     """Glorot-style uniform weights scaled by init_scale, zero biases."""
-    if not 0 <= init_scale < math.inf:
-        raise ValueError(f"init_scale must be finite and >= 0, got {init_scale!r}")
+    _as_real(init_scale, "init_scale")
     rng = rng_stream(seed, _TAG_INIT)
     dims = arch.layer_dims
     ws, bs = [], []

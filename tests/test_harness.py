@@ -503,6 +503,25 @@ def test_cli_train_keeps_the_readme_seed_convention(tmp_path, capsys):
             == (tmp_path / "by_hand.txt").read_text())
 
 
+def test_cli_train_clamps_batches_to_n(tmp_path, capsys):
+    # the default batches of 256 exceed n = 100; they are clamped as in a study cell
+    cfg = {
+        "problem": "cosine", "d": 1, "n": 100, "n_quad": 2000, "seed": 4,
+        "train": {"iterations": 20, "eval_every": 10, "seed": 9},
+    }
+    path = tmp_path / "train.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert cli.main(["train", str(path), "--out", str(tmp_path / "run")]) == 0
+
+    tcfg = TrainConfig(**cfg["train"], batch_domain=100, batch_boundary=100)
+    samples = make_sample_set(100, 100, 1, derived_seed(4, 1))
+    net0 = init_network(prescribe_architecture(1, 100, 0.0), tcfg.init_scale, 4)
+    trained, _ = train(net0, make_cosine_problem(1), samples, tcfg)
+    save_network(trained, tmp_path / "by_hand.txt")
+    assert ((tmp_path / "run" / "trained_network.txt").read_text()
+            == (tmp_path / "by_hand.txt").read_text())
+
+
 def test_cli_study_of_identically_zero_nets_writes_report(tmp_path, capsys):
     # init_scale 0 and learning_rate 0 keep every cell's net at u = 0, so B = 0
     cfg = {

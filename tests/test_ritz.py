@@ -417,11 +417,11 @@ def test_gap_triangle_inequality_per_term():
 
 
 @pytest.mark.parametrize("n, reps, match", [
-    (0, 4, "need n >= 1"),
+    (0, 4, "n must be >= 1"),
     (1.5, 4, "n 1.5 is not an integer"),
     (True, 4, "n True is not an integer"),
     (64, 2.0, "reps 2.0 is not an integer"),
-    (64, 1, "need reps >= 2"),
+    (64, 1, "reps must be >= 2"),
 ])
 def test_gap_rejects_bad_counts_naming_the_argument(n, reps, match):
     with pytest.raises(ValueError, match=match):
@@ -444,10 +444,10 @@ def _cosine_target(q):
 @pytest.mark.parametrize("call, match", [
     (lambda net, p: h1_error(net, p, 10.5, 0), "n_quad 10.5 is not an integer"),
     (lambda net, p: h1_error(net, p, True, 0), "n_quad True is not an integer"),
-    (lambda net, p: h1_error(net, p, 1, 0), "need n_quad >= 2"),
+    (lambda net, p: h1_error(net, p, 1, 0), "n_quad must be >= 2"),
     (lambda net, p: energy_excess(net, p, 10.5, 0), "n_quad 10.5 is not an integer"),
     (lambda net, p: energy_excess(net, p, True, 0), "n_quad True is not an integer"),
-    (lambda net, p: energy_excess(net, p, 1, 0), "need n_quad >= 2"),
+    (lambda net, p: energy_excess(net, p, 1, 0), "n_quad must be >= 2"),
     (lambda net, p: population_loss_estimate(net, p, 2.0, 0), "n_quad 2.0 is not an integer"),
     (lambda net, p: fit_spline_coefficients(_cosine_target, 2, 0), "dim must be >= 1"),
     (lambda net, p: fit_spline_coefficients(_cosine_target, 2, 2.0), "dim 2.0 is not"),
