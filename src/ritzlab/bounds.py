@@ -35,6 +35,12 @@ class BoundInputs:
             _as_real(getattr(self, name), name, strict=name in ("c3", "pdim_constant"))
 
 
+def _finite_in_B(bound: float, B: float) -> float:
+    if not math.isfinite(bound):
+        raise ValueError(f"B {B!r} is too large: the bound overflows to {bound!r}")
+    return bound
+
+
 def pdim_bound(depth: int, width: int, pdim_constant: float = 1.0) -> float:
     """Pseudo-dimension bound const * D^2 W^2 (D + ln W) for mixed
     ReLU/ReLU^2 networks."""
@@ -54,7 +60,7 @@ def log_covering_bound(eps: float, n: int, B: float, pdim: float) -> float:
     _as_real(B, "B", strict=True)
     if n < pdim:
         raise ValueError(f"n must be >= pdim for this bound, got n={n}, pdim={pdim}")
-    return pdim * math.log(math.e * n * B / (eps * pdim))
+    return _finite_in_B(pdim * math.log(math.e * n * B / (eps * pdim)), B)
 
 
 def dudley_rademacher_bound(n: int, B: float, pdim: float) -> float:
@@ -63,9 +69,8 @@ def dudley_rademacher_bound(n: int, B: float, pdim: float) -> float:
     _as_real(B, "B", strict=True)
     if n <= pdim:
         raise ValueError(f"n must be > pdim for this bound, got n={n}, pdim={pdim}")
-    return 28.0 * math.sqrt(1.5) * B * math.sqrt(pdim / n) * math.sqrt(
-        math.log(math.e * n / pdim)
-    )
+    return _finite_in_B(28.0 * math.sqrt(1.5) * B * math.sqrt(pdim / n) * math.sqrt(
+        math.log(math.e * n / pdim)), B)
 
 
 def statistical_error_bound(inputs: BoundInputs, C_Bc3: float = 1.0) -> float:

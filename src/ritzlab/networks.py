@@ -509,6 +509,21 @@ def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
     return vals[:, 0] if net.architecture.output_dim == 1 else vals
 
 
+def _finite_on_unit_cube(net: Network) -> bool:
+    """Whether interval bound propagation (Gowal et al., 2018) certifies u finite on
+    [0, 1]^d: from b_0 = 1, |f_l| <= b_l = max(beta, beta^2), beta = |W_l| b_{l-1} +
+    |bias_l|, and each b_l <= 1e300 leaves 1e8 for the rounding of a pass."""
+    b = np.ones(net.architecture.input_dim)
+    with np.errstate(over="ignore"):
+        for w, bias, block in zip(net.weights, net.biases, net._blocks):
+            beta = np.abs(bias) + (np.abs(w) @ b if block is None else  # block: K copies
+                                   (b.reshape(-1, block.shape[1]) @ np.abs(block).T).ravel())
+            b = np.maximum(beta, beta * beta)
+            if not b.max() <= 1e300:
+                return False
+    return True
+
+
 def values_and_input_gradients(net: Network, x: np.ndarray):
     """Batched (values, input gradients) for a scalar net, in _CHUNK_ROWS-row blocks."""
     vals, grads, _ = _block_pass(net, _as_batch(net, x), input_gradients=True)

@@ -20,6 +20,7 @@ from .networks import (
     Network,
     _as_int,
     _block_pass,
+    _finite_on_unit_cube,
     forward_batch,
     values_and_input_gradients,
     weighted_parameter_gradient,
@@ -73,6 +74,15 @@ def _loss_report(d: int, domain_pieces, b_vals, g_vals) -> LossReport:
     return LossReport(tg + tm - tf - tb, tg, tm, tf, tb)
 
 
+def _boundary_values(net: Network, y: np.ndarray, g_vals: np.ndarray) -> np.ndarray:
+    """u at the boundary points y, or g_vals when g == 0 there and u is certified
+    finite on [0, 1]^d: each u * g is then a signed zero, whose mean is +0.0 like
+    that of g * g, so no bit moves; a u that may overflow still yields its NaN."""
+    if np.any(g_vals) or not _finite_on_unit_cube(net):
+        return forward_batch(net, y)
+    return g_vals
+
+
 def _check_loss_inputs(net: Network, p: Problem, samples: SampleSet) -> None:
     if samples.d != p.d or net.architecture.input_dim != p.d:
         raise ValueError("sample/net dimensions do not match the problem")
@@ -84,29 +94,24 @@ def empirical_loss(net: Network, p: Problem, samples: SampleSet) -> LossReport:
     """Empirical Ritz loss on a fixed sample set, terms reported separately."""
     _check_loss_inputs(net, p, samples)
     x, y = samples.domain_points, samples.boundary_points
-    return _loss_report(
-        p.d,
-        _domain_pieces(*values_and_input_gradients(net, x), lambda: p.w(x), lambda: p.f(x)),
-        forward_batch(net, y),
-        p.g(y, samples.boundary_faces),
-    )
+    pieces = _domain_pieces(*values_and_input_gradients(net, x), lambda: p.w(x), lambda: p.f(x))
+    g_vals = p.g(y, samples.boundary_faces)
+    return _loss_report(p.d, pieces, _boundary_values(net, y, g_vals), g_vals)
 
 
 def population_loss_estimate(net: Network, p: Problem, n_quad: int, seed: int) -> MCEstimate:
     """Monte-Carlo estimate of the population Ritz energy on fresh samples.
 
-    Where g is zero at every boundary sample, those zeros are the boundary
-    integrand: u * g would only flip signs of zeros, which moves no bit.
+    The boundary integrand is u * g, with u from _boundary_values, so a u
+    that overflows at a boundary sample makes the value NaN.
     """
     n_quad = _as_int(n_quad, "n_quad", 2)
     x = sample_domain(n_quad, p.d, seed)
-    grad_piece, mass_piece, forcing_piece = _domain_pieces(
-        *values_and_input_gradients(net, x), lambda: p.w(x), lambda: p.f(x)
-    )
-    dom = mc_mean(grad_piece + mass_piece - forcing_piece)
+    tg, tm, tf = _domain_pieces(*values_and_input_gradients(net, x), lambda: p.w(x), lambda: p.f(x))
+    dom = mc_mean(tg + tm - tf)
     y, faces = sample_boundary(n_quad, p.d, seed)
     g_vals = p.g(y, faces)
-    bnd = mc_mean(forward_batch(net, y) * g_vals if np.any(g_vals) else g_vals, 2.0 * p.d)
+    bnd = mc_mean(_boundary_values(net, y, g_vals) * g_vals, 2.0 * p.d)
     return MCEstimate(dom.value - bnd.value, math.hypot(dom.std_error, bnd.std_error))
 
 
@@ -152,7 +157,8 @@ def loss_and_parameter_gradient(net: Network, p: Problem, samples: SampleSet):
     recursion once; the loss reads u and grad u off that tape, and the
     adjoint replays it seeded with d(loss)/du = (w u - f)/n and
     d(loss)/d(grad u) = grad u / n.  The boundary adjoint runs only when some
-    g(Y_j) is nonzero, since it adds nothing otherwise.  Loss and gradient
+    g(Y_j) is nonzero, since it adds nothing otherwise; boundary values come
+    from _boundary_values.  Loss and gradient
     are bitwise equal to empirical_loss plus the domain and boundary
     weighted_parameter_gradient passes.
     """
@@ -169,8 +175,7 @@ def loss_and_parameter_gradient(net: Network, p: Problem, samples: SampleSet):
     if np.any(g_vals):
         grad += weighted_parameter_gradient(net, y, -(2.0 * p.d / m) * g_vals)
     pieces = _domain_pieces(vals[:, 0], grads, lambda: w_vals, lambda: f_vals)
-    report = _loss_report(p.d, pieces, forward_batch(net, y), g_vals)
-    return report, grad
+    return _loss_report(p.d, pieces, _boundary_values(net, y, g_vals), g_vals), grad
 
 
 class StatisticalGapReport(NamedTuple):

@@ -91,6 +91,14 @@ class SampleSet:
         object.__setattr__(self, "boundary_points", bp)
         object.__setattr__(self, "boundary_faces", bf)
 
+    def _rows(self, idx_domain, idx_boundary) -> "SampleSet":
+        """These rows, unchecked: a row subset of a checked set keeps its geometry."""
+        sub = object.__new__(SampleSet)
+        sub.__dict__.update(domain_points=self.domain_points[idx_domain],
+                            boundary_points=self.boundary_points[idx_boundary],
+                            boundary_faces=self.boundary_faces[idx_boundary])
+        return sub
+
     @property
     def d(self) -> int:
         return self.domain_points.shape[1]

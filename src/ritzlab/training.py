@@ -1,9 +1,8 @@
 """First-order minimization of the empirical Ritz loss.
 
 SGD and Adam on the flat parameter vector, with per-step minibatches drawn
-either from the fixed training sample set (the empirical-risk setting) or
-fresh each step.  The returned network is the best iterate by full-set loss,
-selected among periodic checkpoints.
+from the fixed training sample set (the empirical-risk setting); the best
+iterate by full-set loss among periodic checkpoints is returned.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ import numpy as np
 
 from .networks import Architecture, Network, _as_int, _as_real
 from .problems import Problem
-from .ritz import derived_seed, empirical_loss, loss_and_parameter_gradient
-from .sampling import SampleSet, make_sample_set, rng_stream
+from .ritz import empirical_loss, loss_and_parameter_gradient
+from .sampling import SampleSet, rng_stream
 
 _TAG_INIT = 100
 _TAG_BATCH = 101
@@ -82,7 +81,6 @@ class TrainConfig:
     iterations: int = 5000
     batch_domain: int = 256
     batch_boundary: int = 256
-    resample: str = "fixed_set"
     seed: int = 0
     adam_betas: tuple[float, float] = (0.9, 0.999)
     adam_eps: float = 1e-8
@@ -93,8 +91,6 @@ class TrainConfig:
         _check_field_types(self)
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError("optimizer must be 'sgd' or 'adam'")
-        if self.resample not in ("fixed_set", "fresh_each_step"):
-            raise ValueError("resample must be 'fixed_set' or 'fresh_each_step'")
         if not 0 < self.lr_decay <= 1:
             raise ValueError("lr_decay must be in (0, 1]")
         if not all(0 <= b < 1 for b in self.adam_betas):
@@ -176,23 +172,14 @@ class AdamState:
         return np.subtract(theta, step, out=step)
 
 
-def _batch_view(samples: SampleSet, idx_d, idx_b) -> SampleSet:
-    return SampleSet(
-        samples.domain_points[idx_d],
-        samples.boundary_points[idx_b],
-        samples.boundary_faces[idx_b],
-    )
-
-
 def train(net: Network, p: Problem, samples: SampleSet, cfg: TrainConfig):
     """Run cfg.iterations optimizer steps; returns (best-iterate net, history).
 
     Aborts with TrainingDivergedError and diagnostics if the loss, the
     gradient or the updated parameters stop being finite.
     """
-    if cfg.resample == "fixed_set":
-        if cfg.batch_domain > samples.n_domain or cfg.batch_boundary > samples.n_boundary:
-            raise ValueError("batch sizes exceed the fixed sample set")
+    if cfg.batch_domain > samples.n_domain or cfg.batch_boundary > samples.n_boundary:
+        raise ValueError("batch sizes exceed the fixed sample set")
 
     theta = net.flatten_parameters()
     adam = AdamState(theta.size, cfg.adam_betas, cfg.adam_eps) if cfg.optimizer == "adam" else None
@@ -216,14 +203,9 @@ def train(net: Network, p: Problem, samples: SampleSet, cfg: TrainConfig):
     checkpoint(0, current)
 
     for step in range(1, cfg.iterations + 1):
-        if cfg.resample == "fixed_set":
-            idx_d = rng.choice(samples.n_domain, size=cfg.batch_domain, replace=False)
-            idx_b = rng.choice(samples.n_boundary, size=cfg.batch_boundary, replace=False)
-            batch = _batch_view(samples, idx_d, idx_b)
-        else:
-            batch = make_sample_set(
-                cfg.batch_domain, cfg.batch_boundary, p.d, derived_seed(cfg.seed, step)
-            )
+        idx_d = rng.choice(samples.n_domain, size=cfg.batch_domain, replace=False)
+        idx_b = rng.choice(samples.n_boundary, size=cfg.batch_boundary, replace=False)
+        batch = samples._rows(idx_d, idx_b)
         rep, grad = loss_and_parameter_gradient(current, p, batch)
         if not (math.isfinite(rep.total) and np.isfinite(grad).all()):
             raise TrainingDivergedError(

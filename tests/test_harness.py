@@ -167,6 +167,7 @@ def test_shipped_configs_load(path):
 @pytest.mark.parametrize("case,key", [
     ("unknown_key", "n_value"),
     ("unknown_train_key", "n_qaud"),
+    ("unknown_train_key", "resample"),  # the per-step resampling mode is gone
     ("empty_file", "mapping"),
 ])
 def test_config_errors_name_the_key(tmp_path, cls, case, key):
@@ -572,6 +573,23 @@ def run_python(*args, **env_vars):
                **env_vars)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           timeout=120)
+
+
+def test_a_failing_property_test_does_not_hide_later_failures(tmp_path):
+    # with this project's pytest settings; hypothesis' failure report once
+    # raised an INTERNALERROR that ended the session after the first failure
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\ndef test_property_fails(x):\n    assert False\n\n"
+        "def test_plain_fails():\n    assert False\n")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = run_python("-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject),
+                     "--rootdir", str(tmp_path), str(tmp_path / "test_two.py"))
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "2 failed" in run.stdout
+    for name in ("test_property_fails", "test_plain_fails"):
+        assert f"test_two.py::{name}" in run.stdout
 
 
 def test_cli_train_rejects_misspelled_key_before_training(tmp_path):

@@ -10,6 +10,7 @@ that is accepted returns finite outputs.
 import functools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -68,9 +69,14 @@ def _names_argument(err: ValueError, name: str) -> bool:
     (lambda: sample_domain(True, 1, 0), "n"),
     (lambda: statistical_gap_estimate(NET, COSINE, 4, 2, 0, reference_n=0), "reference_n"),
     (lambda: derived_seed(0, 1.5), "k"),
+    (lambda: dudley_rademacher_bound(1000, 1e307, 10), "B"),
+    (lambda: log_covering_bound(1.0, 1000, 1e307, 10), "B"),
+    (lambda: _bounds(B=1e307), "B"),
+    (lambda: _bounds(B=sys.float_info.max), "B"),
 ], ids=["rates-nan-nu", "pdim-float-depth", "inputs-float-depth", "inputs-bool-depth",
         "inputs-float-n", "cosine-float-d", "quadratic-bool-d", "boundary-float-m",
-        "domain-bool-n", "gap-zero-reference-n", "seed-float-k"])
+        "domain-bool-n", "gap-zero-reference-n", "seed-float-k", "dudley-huge-B",
+        "covering-huge-B", "all-bounds-huge-B", "all-bounds-max-B"])
 def test_bad_input_fails_naming_the_argument(call, name):
     with pytest.raises(ValueError) as info:
         call()
@@ -108,6 +114,11 @@ def _finite(out) -> bool:
     return True
 
 
+def _huge_or_bad_B(strict=False):
+    """Bad B values, and finite ones so large that a bound may overflow."""
+    return st.one_of(_real(strict), st.floats(min_value=1e300, max_value=sys.float_info.max))
+
+
 def _fit(**kw):
     return fit_spline_coefficients(lambda q: q[:, 0], **kw).coefficients
 
@@ -122,16 +133,17 @@ _ESTIMATOR_ARGS = {"n_quad": 16, "seed": 0}
 # label: (call, valid keywords, {argument: bad values}); one argument is fuzzed at a time
 ENTRIES = {
     "all_bounds": (_bounds, {}, {"depth": _HUGE, "width": _HUGE, "d": _HUGE, "n": _HUGE,
-                                 "B": _real(), "c3": _real(True), "nu": _real(),
+                                 "B": _huge_or_bad_B(), "c3": _real(True), "nu": _real(),
                                  "pdim_constant": _real(True)}),
     "all_bounds_args": (functools.partial(all_bounds, BoundInputs(**BOUND_ARGS)), {},
                         {"C_Bc3": _real(True), "eps": _real(True)}),
     "pdim_bound": (pdim_bound, {"depth": 2, "width": 3},
                    {"depth": _HUGE, "width": _HUGE, "pdim_constant": _real(True)}),
     "log_covering_bound": (log_covering_bound, {"eps": 0.5, "n": 1000, "B": 1.0, "pdim": 10},
-                           {"eps": _real(True), "n": _HUGE, "B": _real(True), "pdim": _real()}),
+                           {"eps": _real(True), "n": _HUGE, "B": _huge_or_bad_B(True),
+                            "pdim": _real()}),
     "dudley_rademacher_bound": (dudley_rademacher_bound, {"n": 1000, "B": 1.0, "pdim": 10},
-                                {"n": _HUGE, "B": _real(True), "pdim": _real()}),
+                                {"n": _HUGE, "B": _huge_or_bad_B(True), "pdim": _real()}),
     "predicted_rates": (predicted_rates, {"d": 1, "nu": 0.0}, {"d": _HUGE, "nu": _real()}),
     "prescribe_architecture": (lambda **kw: prescribe_architecture(**kw).layer_dims,
                                {"d": 1, "n": 256, "nu": 0.0},

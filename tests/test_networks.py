@@ -576,6 +576,66 @@ def test_chunked_paths_match_unchunked(case):
         _assert_close_scaled(got, want)
 
 
+@st.composite
+def _nets_near_overflow(draw):
+    """A random net, or one whose layer 2 is declared as K diagonal copies of
+    a block, with each layer's weights and biases scaled by up to 1e150."""
+    arch, ws, bs, rng = draw(_layers())
+    blocks = None
+    n_copies = draw(st.integers(1, 3))
+    if n_copies > 1:
+        d, a, b = arch.input_dim, n_copies * draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        arch = Architecture((d, a, n_copies * b, 1),
+                            (RELU2, draw(st.sampled_from([RELU, RELU2, IDENTITY])), IDENTITY))
+        block = rng.standard_normal((b, a // n_copies))
+        ws = [rng.standard_normal((a, d)), np.kron(np.eye(n_copies), block),
+              rng.standard_normal((1, n_copies * b))]
+        bs = [rng.standard_normal(n) for n in arch.layer_dims[1:]]
+        blocks = {1: n_copies}
+    scales = [10.0 ** draw(st.integers(0, 150)) for _ in ws]
+    net = Network(arch, [w * c for w, c in zip(ws, scales)],
+                  [v * c for v, c in zip(bs, scales)], _blocks=blocks)
+    return net, rng
+
+
+@settings(max_examples=200)
+@given(_nets_near_overflow())
+def test_unit_cube_certificate_is_sound(case):
+    net, rng = case
+    if not networks._finite_on_unit_cube(net):
+        return
+    d = net.architecture.input_dim
+    corners = np.array(list(itertools.product([0.0, 1.0], repeat=d)))
+    faces = rng.integers(0, 2 * d, size=64)
+    boundary = rng.uniform(0.0, 1.0, size=(64, d))
+    boundary[np.arange(64), faces // 2] = faces % 2
+    # an overflow inside the pass would also raise, as a RuntimeWarning
+    assert np.all(np.isfinite(forward_batch(net, np.vstack([corners, boundary]))))
+
+
+def test_unit_cube_certificate_on_known_nets():
+    p = make_cosine_problem(2)
+    assert networks._finite_on_unit_cube(random_relu2_net(3, (5, 4), seed=58))
+    assert networks._finite_on_unit_cube(
+        build_spline_combination(fit_spline_coefficients(p.u_star, 2, 2)))
+    # the overflowing net of the divergence test in test_ritz.py
+    blown = single_relu2_neuron(1e200, -0.99e200)
+    assert not networks._finite_on_unit_cube(blown)
+    # every layer's bound is max(beta, beta^2): u = 1e152 at x = 1 is not certified
+    assert not networks._finite_on_unit_cube(single_relu2_neuron(1e76))
+    assert networks._finite_on_unit_cube(single_relu2_neuron(1e74))
+    # layer 2 is two copies of the block [[0, 1]], and only the first copy sees
+    # the large unit of layer 1: u = 1e200 * (1e100)^2 overflows
+    arch = Architecture((1, 4, 2, 1), (IDENTITY, RELU2, IDENTITY))
+    blocked = Network(arch, [np.zeros((4, 1)), np.kron(np.eye(2), [[0.0, 1.0]]),
+                             np.array([[1e200, 0.0]])],
+                      [np.array([0.0, 1e100, 0.0, 0.0]), np.zeros(2), np.zeros(1)],
+                      _blocks={1: 2})
+    with np.errstate(over="ignore"):
+        assert np.isinf(forward_batch(blocked, np.zeros((1, 1)))[0])
+    assert not networks._finite_on_unit_cube(blocked)
+
+
 # ------------------------------------------------------ serialization
 
 

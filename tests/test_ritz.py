@@ -390,6 +390,46 @@ def test_non_finite_boundary_value_still_diverges_when_g_is_zero():
             train(blown, p, s, cfg)
 
 
+@pytest.mark.parametrize("make_problem, boundary_passes",
+                         [(make_cosine_problem, 0), (make_quadratic_problem, 1)])
+@pytest.mark.parametrize("d", [1, 2])
+def test_loss_entries_evaluate_the_boundary_only_when_g_is_nonzero(
+        monkeypatch, make_problem, boundary_passes, d):
+    p = make_problem(d)
+    s = make_sample_set(300, 280, d, seed=46 + d)
+    net = random_relu2_net(d, (6, 5), seed=47)
+    calls = []
+
+    def counting_forward_batch(net, x):
+        calls.append(len(x))
+        return forward_batch(net, x)
+
+    monkeypatch.setattr("ritzlab.ritz.forward_batch", counting_forward_batch)
+    rep, grad = loss_and_parameter_gradient(net, p, s)
+    assert calls == [280] * boundary_passes
+    full = empirical_loss(net, p, s)
+    assert calls == [280] * (2 * boundary_passes)
+    terms, grad_ref = two_pass_loss_and_gradient(net, p, s)
+    for got in (rep, full):
+        assert [v.hex() for v in got] == [v.hex() for v in terms]
+    assert np.array_equal(grad, grad_ref)
+
+
+def test_population_loss_is_nan_when_the_net_overflows_only_on_the_boundary():
+    # u = relu2(1e200 (x - c)) is 0 at every interior sample below c and
+    # overflows at the boundary point x = 1, where the cosine problem has g = 0
+    p, n_quad, seed, c = make_cosine_problem(1), 64, 48, 1.0 - 1e-12
+    arch = Architecture((1, 1, 1), (RELU2, IDENTITY))
+    blown = Network(arch, [np.array([[1e200]]), np.array([[1.0]])],
+                    [np.array([-c * 1e200]), np.array([0.0])])
+    assert np.all(forward_batch(blown, sample_domain(n_quad, 1, seed)) == 0.0)
+    y, faces = sample_boundary(n_quad, 1, seed)
+    assert not np.any(p.g(y, faces)) and np.any(y[:, 0] == 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = population_loss_estimate(blown, p, n_quad, seed)
+    assert math.isnan(est.value)
+
+
 # -------------------------------------------------------- statistical gap
 
 

@@ -87,6 +87,36 @@ def test_sample_set_rejects_bad_boundary_tags_and_points(point, faces):
         SampleSet(np.full((3, 2), 0.5), np.array([point]), np.array(faces))
 
 
+def _spoil(name, edit):
+    """Rows 0..3 of a checked set as SampleSet arguments, with one array edited."""
+    s = make_sample_set(8, 8, 2, seed=18)
+    args = {k: getattr(s, k)[:4].copy() for k in ("domain_points", "boundary_points",
+                                                   "boundary_faces")}
+    args[name] = edit(args[name])
+    return args
+
+
+def _set(a, index, value):
+    a[index] = value
+    return a
+
+
+@pytest.mark.parametrize("name,edit,match", [
+    ("domain_points", lambda a: a[:, :1], r"\(n, d\) arrays"),
+    ("boundary_points", lambda a: a[0], r"\(n, d\) arrays"),
+    ("boundary_faces", lambda a: a[:3], r"\(m, 2\)"),
+    ("boundary_faces", lambda a: a.astype(float), r"\(m, 2\)"),
+    ("boundary_faces", lambda a: _set(a, (0, 0), 2), "face tags"),
+    ("domain_points", lambda a: _set(a, (0, 1), 1.0), "strictly interior"),
+    ("boundary_points", lambda a: _set(a, 0, -0.5), r"\[0, 1\]\^d"),
+    ("boundary_faces", lambda a: _set(a, (slice(None), 1), 1 - a[:, 1]), "tagged faces"),
+])
+def test_public_constructor_rejects_each_bad_geometry(name, edit, match):
+    with pytest.raises(ValueError, match=match):
+        SampleSet(**_spoil(name, edit))
+    SampleSet(**_spoil(name, lambda a: a))  # the unedited rows are accepted
+
+
 def test_sample_set_rejects_non_finite_domain_points():
     with pytest.raises(ValueError, match="interior"):
         SampleSet(np.array([[0.5, np.nan]]), np.array([[0.5, 0.0]]), np.array([[1, 0]]))

@@ -9,8 +9,9 @@ from ritzlab.harness import DecompositionConfig, run_error_decomposition
 from ritzlab.networks import Architecture, IDENTITY, RELU2
 from ritzlab.problems import make_cosine_problem, make_quadratic_problem
 from ritzlab.ritz import derived_seed, loss_and_parameter_gradient
-from ritzlab.sampling import make_sample_set
+from ritzlab.sampling import SampleSet, make_sample_set, rng_stream
 from ritzlab.training import (
+    _TAG_BATCH,
     AdamState,
     TrainConfig,
     TrainingDivergedError,
@@ -190,12 +191,27 @@ def test_training_reduces_full_set_loss():
     )
 
 
-def test_fresh_each_step_mode_runs():
-    p, samples, net = small_setup(n=64)
-    cfg = TrainConfig(iterations=40, batch_domain=32, batch_boundary=32,
-                      resample="fresh_each_step", eval_every=20, seed=7)
-    out, hist = train(net, p, samples, cfg)
-    assert len(hist.checkpoints) >= 3
+def test_train_batches_equal_checked_sample_sets_on_the_same_rows(monkeypatch):
+    p, samples, net = small_setup(n=64, d=2)
+    cfg = TrainConfig(iterations=5, batch_domain=32, batch_boundary=16, seed=7)
+    batches = []
+
+    def recording(net, p, batch):
+        batches.append(batch)
+        return loss_and_parameter_gradient(net, p, batch)
+
+    monkeypatch.setattr("ritzlab.training.loss_and_parameter_gradient", recording)
+    train(net, p, samples, cfg)
+    rng = rng_stream(cfg.seed, _TAG_BATCH)  # the stream train draws its rows from
+    assert len(batches) == cfg.iterations
+    for batch in batches:
+        idx_d = rng.choice(samples.n_domain, size=cfg.batch_domain, replace=False)
+        idx_b = rng.choice(samples.n_boundary, size=cfg.batch_boundary, replace=False)
+        checked = SampleSet(samples.domain_points[idx_d], samples.boundary_points[idx_b],
+                            samples.boundary_faces[idx_b])
+        for name in ("domain_points", "boundary_points", "boundary_faces"):
+            got, want = getattr(batch, name), getattr(checked, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def test_batch_larger_than_fixed_set_rejected():
