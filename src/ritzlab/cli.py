@@ -9,7 +9,7 @@ Subcommands:
   bounds                     print every theory-bound value for given inputs
 
 Configs are YAML, validated before any training (see harness.load_config);
-a bad config or any failed check exits nonzero.
+a bad config or any failed check exits nonzero; a rejected input exits 2.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import os
 import sys
 
 from .bounds import BoundInputs, all_bounds
-from .gadgets import prescribe_architecture
+from .gadgets import SingularFitError, prescribe_architecture
 from .harness import (
     DecompositionConfig,
     StudyConfig,
@@ -43,6 +43,7 @@ from .harness import (
 from .networks import _as_int, load_network, save_network
 from .problems import problem_by_name
 from .sampling import RNG_ALGORITHM, rng_stream
+from .training import TrainingDivergedError
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -202,5 +203,15 @@ def main(argv=None) -> int:
     return args.fn(args)
 
 
+def _console_main(argv=None) -> int:
+    """main, with an input or file error (every named ritzlab input error is a
+    ValueError) printed as one `ritzlab: error: <type>: <message>` line."""
+    try:
+        return main(argv)
+    except (ValueError, SingularFitError, TrainingDivergedError, OSError) as exc:
+        print(f"ritzlab: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_console_main())

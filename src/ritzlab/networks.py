@@ -6,18 +6,21 @@ input gradients and parameter sensitivities have closed-form layered
 recursions; no general-purpose autodiff is involved.
 
 Every pass is one block loop, _block_pass: it records each _CHUNK_ROWS-row
-block's tape once into a workspace kept per thread and shape (_Workspace).
+block's tape once into a workspace kept per thread and shape (_Workspace),
+and a streamed pass shares its blocks out over the usable cores.
 Activations have one in-place implementation (_activate); mixed layers
 apply each tag's formula to its units through per-unit masks.
 """
 
 from __future__ import annotations
 
+import contextvars
 import copy
 import functools
 import math
 import numbers
 import operator
+import os
 import threading
 from dataclasses import dataclass
 
@@ -272,9 +275,9 @@ class _Workspace:
     """Every array of one block's forward tape and reverse pass, for one
     (layer dims, rows, need_input_gradient).
 
-    The tape holds, per layer l = 1..L, the pre-activation z_l, the value f_l
-    and the derivative f'_l = act'(z_l), each (rows, N_l), and, when input
-    gradients are needed, the input Jacobians P_l = A_l G_{l-1} and
+    The tape holds, per layer l = 1..L, the value f_l and the derivative
+    f'_l = act'(z_l), each (rows, N_l), and, when input gradients are
+    needed, the input Jacobians P_l = A_l G_{l-1} and
     G_l = f'_l * P_l.  fs[0] is the block's input, gs[0] the identity.  The
     Jacobian stacks are unit-major: ps/gs hold the (N_l, rows * d) GEMM views
     and ps3/gs3 the (N_l, rows, d) views of the same memory, so each layer's
@@ -288,7 +291,7 @@ class _Workspace:
     _stack, so every value is bitwise that of freshly allocated arrays.
     """
 
-    _ROW_BUFFERS = ("fs", "zs", "fps", "delta", "lam", "d2")
+    _ROW_BUFFERS = ("fs", "fps", "delta", "lam", "d2")
     _UNIT_BUFFERS = ("fpt", "s")
     _STACK_BUFFERS = ("ps", "gs", "q", "mat")
 
@@ -300,7 +303,7 @@ class _Workspace:
 
         self.rows, self.d = rows, d
         self.fs = [None, *rows_by(units)]
-        self.zs, self.fps, self.delta = rows_by(units), rows_by(units), rows_by(units)
+        self.fps, self.delta = rows_by(units), rows_by(units)
         self.lam = [None, *rows_by(hidden)]
         self.gw = [np.empty((n_out, n_in)) for n_in, n_out in zip(dims, units)]
         self.d2 = self.s = self.fpt = self.ps = self.gs = self.q = self.mat = None
@@ -363,48 +366,48 @@ def _workspace(dims: tuple, rows: int, need_input_gradient: bool) -> _Workspace:
     return ws
 
 
-def _activate(spec, z: np.ndarray, f: np.ndarray, fp: np.ndarray | None) -> None:
-    """f = act(z) and, unless fp is None, fp = act'(z), written in place.
+def _activate(spec, f: np.ndarray, fp: np.ndarray | None) -> None:
+    """f = act(z) and, unless fp is None, fp = act'(z), in place of f = z.
 
-    ReLU^2 takes max(z, 0) once for both.  A mixed spec applies the same
-    formulas to the units of each tag through where= masks (_unit_masks), so
-    every element gets the ufunc of its tag on the same operand.
+    ReLU^2 takes max(z, 0) once for both; max(z, 0) > 0 exactly when z > 0.
+    A mixed spec applies the same formulas to the units of each tag through
+    where= masks (_unit_masks), so every element gets the ufunc of its tag on
+    the same operand.
     """
     if spec == RELU2:
-        zp = np.maximum(z, 0.0, out=f if fp is None else fp)
+        zp = np.maximum(f, 0.0, out=f if fp is None else fp)
         np.multiply(zp, zp, out=f)
         if fp is not None:
             fp *= 2.0
     elif spec == RELU:
-        np.maximum(z, 0.0, out=f)
+        np.maximum(f, 0.0, out=f)
         if fp is not None:
-            np.greater(z, 0.0, out=fp)
+            np.greater(f, 0.0, out=fp)
     elif spec == IDENTITY:
-        np.copyto(f, z)
         if fp is not None:
             fp.fill(1.0)
     else:
         relu, relu2 = _unit_masks(spec)
-        zp = np.maximum(z, 0.0)
-        np.copyto(f, z)
+        zp = np.maximum(f, 0.0)
         np.copyto(f, zp, where=relu)
         np.multiply(zp, zp, out=f, where=relu2)
         if fp is not None:
             fp.fill(1.0)
-            np.greater(z, 0.0, out=fp, where=relu)
+            np.greater(zp, 0.0, out=fp, where=relu)
             np.multiply(zp, 2.0, out=fp, where=relu2)
 
 
-def _second_derivative(spec, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """act''(z) written into out."""
+def _second_derivative(spec, fp: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """act''(z) written into out, read off fp = act'(z): at a ReLU^2 unit,
+    fp > 0 exactly when z > 0 (a NaN gives 0 either way)."""
     if spec == RELU2:
-        np.greater(z, 0.0, out=out)
+        np.greater(fp, 0.0, out=out)
         out *= 2.0
     elif isinstance(spec, str):
         out.fill(0.0)
     else:
         out.fill(0.0)
-        np.greater(z, 0.0, out=out, where=_unit_masks(spec)[1])
+        np.greater(fp, 0.0, out=out, where=_unit_masks(spec)[1])
         out *= 2.0
     return out
 
@@ -413,8 +416,9 @@ def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace,
                     values_only: bool) -> _Workspace:
     """Record one block's forward tape into ws (see _Workspace) and return it.
 
-    x holds exactly ws.rows points.  The input Jacobians are recorded when ws
-    has room for them.  A layer declared as K diagonal copies of one block
+    x holds exactly ws.rows points.  Each z_l is formed in f_l's buffer and
+    activated in place.  The input Jacobians are recorded when ws has room
+    for them.  A layer declared as K diagonal copies of one block
     (Network._bind) multiplies that block alone, on (rows * K, n_in / K) and
     (K, n_in / K, rows * d) views of the same buffers.  A layer with one input
     maps values by an outer product: one product per element, as in its GEMM.
@@ -430,7 +434,7 @@ def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace,
     need_input_gradient = ws.ps is not None
     layers = zip(net.architecture.activations, net.weights, net.biases, net._blocks)
     for k, (spec, w, bias, block) in enumerate(layers):
-        z = ws.zs[k]
+        z = ws.fs[k + 1]  # the pre-activation, activated in place
         if block is not None:  # each row splits into K independent rows of the diagonal block
             n_out, n_in = block.shape
             np.matmul(ws.fs[k].reshape(-1, n_in, copy=False), block.T,
@@ -440,7 +444,7 @@ def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace,
         else:
             np.matmul(ws.fs[k], w.T, out=z)
         z += bias
-        _activate(spec, z, ws.fs[k + 1], None if values_only else ws.fps[k])
+        _activate(spec, z, None if values_only else ws.fps[k])
         if need_input_gradient:
             if k == 0:
                 ws.ps3[0] = w[:, None, :]
@@ -458,44 +462,83 @@ def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace,
     return ws
 
 
-def _block_pass(net: Network, x: np.ndarray, input_gradients: bool = False, seeds=None):
+def _usable_cores() -> int:
+    """CPUs this process may run on: the most threads a streamed pass uses."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _block_pass(net: Network, x: np.ndarray, input_gradients: bool = False, seeds=None,
+                consume=None):
     """The one loop of every network pass: one forward tape per block.
 
-    For each _CHUNK_ROWS-row block of the batch x the tape is recorded once,
-    and its values (all output columns) and, when input_gradients, its input
-    gradients are copied out.  When seeds is given, seeds(lo, hi, values,
-    gradients) -> (value_weights, gradient_weights or None) is called on the
-    block's copies and _adjoint replays the same tape; gradient weights need
-    input_gradients.  All blocks share one workspace, so each block's tape
-    overwrites the last, and seeds must not run a network pass itself.
-    Returns (values (B, N_L), input gradients (B, d) or None, flat parameter
-    gradient or None).
+    A streamed pass hands consume(lo, hi, values (rows,), input gradients
+    (rows, d) or None) views of each block's tape, its blocks shared out over
+    min(_usable_cores(), blocks) threads, each with its own workspace and a
+    copy of the caller's context (and so np.errstate); the first error is
+    re-raised after all joins.  consume may write only rows lo:hi.  Any other
+    pass runs in block order on the caller and copies out values (all columns)
+    and input gradients; seeds(lo, hi, values, gradients) -> (value weights,
+    gradient weights or None) then seeds _adjoint's replay of the tape.  No
+    callback may run a pass.  Returns (values (B, N_L), input gradients (B, d)
+    or None, parameter gradient or None), all None when streamed.
     """
     arch = net.architecture
-    if (input_gradients or seeds is not None) and arch.output_dim != 1:
+    streamed = consume is not None
+    if (input_gradients or seeds is not None or streamed) and arch.output_dim != 1:
         raise DimensionMismatchError("expects a scalar-output network")
     n = x.shape[0]
-    vals = np.empty((n, arch.output_dim))
-    grads = np.empty((n, arch.input_dim)) if input_gradients else None
-    grad = None if seeds is None else np.zeros(net.n_parameters)
-    if grad is not None:
+    vals = grads = grad = None
+    if not streamed:
+        vals = np.empty((n, arch.output_dim))
+        grads = np.empty((n, arch.input_dim)) if input_gradients else None
+    if seeds is not None:
+        grad = np.zeros(net.n_parameters)
         grad_w, grad_b = _layer_views(arch, grad)
     if n == 0:
         return vals, grads, grad
     values_only = not input_gradients and seeds is None
-    ws = _workspace(arch.layer_dims, min(n, _CHUNK_ROWS), input_gradients)
+    errors = []
+
+    def run(starts):
+        ws = None
+        try:
+            ws = _workspace(arch.layer_dims, min(n, _CHUNK_ROWS), input_gradients)
+            for lo in starts:
+                hi = min(lo + _CHUNK_ROWS, n)
+                tape = _forward_caches(net, x[lo:hi], ws.head(hi - lo), values_only)
+                du = tape.gs3[-1][0] if input_gradients else None
+                if streamed:
+                    consume(lo, hi, tape.fs[-1][:, 0], du)
+                    continue
+                vals[lo:hi] = tape.fs[-1]
+                if input_gradients:
+                    grads[lo:hi] = du
+                if seeds is not None:
+                    v, m = seeds(lo, hi, vals[lo:hi, 0], None if grads is None else grads[lo:hi])
+                    _adjoint(net, tape, v[:, None], None if m is None else m[None], grad_w,
+                             grad_b)
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            if ws is not None:
+                ws.release_input()
+
+    starts = range(0, n, _CHUNK_ROWS)
+    n_shares = min(_usable_cores(), len(starts)) if streamed else 1
+    threads = []
     try:
-        for lo in range(0, n, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, n)
-            tape = _forward_caches(net, x[lo:hi], ws.head(hi - lo), values_only)
-            vals[lo:hi] = tape.fs[-1]
-            if input_gradients:
-                grads[lo:hi] = tape.gs3[-1][0]
-            if seeds is not None:
-                v, m = seeds(lo, hi, vals[lo:hi, 0], None if grads is None else grads[lo:hi])
-                _adjoint(net, tape, v[:, None], None if m is None else m[None], grad_w, grad_b)
+        for i in range(1, n_shares):
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(run, starts[i::n_shares]))
+            thread.start()
+            threads.append(thread)
+        run(starts[::n_shares])
     finally:
-        ws.release_input()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return vals, grads, grad
 
 
@@ -572,7 +615,7 @@ def _adjoint(net: Network, tape: _Workspace, lam: np.ndarray, mat, grad_w: list,
             s = _sum_of_products(mat, t.ps3[k], t.s[k], t.q3[k])
             for i in range(t.d):  # the last read of fpt[k], before d2[k] is written
                 np.multiply(t.fpt[k], mat[..., i], out=t.q3[k][..., i])
-            d2 = _second_derivative(spec, t.zs[k], t.d2[k])
+            d2 = _second_derivative(spec, t.fps[k], t.d2[k])
             d2 *= s.T
             delta += d2
             grad_w[k] += np.matmul(t.q[k], t.gs[k].T, out=gw)

@@ -23,7 +23,9 @@ class Problem:
 
     Evaluators are vectorized: domain callables map (n, d) arrays to (n,)
     values (the gradient to (n, d)); g takes boundary points together with
-    their face tags, an (n, 2) int array of (axis, side) pairs.
+    their face tags, an (n, 2) int array of (axis, side) pairs.  Every
+    callable is row-wise (each output row depends only on its input row) and
+    may run on disjoint row blocks from several threads at once.
     """
 
     name: str

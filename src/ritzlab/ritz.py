@@ -29,6 +29,7 @@ from .problems import Problem
 from .sampling import (
     MCEstimate,
     SampleSet,
+    _pointwise,
     make_sample_set,
     mc_mean,
     sample_boundary,
@@ -106,9 +107,12 @@ def population_loss_estimate(net: Network, p: Problem, n_quad: int, seed: int) -
     that overflows at a boundary sample makes the value NaN.
     """
     n_quad = _as_int(n_quad, "n_quad", 2)
-    x = sample_domain(n_quad, p.d, seed)
-    tg, tm, tf = _domain_pieces(*values_and_input_gradients(net, x), lambda: p.w(x), lambda: p.f(x))
-    dom = mc_mean(tg + tm - tf)
+
+    def integrand(xb, u, du):
+        tg, tm, tf = _domain_pieces(u, du, lambda: p.w(xb), lambda: p.f(xb))
+        return tg + tm - tf
+
+    dom = mc_mean(_pointwise(net, sample_domain(n_quad, p.d, seed), integrand)[0])
     y, faces = sample_boundary(n_quad, p.d, seed)
     g_vals = p.g(y, faces)
     bnd = mc_mean(_boundary_values(net, y, g_vals) * g_vals, 2.0 * p.d)
@@ -135,11 +139,13 @@ def energy_excess(net: Network, p: Problem, n_quad: int, seed: int) -> EnergyExc
     if p.analytic_energy is None:
         raise ValueError(f"problem {p.name!r} has no analytic energy")
     pop = population_loss_estimate(net, p, n_quad, seed)
+
+    def integrand(xb, u, du):
+        v, dv = u - p.u_star(xb), du - p.grad_u_star(xb)
+        return np.sum(dv**2, axis=1) + p.w(xb) * v**2
+
     x = sample_domain(n_quad, p.d, derived_seed(seed, 1))
-    vals, grads = values_and_input_gradients(net, x)
-    v = vals - p.u_star(x)
-    dv = grads - p.grad_u_star(x)
-    quad_form = mc_mean(np.sum(dv**2, axis=1) + p.w(x) * v**2)
+    quad_form = mc_mean(_pointwise(net, x, integrand)[0])
     return EnergyExcessReport(
         excess=pop.value - p.analytic_energy,
         excess_se=pop.std_error,

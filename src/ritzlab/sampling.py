@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .networks import Network, _as_int, values_and_input_gradients
+from .networks import Network, _as_batch, _as_int, _block_pass
 from .problems import Problem
 
 RNG_ALGORITHM = "numpy.random.Philox(4x64), key=(seed, stream-tag)"
@@ -146,6 +146,22 @@ def mc_mean(values, volume: float = 1.0) -> MCEstimate:
     )
 
 
+def _pointwise(net: Network, x: np.ndarray, *integrands) -> np.ndarray:
+    """Row k holds integrands[k](xb, u, grad u) at every point of x: each maps a
+    block's points xb, with the net's values u and input gradients there, to
+    one value per point.  The blocks are streamed, several threads at once
+    (networks._block_pass), so x and the result are the only full-size arrays."""
+    x = _as_batch(net, x)
+    out = np.empty((len(integrands), x.shape[0]))
+
+    def consume(lo, hi, u, du):
+        for row, integrand in zip(out, integrands):
+            row[lo:hi] = integrand(x[lo:hi], u, du)
+
+    _block_pass(net, x, input_gradients=True, consume=consume)
+    return out
+
+
 class H1ErrorReport(NamedTuple):
     """MC estimates of the L2, H1-seminorm and full H1 errors vs u*."""
 
@@ -171,10 +187,8 @@ def h1_error(net: Network, p: Problem, n_quad: int, seed: int) -> H1ErrorReport:
         raise ValueError("network input dimension does not match the problem")
     n_quad = _as_int(n_quad, "n_quad", 2)  # the fewest points with a standard error
     x = sample_domain(n_quad, p.d, seed)
-    vals, grads = values_and_input_gradients(net, x)
-    e_sq = (vals - p.u_star(x)) ** 2
-    s_sq = np.sum((grads - p.grad_u_star(x)) ** 2, axis=1)
-
+    e_sq, s_sq = _pointwise(net, x, lambda xb, u, du: (u - p.u_star(xb)) ** 2,
+                            lambda xb, u, du: np.sum((du - p.grad_u_star(xb)) ** 2, axis=1))
     m_e, se_e = mc_mean(e_sq)
     m_s, se_s = mc_mean(s_sq)
     l2, l2_se = _sqrt_with_se(m_e, se_e)

@@ -1,3 +1,4 @@
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -18,6 +19,8 @@ from ritzlab.networks import (
     weighted_parameter_gradient,
 )
 from ritzlab.problems import Problem
+from ritzlab.ritz import derived_seed
+from ritzlab.sampling import _sqrt_with_se, mc_mean, sample_boundary, sample_domain
 
 
 # Every property test draws a fixed example sequence and has no deadline, so
@@ -126,6 +129,33 @@ def evaluate_spline_combination(comb: SplineCombination, x) -> np.ndarray:
     for idx, c in comb.coefficients.items():
         out += c * multivariate_bspline_value(idx, x)
     return out
+
+
+def whole_array_estimators(net: Network, p: Problem, n_quad: int, seed: int) -> list:
+    """The floats of h1_error(net, p, n_quad, seed), then those of
+    population_loss_estimate and energy_excess at seed + 1, by whole-array
+    formulas: one values_and_input_gradients pass over all points, then each
+    per-point integrand over whole arrays."""
+    x = sample_domain(n_quad, p.d, seed)
+    vals, grads = values_and_input_gradients(net, x)
+    m_e, se_e = mc_mean((vals - p.u_star(x)) ** 2)
+    m_s, se_s = mc_mean(np.sum((grads - p.grad_u_star(x)) ** 2, axis=1))
+    h1 = [*_sqrt_with_se(m_e, se_e), *_sqrt_with_se(m_s, se_s),
+          *_sqrt_with_se(m_e + m_s, float(np.hypot(se_e, se_s)))]
+
+    x = sample_domain(n_quad, p.d, seed + 1)
+    vals, grads = values_and_input_gradients(net, x)
+    dom = mc_mean(0.5 * np.sum(grads**2, axis=1) + 0.5 * p.w(x) * vals**2 - vals * p.f(x))
+    y, faces = sample_boundary(n_quad, p.d, seed + 1)
+    g = p.g(y, faces)
+    bnd = mc_mean(forward_batch(net, y) * g, 2.0 * p.d)
+    pop = [dom.value - bnd.value, math.hypot(dom.std_error, bnd.std_error)]
+
+    x = sample_domain(n_quad, p.d, derived_seed(seed + 1, 1))
+    vals, grads = values_and_input_gradients(net, x)
+    v, dv = vals - p.u_star(x), grads - p.grad_u_star(x)
+    quad_form = mc_mean(np.sum(dv**2, axis=1) + p.w(x) * v**2)
+    return [*h1, *pop, pop[0] - p.analytic_energy, pop[1], *quad_form]
 
 
 class ProblemDefinitionError(RuntimeError):

@@ -602,6 +602,19 @@ def test_cli_train_rejects_misspelled_key_before_training(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("args,named", [
+    (["bounds", "--depth", "2", "--width", "2", "--d", "1", "--n", "100000", "--B", "1e307"],
+     "B 1e+307"),
+    (["decompose", "no-such-config.yaml"], "no-such-config.yaml"),
+])
+def test_cli_reports_a_rejected_input_in_one_line(tmp_path, args, named):
+    run = run_python("-m", "ritzlab.cli", *args)
+    assert run.returncode == 2
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ritzlab: error: "), run.stderr
+    assert named in lines[0] and "Traceback" not in run.stderr
+
+
 def test_import_ritzlab_loads_only_the_core_modules():
     # yaml and the harness, cli and bounds modules would each add tens of
     # milliseconds to every `import ritzlab`
@@ -631,3 +644,27 @@ def test_cli_train_does_not_depend_on_the_blas_thread_count(tmp_path):
     (theta_1, best_1), (theta_2, best_2) = runs
     assert np.array_equal(theta_1, theta_2)
     assert best_1 == best_2
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable cores")
+def test_cli_decompose_does_not_depend_on_the_usable_core_count(tmp_path):
+    # both estimators on the trained net and on the spline net, streamed over
+    # one thread when pinned to one CPU before ritzlab is imported, else two
+    cfg = {"problem": "quadratic", "d": 2, "n": 64, "spline_level": 2, "gap_reps": 2,
+           "restarts": 1, "n_quad": 3001, "seed": 4,
+           "train": {"iterations": 20, "batch_domain": 64, "batch_boundary": 64,
+                     "eval_every": 10}}
+    path = tmp_path / "dec.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    reports = []
+    for pin in (True, False):
+        out = tmp_path / f"pinned-{pin}"
+        run = run_python("-c", "import os, sys\n"
+                               f"if {pin}: os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})\n"
+                               "from ritzlab.cli import main\n"
+                               "sys.exit(main(sys.argv[1:]))",
+                         "decompose", str(path), "--out", str(out))
+        assert run.returncode == 0, run.stderr
+        reports.append((out / "decomposition_report.json").read_bytes())
+    assert reports[0] == reports[1]

@@ -110,3 +110,16 @@ def test_w_lower_bound_holds():
 def test_problem_by_name_rejects_unknown():
     with pytest.raises(ValueError):
         problem_by_name("helmholtz", 2)
+
+
+@pytest.mark.parametrize("factory", [make_cosine_problem, make_quadratic_problem])
+@pytest.mark.parametrize("d", [1, 2, 3, 9])
+def test_problem_callables_are_row_wise(factory, d):
+    # the estimators call them block by block; d = 9 sums rows pairwise
+    p = factory(d)
+    x = sample_domain(1000, d, seed=6)
+    y, faces = sample_boundary(1000, d, seed=6)
+    calls = [(p.w, (x,)), (p.f, (x,)), (p.u_star, (x,)), (p.grad_u_star, (x,)), (p.g, (y, faces))]
+    for fn, args in calls:
+        blocks = [fn(*(a[lo:lo + 256] for a in args)) for lo in range(0, 1000, 256)]
+        assert np.concatenate(blocks).tobytes() == fn(*args).tobytes(), fn.__name__

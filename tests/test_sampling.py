@@ -1,14 +1,22 @@
 import math
+import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ritzlab.cli as cli
-from ritzlab.gadgets import prescribe_architecture
+from ritzlab import networks
+from ritzlab.gadgets import (
+    build_spline_combination,
+    fit_spline_coefficients,
+    prescribe_architecture,
+)
 from ritzlab.harness import StudyConfig, run_convergence_study
+from ritzlab.networks import IDENTITY, RELU2, Architecture, Network
 from ritzlab.problems import make_cosine_problem, make_quadratic_problem
-from ritzlab.ritz import energy_excess, statistical_gap_estimate
+from ritzlab.ritz import energy_excess, population_loss_estimate, statistical_gap_estimate
 from ritzlab.sampling import (
     SampleSet,
     h1_error,
@@ -20,7 +28,8 @@ from ritzlab.sampling import (
 
 from ritzlab.training import TrainConfig, init_network, train
 
-from conftest import random_relu2_net, rng_for, sum_of_squares_net
+from conftest import random_relu2_net, rng_for, sum_of_squares_net, whole_array_estimators
+from test_networks import _pin_net
 
 
 def zero_net(d):
@@ -249,3 +258,79 @@ def test_reported_standard_errors_match_realized_spread(label):
         ses = np.array([getattr(r[which], name + "_se") for r in reports])
         ratio = np.std(values, ddof=1) / np.median(ses)
         assert _SD_RATIO_BAND[0] <= ratio <= _SD_RATIO_BAND[1], (name, ratio)
+
+
+# ------------------------------------------ streamed estimator passes
+
+
+def _streamed_case(label):
+    """(net, problem) of each streamed-estimator check."""
+    if label == "spline d2":  # its hidden layers are declared as diagonal blocks
+        p = make_cosine_problem(2)
+        net = build_spline_combination(fit_spline_coefficients(p.u_star, 2, 2))
+        assert any(block is not None for block in net._blocks)
+        return net, p
+    if label == "mixed pin":
+        return _pin_net("mixed", 2), make_quadratic_problem(2)
+    d = int(label[-1])
+    problem = make_quadratic_problem(d) if d == 2 else make_cosine_problem(d)
+    return random_relu2_net(d, (24, 16), seed=40 + d), problem
+
+
+@pytest.mark.parametrize("n_quad", [2, 255, 256, 257, 1000, 3001])
+@pytest.mark.parametrize("label", ["relu2 d1", "relu2 d2", "relu2 d3", "mixed pin", "spline d2"])
+def test_streamed_estimators_bitwise_equal_whole_arrays_at_any_worker_count(
+        monkeypatch, label, n_quad):
+    net, p = _streamed_case(label)
+    want = [float(v).hex() for v in whole_array_estimators(net, p, n_quad, 11)]
+    for cores in (1, 2, 5):
+        monkeypatch.setattr(networks, "_usable_cores", lambda: cores)
+        err = h1_error(net, p, n_quad, 11)
+        pop = population_loss_estimate(net, p, n_quad, 12)
+        exc = energy_excess(net, p, n_quad, 12)
+        got = [*err[:6], *pop, *exc[:4]]
+        assert [float(v).hex() for v in got] == want, cores
+
+
+def _overflow_past_first_block(n_quad, seed):
+    """A d = 1 net that is finite on the first block's points of
+    sample_domain(n_quad, 1, seed) and overflows (then gives inf - inf) at
+    some later point: two ReLU^2 units s (x - t), output their difference."""
+    x = sample_domain(n_quad, 1, seed)[:, 0]
+    t = x[:networks._CHUNK_ROWS].max()
+    assert x.max() > t
+    s = 1e200
+    arch = Architecture((1, 2, 1), (RELU2, IDENTITY))
+    return Network(arch, [np.full((2, 1), s), np.array([[1.0, -1.0]])],
+                   [np.full(2, -s * t), np.zeros(1)])
+
+
+def test_streamed_passes_run_under_the_callers_errstate(monkeypatch):
+    # four 256-row blocks on four threads: the caller's share has no overflow
+    monkeypatch.setattr(networks, "_usable_cores", lambda: 4)
+    p = make_cosine_problem(1)
+    net = _overflow_past_first_block(1000, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = h1_error(net, p, 1000, 0)
+    assert math.isnan(rep.h1_err)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        h1_error(net, p, 1000, 0)
+
+
+def test_an_error_in_a_streamed_block_reaches_the_caller(monkeypatch):
+    class BlockError(RuntimeError):
+        pass
+
+    def u_star(x):
+        if x.shape[0] < networks._CHUNK_ROWS:  # the last of four blocks
+            raise BlockError("short block")
+        return base.u_star(x)
+
+    monkeypatch.setattr(networks, "_usable_cores", lambda: 4)
+    base = make_cosine_problem(2)
+    threads = threading.active_count()
+    with pytest.raises(BlockError):
+        h1_error(random_relu2_net(2, (8,), seed=3), replace(base, u_star=u_star), 1000, 0)
+    assert threading.active_count() == threads
