@@ -7,9 +7,13 @@ recursions; no general-purpose autodiff is involved.
 
 Every pass is one block loop, _block_pass: it records each _CHUNK_ROWS-row
 block's tape once into a workspace kept per thread and shape (_Workspace),
-and a streamed pass shares its blocks out over the usable cores.
-Activations have one in-place implementation (_activate); mixed layers
-apply each tag's formula to its units through per-unit masks.
+and a streamed pass shares its blocks out over the usable cores.  Input
+gradients at d >= 2 come from one reverse sweep over a tape of values and
+derivatives (_adjoint, seeded with 1), which costs about one value sweep at
+any d; only a tape that _adjoint replays with gradient weights, and every
+d = 1 tape, carries the forward-mode input-Jacobian stacks.  Activations
+have one in-place implementation (_activate); mixed layers apply each tag's
+formula to its units through per-unit masks.
 """
 
 from __future__ import annotations
@@ -276,9 +280,14 @@ class _Workspace:
     (layer dims, rows, need_input_gradient).
 
     The tape holds, per layer l = 1..L, the value f_l and the derivative
-    f'_l = act'(z_l), each (rows, N_l), and, when input gradients are
-    needed, the input Jacobians P_l = A_l G_{l-1} and
-    G_l = f'_l * P_l.  fs[0] is the block's input, gs[0] the identity.  The
+    f'_l = act'(z_l), each (rows, N_l), and, when a pass records them
+    (_block_pass), the input Jacobians P_l = A_l G_{l-1} and
+    G_l = f'_l * P_l.  A pass that reads grad u by the reverse sweep uses the
+    same workspace as one that records the Jacobians, so a training step and
+    its checkpoints share one entry; it writes no stack, and the stacks'
+    untouched np.empty pages take no resident memory.  lam[0], (rows, d),
+    receives that sweep's grad u.  fs[0] is the block's input, gs[0] the
+    identity.  The
     Jacobian stacks are unit-major: ps/gs hold the (N_l, rows * d) GEMM views
     and ps3/gs3 the (N_l, rows, d) views of the same memory, so each layer's
     Jacobian product is one GEMM with no copy.  P_1 = W_1 G_0 = W_1, so ps3[0]
@@ -304,7 +313,7 @@ class _Workspace:
         self.rows, self.d = rows, d
         self.fs = [None, *rows_by(units)]
         self.fps, self.delta = rows_by(units), rows_by(units)
-        self.lam = [None, *rows_by(hidden)]
+        self.lam = rows_by(dims[:-1])
         self.gw = [np.empty((n_out, n_in)) for n_in, n_out in zip(dims, units)]
         self.d2 = self.s = self.fpt = self.ps = self.gs = self.q = self.mat = None
         if need_input_gradient:
@@ -412,18 +421,18 @@ def _second_derivative(spec, fp: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace,
-                    values_only: bool) -> _Workspace:
+def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace, derivatives: bool,
+                    jacobians: bool) -> _Workspace:
     """Record one block's forward tape into ws (see _Workspace) and return it.
 
     x holds exactly ws.rows points.  Each z_l is formed in f_l's buffer and
-    activated in place.  The input Jacobians are recorded when ws has room
-    for them.  A layer declared as K diagonal copies of one block
+    activated in place.  A layer declared as K diagonal copies of one block
     (Network._bind) multiplies that block alone, on (rows * K, n_in / K) and
     (K, n_in / K, rows * d) views of the same buffers.  A layer with one input
     maps values by an outer product: one product per element, as in its GEMM.
-    values_only skips the derivatives f'_l, which only the input Jacobians
-    and _adjoint read.  Layer 1 runs no Jacobian GEMM (P_1 = W_1), and each
+    derivatives records the f'_l, which _adjoint reads; jacobians (which needs
+    them) also records the input Jacobians, in a workspace that has room for
+    them.  Layer 1 runs no Jacobian GEMM (P_1 = W_1), and each
     G_l = f'_l * P_l is formed one d-component at a time on (N_l, rows) views
     of fpt and the stacks, so inner loops run along rows, not along d.  For
     d = 1 the G_l are point-major in memory (_stack): BLAS rounds the
@@ -431,7 +440,6 @@ def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace,
     d = 1 results bitwise those of a batch-major (B, N_l, d) recursion.
     """
     ws.fs[0] = x
-    need_input_gradient = ws.ps is not None
     layers = zip(net.architecture.activations, net.weights, net.biases, net._blocks)
     for k, (spec, w, bias, block) in enumerate(layers):
         z = ws.fs[k + 1]  # the pre-activation, activated in place
@@ -444,8 +452,8 @@ def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace,
         else:
             np.matmul(ws.fs[k], w.T, out=z)
         z += bias
-        _activate(spec, z, None if values_only else ws.fps[k])
-        if need_input_gradient:
+        _activate(spec, z, ws.fps[k] if derivatives else None)
+        if jacobians:
             if k == 0:
                 ws.ps3[0] = w[:, None, :]
             elif block is None:
@@ -472,11 +480,13 @@ def _block_pass(net: Network, x: np.ndarray, input_gradients: bool = False, seed
                 consume=None):
     """The one loop of every network pass: one forward tape per block.
 
-    A streamed pass hands consume(lo, hi, values (rows,), input gradients
-    (rows, d) or None) views of each block's tape, its blocks shared out over
-    min(_usable_cores(), blocks) threads, each with its own workspace and a
-    copy of the caller's context (and so np.errstate); the first error is
-    re-raised after all joins.  consume may write only rows lo:hi.  Any other
+    Input gradients come from the tape's Jacobian stacks when d = 1 or when
+    seeds is given (its gradient weights replay them), else from the reverse
+    sweep of _adjoint seeded with 1.  A streamed pass hands consume(lo, hi,
+    values (rows,), input gradients (rows, d) or None) views of each block's
+    workspace, its blocks shared out over min(_usable_cores(), blocks)
+    threads, each with its own workspace and a copy of the caller's context
+    (and so np.errstate); the first error is re-raised after all joins.  consume may write only rows lo:hi.  Any other
     pass runs in block order on the caller and copies out values (all columns)
     and input gradients; seeds(lo, hi, values, gradients) -> (value weights,
     gradient weights or None) then seeds _adjoint's replay of the tape.  No
@@ -497,7 +507,8 @@ def _block_pass(net: Network, x: np.ndarray, input_gradients: bool = False, seed
         grad_w, grad_b = _layer_views(arch, grad)
     if n == 0:
         return vals, grads, grad
-    values_only = not input_gradients and seeds is None
+    derivatives = input_gradients or seeds is not None
+    jacobians = input_gradients and (arch.input_dim == 1 or seeds is not None)
     errors = []
 
     def run(starts):
@@ -506,8 +517,9 @@ def _block_pass(net: Network, x: np.ndarray, input_gradients: bool = False, seed
             ws = _workspace(arch.layer_dims, min(n, _CHUNK_ROWS), input_gradients)
             for lo in starts:
                 hi = min(lo + _CHUNK_ROWS, n)
-                tape = _forward_caches(net, x[lo:hi], ws.head(hi - lo), values_only)
-                du = tape.gs3[-1][0] if input_gradients else None
+                tape = _forward_caches(net, x[lo:hi], ws.head(hi - lo), derivatives, jacobians)
+                du = (tape.gs3[-1][0] if jacobians else
+                      _adjoint(net, tape, 1.0) if input_gradients else None)
                 if streamed:
                     consume(lo, hi, tape.fs[-1][:, 0], du)
                     continue
@@ -590,24 +602,31 @@ def _sum_of_products(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     return out
 
 
-def _adjoint(net: Network, tape: _Workspace, lam: np.ndarray, mat, grad_w: list,
-             grad_b: list) -> None:
-    """Reverse pass over one block's forward tape, accumulated into grad_w/grad_b
-    (per-layer views of one flat gradient, from _layer_views).
+def _adjoint(net: Network, tape: _Workspace, lam, mat=None, grad_w: list | None = None,
+             grad_b: list | None = None) -> np.ndarray:
+    """Reverse pass over one block's forward tape, lam <- (lam * f'_l) W_l.
 
-    tape is the workspace filled by _forward_caches; lam (B, 1) seeds d/du and
-    mat (1, B, d), when not None, seeds d/d(grad u).  The tape must carry the
-    input Jacobians whenever mat is given.  mat is carried in the tape's
-    unit-major (N_l, B, d) layout, so its products with the stored G_l are
-    GEMMs on free (N_l, B*d) views; the d = 1 stacks it forms are point-major
-    in memory, as in _stack, for the same bitwise reason.  Every temporary is
-    a workspace buffer.  Nothing is propagated below layer 1, since the input
-    layer has no parameters.
+    tape is the workspace filled by _forward_caches, with derivatives; lam
+    (B, 1), or a scalar, seeds d/du and mat (1, B, d), when not None, seeds
+    d/d(grad u).  With grad_w/grad_b (per-layer views of one flat gradient,
+    from _layer_views) the parameter derivatives are accumulated into them
+    and nothing is propagated below layer 1, since the input layer has no
+    parameters.  Without them the sweep runs on through W_1 and returns
+    d(lam u)/dx, (B, d), in the workspace buffer lam[0]: the input gradient
+    of u when lam = 1.  A block-declared layer (Network._bind) multiplies its
+    block alone, on (B * K, N_l / K) views.
+
+    The tape must carry the input Jacobians whenever mat is given.  mat is
+    carried in the tape's unit-major (N_l, B, d) layout, so its products with
+    the stored G_l are GEMMs on free (N_l, B*d) views; the d = 1 stacks it
+    forms are point-major in memory, as in _stack, for the same bitwise
+    reason.  Every temporary is a workspace buffer.
     """
     t = tape
-    layers = list(zip(net.architecture.activations, net.weights))
+    accumulate = grad_w is not None
+    layers = list(zip(net.architecture.activations, net.weights, net._blocks))
     for k in range(net.architecture.depth - 1, -1, -1):
-        spec, w = layers[k]
+        spec, w, block = layers[k]
         delta = np.multiply(lam, t.fps[k], out=t.delta[k])
         gw = t.gw[k]
         if mat is not None:
@@ -622,10 +641,18 @@ def _adjoint(net: Network, tape: _Workspace, lam: np.ndarray, mat, grad_w: list,
             if k:
                 np.matmul(w.T, t.q[k], out=t.mat[k])
                 mat = t.mat3[k]
-        grad_w[k] += np.matmul(delta.T, t.fs[k], out=gw)
-        grad_b[k] += delta.sum(axis=0)
-        if k:
-            lam = np.matmul(delta, w, out=t.lam[k])
+        if accumulate:
+            grad_w[k] += np.matmul(delta.T, t.fs[k], out=gw)
+            grad_b[k] += delta.sum(axis=0)
+        if k or not accumulate:
+            lam = t.lam[k]
+            if block is None:
+                np.matmul(delta, w, out=lam)
+            else:
+                n_out, n_in = block.shape
+                np.matmul(delta.reshape(-1, n_out, copy=False), block,
+                          out=lam.reshape(-1, n_in, copy=False))
+    return lam
 
 
 def weighted_parameter_gradient(

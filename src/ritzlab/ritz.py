@@ -164,9 +164,10 @@ def loss_and_parameter_gradient(net: Network, p: Problem, samples: SampleSet):
     adjoint replays it seeded with d(loss)/du = (w u - f)/n and
     d(loss)/d(grad u) = grad u / n.  The boundary adjoint runs only when some
     g(Y_j) is nonzero, since it adds nothing otherwise; boundary values come
-    from _boundary_values.  Loss and gradient
-    are bitwise equal to empirical_loss plus the domain and boundary
-    weighted_parameter_gradient passes.
+    from _boundary_values.  The gradient is bitwise the domain and boundary
+    weighted_parameter_gradient passes seeded with the tape's grad u.  The
+    loss is bitwise empirical_loss at d = 1; at d >= 2 empirical_loss reads
+    grad u by the reverse sweep, so the two agree to rounding.
     """
     _check_loss_inputs(net, p, samples)
     x, y = samples.domain_points, samples.boundary_points

@@ -178,8 +178,10 @@ def train(net: Network, p: Problem, samples: SampleSet, cfg: TrainConfig):
     Aborts with TrainingDivergedError and diagnostics if the loss, the
     gradient or the updated parameters stop being finite.
     """
-    if cfg.batch_domain > samples.n_domain or cfg.batch_boundary > samples.n_boundary:
-        raise ValueError("batch sizes exceed the fixed sample set")
+    for kind, batch, n in (("domain", cfg.batch_domain, samples.n_domain),
+                           ("boundary", cfg.batch_boundary, samples.n_boundary)):
+        if batch > n:
+            raise ValueError(f"batch_{kind} {batch} exceeds n_{kind} {n}")
 
     theta = net.flatten_parameters()
     adam = AdamState(theta.size, cfg.adam_betas, cfg.adam_eps) if cfg.optimizer == "adam" else None

@@ -7,13 +7,16 @@ from hypothesis import settings
 
 from ritzlab.gadgets import _BINOM3, SplineCombination, multivariate_bspline_value
 from ritzlab.harness import _random_relu2_net
+import ritzlab.networks as networks
 from ritzlab.networks import (
     IDENTITY,
+    RELU,
     RELU2,
     Architecture,
     DimensionMismatchError,
     Network,
     _as_batch,
+    _block_pass,
     forward_batch,
     values_and_input_gradients,
     weighted_parameter_gradient,
@@ -49,24 +52,28 @@ def sum_of_squares_net(d):
     return Network(arch, [w1, w2], [np.zeros(2 * d), np.zeros(1)])
 
 
-def points_away_from_kinks(net, rng, n, box=(-1.5, 1.5), min_preact=1e-8):
+def points_away_from_kinks(net, rng, n, box=(-1.5, 1.5), min_preact=1e-8, max_draws=None):
     """Sample points whose pre-activations all clear the kinks.
 
     Finite-difference oracles are only valid away from activation breakpoints;
-    resample any point with a pre-activation magnitude below min_preact.
+    resample any point with a pre-activation magnitude below min_preact.  With
+    max_draws, stop after that many draws and return the points found (a unit
+    whose pre-activation is a constant near 0 would reject every draw).
     """
     d = net.architecture.input_dim
     out = []
-    while len(out) < n:
+    draws = 0
+    while len(out) < n and (max_draws is None or draws < max_draws):
+        draws += 1
         x = rng.uniform(box[0], box[1], size=d)
         f = x
         ok = True
-        for w, b in zip(net.weights, net.biases):
+        for (act, _, _), w, b in zip(_unit_tables(net), net.weights, net.biases):
             z = w @ f + b
             if np.min(np.abs(z)) < min_preact:
                 ok = False
                 break
-            f = np.maximum(z, 0.0) ** 2
+            f = act(z)
         if ok:
             out.append(x)
     return np.array(out)
@@ -110,6 +117,131 @@ def parameter_sensitivities(net: Network, x):
         e[0, i] = 1.0
         dgrad[i] = weighted_parameter_gradient(net, xb, np.zeros(1), e)
     return du, dgrad
+
+
+def tape_values_and_input_gradients(net: Network, x):
+    """(values, grad u) read off the forward-mode Jacobian tape, which the
+    library records only for passes that replay it with gradient weights (and
+    at d = 1): a zero-weight parameter-gradient pass returns them."""
+    x = _as_batch(net, x)
+    vals, grads, _ = _block_pass(net, x, input_gradients=True,
+                                 seeds=lambda lo, hi, _v, _g: (np.zeros(hi - lo), None))
+    return vals[:, 0], grads
+
+
+# ------------------------------------- batch-major recursion oracles
+#
+# The library stores its tapes unit-major, (N_l, B, d), in reused workspaces.
+# Below are the batch-major, (B, N_l, d), recursions on activation tables of
+# their own, in fresh arrays and _CHUNK_ROWS-row blocks: the forward-mode
+# input Jacobians, the reverse sweep lam <- (lam * f'_l) W_l for grad u, and
+# the parameter adjoint.  A net without block declarations is bitwise equal
+# to them.
+
+
+def _unit_tables(net):
+    """Per layer, (act, act', act'') callables chosen per unit with np.where."""
+    tables = []
+    for spec, w in zip(net.architecture.activations, net.weights):
+        tags = np.array([spec] * w.shape[0] if isinstance(spec, str) else spec)
+        relu, relu2 = tags == RELU, tags == RELU2
+
+        def val(z, relu=relu, relu2=relu2):
+            zp = np.maximum(z, 0.0)
+            return np.where(relu, zp, np.where(relu2, zp * zp, z))
+
+        def d1(z, relu=relu, relu2=relu2):
+            return np.where(relu, 1.0 * (z > 0.0), np.where(relu2, 2.0 * np.maximum(z, 0.0), 1.0))
+
+        def d2(z, relu2=relu2):
+            return np.where(relu2, 2.0 * (z > 0.0), 0.0)
+
+        tables.append((val, d1, d2))
+    return tables
+
+
+def _batch_major_jacobian_matmul(a, g):
+    b, n_in, d = g.shape
+    g_mat = g.transpose(1, 0, 2).reshape(n_in, b * d)
+    return (a @ g_mat).reshape(a.shape[0], b, d).transpose(1, 0, 2)
+
+
+def _batch_major_tape(net, x, jacobians):
+    """(values f_0..f_L, pre-activations z_1..z_L, Jacobians P_l, G_l or None)."""
+    b_sz, d = x.shape
+    fs = [x]
+    zs = []
+    ps = [] if jacobians else None
+    gs = [np.broadcast_to(np.eye(d), (b_sz, d, d))] if jacobians else None
+    for (val, d1, _), w, bias in zip(_unit_tables(net), net.weights, net.biases):
+        z = fs[-1] @ w.T + bias
+        zs.append(z)
+        fs.append(val(z))
+        if jacobians:
+            p = _batch_major_jacobian_matmul(w, gs[-1])
+            ps.append(p)
+            gs.append(d1(z)[:, :, None] * p)
+    return fs, zs, ps, gs
+
+
+def _batch_major_adjoint(net, tape, lam, mat, grad_w, grad_b):
+    fs, zs, ps, gs = tape
+    tables = _unit_tables(net)
+    for k in range(net.architecture.depth - 1, -1, -1):
+        _, d1f, d2f = tables[k]
+        d1 = d1f(zs[k])
+        delta = lam * d1
+        if mat is not None:
+            delta = delta + d2f(zs[k]) * np.sum(mat * ps[k], axis=2)
+            q = d1[:, :, None] * mat
+            b_sz, n_q, dd = q.shape
+            q_mat = q.transpose(1, 0, 2).reshape(n_q, b_sz * dd)
+            g_mat = gs[k].transpose(1, 0, 2).reshape(gs[k].shape[1], b_sz * dd)
+            grad_w[k] += q_mat @ g_mat.T
+            mat = _batch_major_jacobian_matmul(net.weights[k].T, q)
+        grad_w[k] += delta.T @ fs[k]
+        grad_b[k] += delta.sum(axis=0)
+        lam = delta @ net.weights[k]
+
+
+def _batch_major_blocks(x):
+    chunk = networks._CHUNK_ROWS
+    return [(lo, min(lo + chunk, len(x))) for lo in range(0, len(x), chunk)]
+
+
+def batch_major_jacobian_gradients(net, x):
+    """(values, grad u) by the forward-mode input-Jacobian recursion."""
+    vals, grads = np.empty(len(x)), np.empty(x.shape)
+    for lo, hi in _batch_major_blocks(x):
+        fs, _, _, gs = _batch_major_tape(net, x[lo:hi], True)
+        vals[lo:hi] = fs[-1][:, 0]
+        grads[lo:hi] = gs[-1][:, 0, :]
+    return vals, grads
+
+
+def batch_major_reverse_gradients(net, x):
+    """(values, grad u) by one reverse sweep lam <- (lam * f'_l) W_l from lam = 1."""
+    vals, grads = np.empty(len(x)), np.empty(x.shape)
+    tables = _unit_tables(net)
+    for lo, hi in _batch_major_blocks(x):
+        fs, zs, _, _ = _batch_major_tape(net, x[lo:hi], False)
+        lam = 1.0
+        for k in range(net.architecture.depth - 1, -1, -1):
+            lam = (lam * tables[k][1](zs[k])) @ net.weights[k]
+        vals[lo:hi] = fs[-1][:, 0]
+        grads[lo:hi] = lam
+    return vals, grads
+
+
+def batch_major_parameter_gradient(net, x, v, m=None):
+    """weighted_parameter_gradient(net, x, v, m) by the batch-major adjoint."""
+    grad_w = [np.zeros_like(w) for w in net.weights]
+    grad_b = [np.zeros_like(b) for b in net.biases]
+    for lo, hi in _batch_major_blocks(x):
+        tape = _batch_major_tape(net, x[lo:hi], m is not None)
+        seed = None if m is None else m[lo:hi, None, :]
+        _batch_major_adjoint(net, tape, v[lo:hi, None], seed, grad_w, grad_b)
+    return np.concatenate([t for gw, gb in zip(grad_w, grad_b) for t in (gw.ravel(), gb)])
 
 
 def bspline_derivative(level: int, i: int, x) -> np.ndarray:

@@ -259,6 +259,7 @@ def test_criterion_08_statistical_gap_scaling():
     assert elapsed < 120.0
 
 
+@pytest.mark.slow
 def test_criterion_09_training_efficacy():
     t0 = time.perf_counter()
     cfg = StudyConfig(

@@ -39,17 +39,21 @@ from ritzlab.gadgets import (
     prescribe_architecture,
 )
 from ritzlab.problems import make_cosine_problem
-from ritzlab.ritz import loss_and_parameter_gradient
-from ritzlab.sampling import make_sample_set, sample_domain
+from ritzlab.ritz import empirical_loss, loss_and_parameter_gradient
+from ritzlab.sampling import h1_error, make_sample_set, sample_domain
 from ritzlab.training import init_network
 
 from conftest import (
+    batch_major_jacobian_gradients,
+    batch_major_parameter_gradient,
+    batch_major_reverse_gradients,
     forward,
     forward_with_input_gradient,
     parameter_sensitivities,
     points_away_from_kinks,
     random_relu2_net,
     rng_for,
+    tape_values_and_input_gradients,
 )
 
 
@@ -258,96 +262,7 @@ def test_weighted_parameter_gradient_chunking_invariant(monkeypatch):
     assert np.allclose(full, small, rtol=1e-13, atol=1e-13)
 
 
-# ------------------------------- bitwise pin to the batch-major recursion
-#
-# The library stores its Jacobian stacks unit-major, (N_l, B, d).  Below is a
-# copy of the earlier batch-major, (B, N_l, d), recursion, on activation
-# tables of its own; the library must stay bitwise equal to it.
-
-
-def _unit_tables(net):
-    """Per layer, (act, act', act'') callables chosen per unit with np.where."""
-    tables = []
-    for spec, w in zip(net.architecture.activations, net.weights):
-        tags = np.array([spec] * w.shape[0] if isinstance(spec, str) else spec)
-        relu, relu2 = tags == RELU, tags == RELU2
-
-        def val(z, relu=relu, relu2=relu2):
-            zp = np.maximum(z, 0.0)
-            return np.where(relu, zp, np.where(relu2, zp * zp, z))
-
-        def d1(z, relu=relu, relu2=relu2):
-            return np.where(relu, 1.0 * (z > 0.0), np.where(relu2, 2.0 * np.maximum(z, 0.0), 1.0))
-
-        def d2(z, relu2=relu2):
-            return np.where(relu2, 2.0 * (z > 0.0), 0.0)
-
-        tables.append((val, d1, d2))
-    return tables
-
-
-def _old_jacobian_matmul(a, g):
-    b, n_in, d = g.shape
-    g_mat = g.transpose(1, 0, 2).reshape(n_in, b * d)
-    return (a @ g_mat).reshape(a.shape[0], b, d).transpose(1, 0, 2)
-
-
-def _old_forward_caches(net, x, need_input_gradient):
-    b_sz, d = x.shape
-    fs = [x]
-    zs = []
-    ps = [] if need_input_gradient else None
-    gs = [np.broadcast_to(np.eye(d), (b_sz, d, d))] if need_input_gradient else None
-    for (val, d1, _), w, bias in zip(_unit_tables(net), net.weights, net.biases):
-        z = fs[-1] @ w.T + bias
-        zs.append(z)
-        fs.append(val(z))
-        if need_input_gradient:
-            p = _old_jacobian_matmul(w, gs[-1])
-            ps.append(p)
-            gs.append(d1(z)[:, :, None] * p)
-    return fs, zs, ps, gs
-
-
-def _old_adjoint(net, tape, lam, mat, grad_w, grad_b):
-    fs, zs, ps, gs = tape
-    tables = _unit_tables(net)
-    for k in range(net.architecture.depth - 1, -1, -1):
-        _, d1f, d2f = tables[k]
-        d1 = d1f(zs[k])
-        delta = lam * d1
-        if mat is not None:
-            delta = delta + d2f(zs[k]) * np.sum(mat * ps[k], axis=2)
-            q = d1[:, :, None] * mat
-            b_sz, n_q, dd = q.shape
-            q_mat = q.transpose(1, 0, 2).reshape(n_q, b_sz * dd)
-            g_mat = gs[k].transpose(1, 0, 2).reshape(gs[k].shape[1], b_sz * dd)
-            grad_w[k] += q_mat @ g_mat.T
-            mat = _old_jacobian_matmul(net.weights[k].T, q)
-        grad_w[k] += delta.T @ fs[k]
-        grad_b[k] += delta.sum(axis=0)
-        lam = delta @ net.weights[k]
-
-
-def _old_values_and_input_gradients(net, x):
-    chunk = networks._CHUNK_ROWS
-    vals, grads = np.empty(len(x)), np.empty(x.shape)
-    for lo in range(0, len(x), chunk):
-        fs, _, _, gs = _old_forward_caches(net, x[lo:lo + chunk], True)
-        vals[lo:lo + chunk] = fs[-1][:, 0]
-        grads[lo:lo + chunk] = gs[-1][:, 0, :]
-    return vals, grads
-
-
-def _old_weighted_parameter_gradient(net, x, v, m=None):
-    chunk = networks._CHUNK_ROWS
-    grad_w = [np.zeros_like(w) for w in net.weights]
-    grad_b = [np.zeros_like(b) for b in net.biases]
-    for lo in range(0, len(x), chunk):
-        tape = _old_forward_caches(net, x[lo:lo + chunk], m is not None)
-        seed = None if m is None else m[lo:lo + chunk, None, :]
-        _old_adjoint(net, tape, v[lo:lo + chunk, None], seed, grad_w, grad_b)
-    return np.concatenate([t for gw, gb in zip(grad_w, grad_b) for t in (gw.ravel(), gb)])
+# ------------------------------- bitwise pin to the batch-major recursions
 
 
 def _pin_net(kind, d):
@@ -369,21 +284,29 @@ def test_unit_major_tape_bitwise_equals_batch_major(monkeypatch, kind, d):
     x = rng.uniform(0.0, 1.0, size=(300, d))
     v = rng.standard_normal(300)
     m = rng.standard_normal((300, d))
+    jac_vals, jac_grads = batch_major_jacobian_gradients(net, x)
+    tape_vals, tape_grads = tape_values_and_input_gradients(net, x)
+    assert np.array_equal(tape_vals, jac_vals)
+    assert np.array_equal(tape_grads, jac_grads)
+    # grad u is read off the Jacobian tape at d = 1, else by the reverse sweep
     vals, grads = values_and_input_gradients(net, x)
-    old_vals, old_grads = _old_values_and_input_gradients(net, x)
-    assert np.array_equal(vals, old_vals)
-    assert np.array_equal(grads, old_grads)
+    oracle = batch_major_jacobian_gradients if d == 1 else batch_major_reverse_gradients
+    want_vals, want_grads = oracle(net, x)
+    assert np.array_equal(vals, want_vals) and np.array_equal(vals, jac_vals)
+    assert np.array_equal(grads, want_grads)
+    assert np.max(np.abs(grads - tape_grads)) <= 1e-13 * np.max(np.abs(tape_grads))
     assert np.array_equal(weighted_parameter_gradient(net, x, v),
-                          _old_weighted_parameter_gradient(net, x, v))
+                          batch_major_parameter_gradient(net, x, v))
     du, dgrad = parameter_sensitivities(net, x[0])
-    assert np.array_equal(du, _old_weighted_parameter_gradient(net, x[:1], np.ones(1)))
+    assert np.array_equal(du, batch_major_parameter_gradient(net, x[:1], np.ones(1)))
     for i in range(d):
         e = np.zeros((1, d))
         e[0, i] = 1.0
-        assert np.array_equal(dgrad[i], _old_weighted_parameter_gradient(net, x[:1], np.zeros(1), e))
+        assert np.array_equal(dgrad[i], batch_major_parameter_gradient(net, x[:1], np.zeros(1), e))
     monkeypatch.setattr(networks, "_CHUNK_ROWS", 7)
     assert np.array_equal(weighted_parameter_gradient(net, x, v, m),
-                          _old_weighted_parameter_gradient(net, x, v, m))
+                          batch_major_parameter_gradient(net, x, v, m))
+    assert np.array_equal(values_and_input_gradients(net, x)[1], oracle(net, x)[1])
 
 
 @pytest.mark.parametrize("dims,acts", [
@@ -479,6 +402,45 @@ def test_no_product_takes_the_identity_jacobian(monkeypatch, d):
     for i in reads_eye:
         _, eye_t, out = calls[i]
         assert np.shares_memory(eye_t, eye) and out.shape == net.weights[0].shape
+
+
+def test_training_step_and_checkpoint_share_one_workspace(monkeypatch):
+    # the checkpoint's reverse sweep runs in the training step's workspace,
+    # leaving its Jacobian stacks untouched, rather than in one of its own
+    monkeypatch.setattr(networks._workspaces, "lru", {}, raising=False)
+    net = init_network(prescribe_architecture(2, 4096, 0.0), 1.0, 1)
+    p, samples = make_cosine_problem(2), make_sample_set(512, 64, 2, 7)
+    loss_and_parameter_gradient(net, p, samples)
+    empirical_loss(net, p, samples)
+    assert list(networks._workspaces.lru) == [(net.architecture.layer_dims, 256, True)]
+
+
+def _stack_buffers(ws):
+    return [a for name in ws._STACK_BUFFERS for a in getattr(ws, name) if a is not None]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_h1_error_multiplies_no_jacobian_stack(monkeypatch, d):
+    # at d >= 2 grad u comes from the reverse sweep, so only a pass that
+    # replays its tape with gradient weights (the fused loss gradient here)
+    # reads or writes a Jacobian stack
+    monkeypatch.setattr(networks, "_usable_cores", lambda: 1)  # every block on this thread
+    net = random_relu2_net(d, (16, 8), seed=68 + d)
+    p, samples = make_cosine_problem(d), make_sample_set(600, 8, d, 9)
+    calls = []
+    for name in ("matmul", "multiply"):
+        def recording(*args, _ufunc=getattr(np, name), **kwargs):
+            calls.append((*args, kwargs.get("out")))
+            return _ufunc(*args, **kwargs)
+        monkeypatch.setattr(np, name, recording)
+    h1_error(net, p, 600, 10)
+    estimator_calls = len(calls)
+    loss_and_parameter_gradient(net, p, samples)
+    stacks = _stack_buffers(networks._workspace(net.architecture.layer_dims, 256, True))
+    reads_stack = [i for i, call in enumerate(calls)
+                   if any(isinstance(a, np.ndarray) and np.shares_memory(a, s)
+                          for a in call for s in stacks)]
+    assert estimator_calls and reads_stack and min(reads_stack) >= estimator_calls
 
 
 def test_passes_keep_no_reference_to_the_net():

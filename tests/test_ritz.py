@@ -36,11 +36,14 @@ from ritzlab.sampling import (
 from ritzlab.training import TrainConfig, TrainingDivergedError, train
 
 from conftest import (
+    batch_major_jacobian_gradients,
+    batch_major_reverse_gradients,
     forward,
     forward_with_input_gradient,
     random_relu2_net,
     rng_for,
     sum_of_squares_net,
+    tape_values_and_input_gradients,
 )
 
 
@@ -303,12 +306,12 @@ def test_loss_gradient_linear_in_forcing():
         assert (grad_full - grad_nof)[c] == pytest.approx(-fd, rel=1e-4, abs=1e-9)
 
 
-def two_pass_loss_and_gradient(net, p, samples):
-    """The unfused composition: one value+Jacobian pass for the loss, then a
-    separate domain and boundary adjoint, each recomputing its forward pass."""
+def two_pass_loss_and_gradient(net, p, samples, values_and_gradients):
+    """The unfused composition: the loss on values_and_gradients(net, x), then
+    a separate domain and boundary adjoint, each recomputing its forward pass."""
     x, y = samples.domain_points, samples.boundary_points
     n, m = samples.n_domain, samples.n_boundary
-    vals, grads = values_and_input_gradients(net, x)
+    vals, grads = values_and_gradients(net, x)
     tg = float(np.mean(0.5 * np.sum(grads**2, axis=1)))
     tm = float(np.mean(0.5 * p.w(x) * vals**2))
     tf = float(np.mean(vals * p.f(x)))
@@ -331,11 +334,17 @@ def test_fused_loss_gradient_bitwise_equals_two_pass(monkeypatch, make_problem, 
     s = make_sample_set(50, 30, d, seed=40 + d)
     net = random_relu2_net(d, (6, 5), seed=41)
     rep, grad = loss_and_parameter_gradient(net, p, s)
-    terms, grad_ref = two_pass_loss_and_gradient(net, p, s)
+    # the fused pass reads grad u off its Jacobian tape; empirical_loss takes
+    # it from the reverse sweep at d >= 2, equal to it within rounding
+    terms, grad_ref = two_pass_loss_and_gradient(net, p, s, tape_values_and_input_gradients)
     assert (rep.total, rep.grad_term, rep.mass_term, rep.forcing_term,
             rep.boundary_term) == terms
     assert np.array_equal(grad, grad_ref)
-    assert rep == empirical_loss(net, p, s)
+    full = empirical_loss(net, p, s)
+    if d == 1:
+        assert rep == full
+    else:
+        np.testing.assert_allclose(full, rep, rtol=1e-13, atol=1e-13 * max(map(abs, rep)))
 
 
 def test_multi_output_net_rejected_by_both_loss_entries():
@@ -409,9 +418,12 @@ def test_loss_entries_evaluate_the_boundary_only_when_g_is_nonzero(
     assert calls == [280] * boundary_passes
     full = empirical_loss(net, p, s)
     assert calls == [280] * (2 * boundary_passes)
-    terms, grad_ref = two_pass_loss_and_gradient(net, p, s)
-    for got in (rep, full):
-        assert [v.hex() for v in got] == [v.hex() for v in terms]
+    terms, grad_ref = two_pass_loss_and_gradient(net, p, s, tape_values_and_input_gradients)
+    # empirical_loss reads grad u by the reverse sweep at d >= 2
+    oracle = batch_major_jacobian_gradients if d == 1 else batch_major_reverse_gradients
+    full_terms, _ = two_pass_loss_and_gradient(net, p, s, oracle)
+    assert [v.hex() for v in rep] == [v.hex() for v in terms]
+    assert [v.hex() for v in full] == [v.hex() for v in full_terms]
     assert np.array_equal(grad, grad_ref)
 
 

@@ -216,8 +216,10 @@ def test_train_batches_equal_checked_sample_sets_on_the_same_rows(monkeypatch):
 
 def test_batch_larger_than_fixed_set_rejected():
     p, samples, net = small_setup(n=64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^batch_domain 65 exceeds n_domain 64$"):
         train(net, p, samples, TrainConfig(batch_domain=65, batch_boundary=64))
+    with pytest.raises(ValueError, match="^batch_boundary 300 exceeds n_boundary 64$"):
+        train(net, p, samples, TrainConfig(batch_domain=64, batch_boundary=300))
 
 
 def test_config_rejects_zero_eval_every():
