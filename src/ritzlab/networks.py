@@ -263,16 +263,17 @@ _workspaces = threading.local()
 
 
 def _stack(n_units: int, rows: int, d: int) -> np.ndarray:
-    """Empty Jacobian stack as its (n_units, rows * d) GEMM view.
-
-    The stack (n_units, rows, d) is point-major in memory when d == 1, so this
-    view is then F-ordered, the operand orientation of a batch-major
-    (rows, n_units, 1) recursion.  BLAS rounds by orientation, so this keeps
-    d = 1 results bitwise those of that recursion.
-    """
+    """Empty (n_units, rows, d) Jacobian stack, point-major in memory when d == 1:
+    BLAS rounds by operand orientation, and that layout keeps d = 1 results
+    bitwise those of a batch-major (rows, n_units, 1) recursion."""
     if d == 1:
-        return np.empty((rows, n_units, 1)).transpose(1, 0, 2).reshape(n_units, rows)
-    return np.empty((n_units, rows * d))
+        return np.empty((rows, n_units, 1)).transpose(1, 0, 2)
+    return np.empty((n_units, rows, d))
+
+
+def _batch(stack: np.ndarray) -> np.ndarray:
+    """The (rows * d, n_units) batch view of an (n_units, rows, d) stack."""
+    return stack.reshape(stack.shape[0], -1, copy=False).T
 
 
 class _Workspace:
@@ -287,22 +288,18 @@ class _Workspace:
     its checkpoints share one entry; it writes no stack, and the stacks'
     untouched np.empty pages take no resident memory.  lam[0], (rows, d),
     receives that sweep's grad u.  fs[0] is the block's input, gs[0] the
-    identity.  The
-    Jacobian stacks are unit-major: ps/gs hold the (N_l, rows * d) GEMM views
-    and ps3/gs3 the (N_l, rows, d) views of the same memory, so each layer's
-    Jacobian product is one GEMM with no copy.  P_1 = W_1 G_0 = W_1, so ps3[0]
-    is the view W_1[:, None, :], set by each pass and dropped by
-    release_input.  fpt holds each f'_l unit-major, (N_l, rows): at d = 1 as
-    the view fps[l].T, laid out like the point-major stacks, else in the
-    memory of d2[l], which _adjoint overwrites only after its last read of
-    f'_l.  The other lists are scratch of _adjoint.  GEMM outputs are
-    C-ordered like numpy's fresh results, and the G_l and q stacks follow
-    _stack, so every value is bitwise that of freshly allocated arrays.
+    identity.  Each Jacobian stack (ps, gs, q, mat) is one unit-major
+    (N_l, rows, d) array, multiplied on its batch view (_batch).  P_1 = W_1,
+    so ps[0] is the view W_1[:, None, :], set by each pass and dropped by
+    release_input.  fpt holds each f'_l unit-major, (N_l, rows): at d = 1 the
+    view fps[l].T, else the memory of d2[l], which _adjoint overwrites only
+    after its last read of f'_l.  The other lists are scratch of _adjoint.
+    P_l and mat are C-ordered like a fresh w @ G, and G_l and q follow _stack,
+    so every value is bitwise that of freshly allocated arrays.
     """
 
     _ROW_BUFFERS = ("fs", "fps", "delta", "lam", "d2")
-    _UNIT_BUFFERS = ("fpt", "s")
-    _STACK_BUFFERS = ("ps", "gs", "q", "mat")
+    _UNIT_BUFFERS = ("fpt", "s", "ps", "gs", "q", "mat")
 
     def __init__(self, dims: tuple, rows: int, need_input_gradient: bool):
         d, units, hidden = dims[0], dims[1:], dims[1:-1]
@@ -321,21 +318,13 @@ class _Workspace:
             self.s = [np.empty((n, rows)) for n in units]
             self.fpt = ([fp.T for fp in self.fps] if d == 1 else
                         [a.reshape(n, rows, copy=False) for n, a in zip(units, self.d2)])
-            self.ps = [None, *(np.empty((n, rows * d)) for n in units[1:])]
+            self.ps = [None, *(np.empty((n, rows, d)) for n in units[1:])]
             eye = np.broadcast_to(np.eye(d), (rows, d, d)).transpose(1, 0, 2)
-            self.gs = [eye.reshape(d, rows * d), *(_stack(n, rows, d) for n in units)]
+            self.gs = [eye.reshape(d, rows * d).reshape(eye.shape),  # a view at d = 1
+                       *(_stack(n, rows, d) for n in units)]
             self.q = [_stack(n, rows, d) for n in units]
-            self.mat = [None, *(np.empty((n, rows * d)) for n in hidden)]
-        self._set_3d_views()
+            self.mat = [None, *(np.empty((n, rows, d)) for n in hidden)]
         self._head = None
-
-    def _set_3d_views(self) -> None:
-        for name in self._STACK_BUFFERS:
-            mats = getattr(self, name)
-            if mats is not None:
-                views = [None if a is None else a.reshape(a.shape[0], self.rows, self.d)
-                         for a in mats]
-                setattr(self, name + "3", views)
 
     def head(self, rows: int) -> "_Workspace":
         """The workspace itself, or views of its leading rows for a short block."""
@@ -345,13 +334,11 @@ class _Workspace:
             head = copy.copy(self)
             head.rows, head._head = rows, None
             for names, cut in ((self._ROW_BUFFERS, lambda a: a[:rows]),
-                               (self._UNIT_BUFFERS, lambda a: a[:, :rows]),
-                               (self._STACK_BUFFERS, lambda a: a[:, : rows * self.d])):
+                               (self._UNIT_BUFFERS, lambda a: a[:, :rows])):
                 for name in names:
                     bufs = getattr(self, name)
                     if bufs is not None:
                         setattr(head, name, [None if a is None else cut(a) for a in bufs])
-            head._set_3d_views()
             self._head = head
         return self._head
 
@@ -361,7 +348,7 @@ class _Workspace:
             if ws is not None:
                 ws.fs[0] = None
                 if ws.ps is not None:
-                    ws.ps3[0] = None
+                    ws.ps[0] = None
 
 
 def _workspace(dims: tuple, rows: int, need_input_gradient: bool) -> _Workspace:
@@ -421,48 +408,50 @@ def _second_derivative(spec, fp: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _layer_product(a: np.ndarray, w: np.ndarray, block, out: np.ndarray,
+                   reverse: bool = False) -> None:
+    """out = a @ w.T, or a @ w when reverse: the one product of a layer with a
+    batch a of rows.  A layer declared as K diagonal copies of one block
+    (Network._bind) multiplies it alone, on (rows * K, n / K) views.  An inner
+    size of 1 is one product per element, as in its GEMM.  On a stack's batch
+    view (_batch) numpy issues the same GEMM as for the unit-major w @ G.
+    """
+    m = w if block is None else block
+    m = m if reverse else m.T
+    if block is not None:  # each row splits into K independent rows of the diagonal block
+        a = a.reshape(-1, m.shape[0], copy=False)
+        out = out.reshape(-1, m.shape[1], copy=False)
+    if m.shape[0] == 1:
+        np.multiply(a, m, out=out)
+    else:
+        np.matmul(a, m, out=out)
+
+
 def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace, derivatives: bool,
                     jacobians: bool) -> _Workspace:
     """Record one block's forward tape into ws (see _Workspace) and return it.
 
-    x holds exactly ws.rows points.  Each z_l is formed in f_l's buffer and
-    activated in place.  A layer declared as K diagonal copies of one block
-    (Network._bind) multiplies that block alone, on (rows * K, n_in / K) and
-    (K, n_in / K, rows * d) views of the same buffers.  A layer with one input
-    maps values by an outer product: one product per element, as in its GEMM.
-    derivatives records the f'_l, which _adjoint reads; jacobians (which needs
-    them) also records the input Jacobians, in a workspace that has room for
-    them.  Layer 1 runs no Jacobian GEMM (P_1 = W_1), and each
-    G_l = f'_l * P_l is formed one d-component at a time on (N_l, rows) views
-    of fpt and the stacks, so inner loops run along rows, not along d.  For
-    d = 1 the G_l are point-major in memory (_stack): BLAS rounds the
-    scalar-output products by operand orientation, and that layout keeps
-    d = 1 results bitwise those of a batch-major (B, N_l, d) recursion.
+    x holds exactly ws.rows points.  Each z_l is formed in f_l's buffer by
+    _layer_product and activated in place.  derivatives records the f'_l,
+    which _adjoint reads; jacobians (which needs them) also records the input
+    Jacobians, in a workspace that has room for them.  Layer 1 runs no
+    Jacobian product (P_1 = W_1), every other layer one dense _layer_product
+    on the stacks' batch views, and each G_l = f'_l * P_l is formed one
+    d-component at a time on (N_l, rows) views, so inner loops run along rows.
     """
     ws.fs[0] = x
     layers = zip(net.architecture.activations, net.weights, net.biases, net._blocks)
     for k, (spec, w, bias, block) in enumerate(layers):
         z = ws.fs[k + 1]  # the pre-activation, activated in place
-        if block is not None:  # each row splits into K independent rows of the diagonal block
-            n_out, n_in = block.shape
-            np.matmul(ws.fs[k].reshape(-1, n_in, copy=False), block.T,
-                      out=z.reshape(-1, n_out, copy=False))
-        elif w.shape[1] == 1:
-            np.multiply(ws.fs[k], w.T, out=z)
-        else:
-            np.matmul(ws.fs[k], w.T, out=z)
+        _layer_product(ws.fs[k], w, block, z)
         z += bias
         _activate(spec, z, ws.fps[k] if derivatives else None)
         if jacobians:
-            if k == 0:
-                ws.ps3[0] = w[:, None, :]
-            elif block is None:
-                np.matmul(w, ws.gs[k], out=ws.ps[k])
-            else:  # one stacked GEMM over the K unit blocks of the Jacobians
-                stacked = (w.shape[0] // n_out, -1, ws.rows * ws.d)
-                np.matmul(block, ws.gs[k].reshape(stacked, copy=False),
-                          out=ws.ps[k].reshape(stacked, copy=False))
-            fpt, p, g = ws.fpt[k], ws.ps3[k], ws.gs3[k + 1]
+            if k:
+                _layer_product(_batch(ws.gs[k]), w, None, _batch(ws.ps[k]))
+            else:
+                ws.ps[0] = w[:, None, :]
+            fpt, p, g = ws.fpt[k], ws.ps[k], ws.gs[k + 1]
             if ws.d > 1:
                 np.copyto(fpt, ws.fps[k].T)
             for i in range(ws.d):
@@ -518,7 +507,7 @@ def _block_pass(net: Network, x: np.ndarray, input_gradients: bool = False, seed
             for lo in starts:
                 hi = min(lo + _CHUNK_ROWS, n)
                 tape = _forward_caches(net, x[lo:hi], ws.head(hi - lo), derivatives, jacobians)
-                du = (tape.gs3[-1][0] if jacobians else
+                du = (tape.gs[-1][0] if jacobians else
                       _adjoint(net, tape, 1.0) if input_gradients else None)
                 if streamed:
                     consume(lo, hi, tape.fs[-1][:, 0], du)
@@ -613,14 +602,10 @@ def _adjoint(net: Network, tape: _Workspace, lam, mat=None, grad_w: list | None 
     and nothing is propagated below layer 1, since the input layer has no
     parameters.  Without them the sweep runs on through W_1 and returns
     d(lam u)/dx, (B, d), in the workspace buffer lam[0]: the input gradient
-    of u when lam = 1.  A block-declared layer (Network._bind) multiplies its
-    block alone, on (B * K, N_l / K) views.
-
-    The tape must carry the input Jacobians whenever mat is given.  mat is
-    carried in the tape's unit-major (N_l, B, d) layout, so its products with
-    the stored G_l are GEMMs on free (N_l, B*d) views; the d = 1 stacks it
-    forms are point-major in memory, as in _stack, for the same bitwise
-    reason.  Every temporary is a workspace buffer.
+    of u when lam = 1.  The lam and mat products are _layer_product, the
+    former on a declared block alone.  The tape must carry the input Jacobians
+    whenever mat is given; mat is a unit-major (N_l, B, d) stack like those of
+    the tape, and every temporary is a workspace buffer.
     """
     t = tape
     accumulate = grad_w is not None
@@ -631,27 +616,22 @@ def _adjoint(net: Network, tape: _Workspace, lam, mat=None, grad_w: list | None 
         gw = t.gw[k]
         if mat is not None:
             # z_k also enters G_k through act'(z_k); d2 carries that path
-            s = _sum_of_products(mat, t.ps3[k], t.s[k], t.q3[k])
+            s = _sum_of_products(mat, t.ps[k], t.s[k], t.q[k])
             for i in range(t.d):  # the last read of fpt[k], before d2[k] is written
-                np.multiply(t.fpt[k], mat[..., i], out=t.q3[k][..., i])
+                np.multiply(t.fpt[k], mat[..., i], out=t.q[k][..., i])
             d2 = _second_derivative(spec, t.fps[k], t.d2[k])
             d2 *= s.T
             delta += d2
-            grad_w[k] += np.matmul(t.q[k], t.gs[k].T, out=gw)
+            grad_w[k] += np.matmul(_batch(t.q[k]).T, _batch(t.gs[k]), out=gw)
             if k:
-                np.matmul(w.T, t.q[k], out=t.mat[k])
-                mat = t.mat3[k]
+                mat = t.mat[k]
+                _layer_product(_batch(t.q[k]), w, None, _batch(mat), reverse=True)
         if accumulate:
             grad_w[k] += np.matmul(delta.T, t.fs[k], out=gw)
             grad_b[k] += delta.sum(axis=0)
         if k or not accumulate:
             lam = t.lam[k]
-            if block is None:
-                np.matmul(delta, w, out=lam)
-            else:
-                n_out, n_in = block.shape
-                np.matmul(delta.reshape(-1, n_out, copy=False), block,
-                          out=lam.reshape(-1, n_in, copy=False))
+            _layer_product(delta, w, block, lam, reverse=True)
     return lam
 
 

@@ -52,19 +52,19 @@ def sum_of_squares_net(d):
     return Network(arch, [w1, w2], [np.zeros(2 * d), np.zeros(1)])
 
 
-def points_away_from_kinks(net, rng, n, box=(-1.5, 1.5), min_preact=1e-8, max_draws=None):
-    """Sample points whose pre-activations all clear the kinks.
+def points_away_from_kinks(net, rng, n, box=(-1.5, 1.5), min_preact=1e-8, max_draws=10_000):
+    """Sample n points whose pre-activations all clear the kinks.
 
     Finite-difference oracles are only valid away from activation breakpoints;
-    resample any point with a pre-activation magnitude below min_preact.  With
-    max_draws, stop after that many draws and return the points found (a unit
-    whose pre-activation is a constant near 0 would reject every draw).
+    resample any point with a pre-activation magnitude below min_preact.  Fail,
+    naming min_preact, when max_draws draws leave fewer than n points (a unit
+    whose pre-activation is a constant near 0 rejects every draw).
     """
     d = net.architecture.input_dim
     out = []
-    draws = 0
-    while len(out) < n and (max_draws is None or draws < max_draws):
-        draws += 1
+    for _ in range(max_draws):
+        if len(out) == n:
+            break
         x = rng.uniform(box[0], box[1], size=d)
         f = x
         ok = True
@@ -76,6 +76,9 @@ def points_away_from_kinks(net, rng, n, box=(-1.5, 1.5), min_preact=1e-8, max_dr
             f = act(z)
         if ok:
             out.append(x)
+    if len(out) < n:
+        pytest.fail(f"{len(out)} of {n} points clear the kinks at min_preact={min_preact:g} "
+                    f"in {max_draws} draws")
     return np.array(out)
 
 

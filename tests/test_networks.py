@@ -1,5 +1,6 @@
 import gc
 import itertools
+import signal
 import sys
 import tempfile
 import threading
@@ -404,6 +405,53 @@ def test_no_product_takes_the_identity_jacobian(monkeypatch, d):
         assert np.shares_memory(eye_t, eye) and out.shape == net.weights[0].shape
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_no_layer_product_has_inner_size_one(monkeypatch, d):
+    # a product over one unit is one product per element, so neither the
+    # 1-unit hidden layer nor the output layer multiplies by a GEMM of inner
+    # size 1, forward or reverse
+    arch = Architecture((d, 5, 1, 4, 1), (RELU2, RELU2, RELU2, IDENTITY))
+    rng = rng_for(70 + d)
+    net = Network(arch, [rng.standard_normal((n_out, n_in)) for n_in, n_out in
+                         zip(arch.layer_dims, arch.layer_dims[1:])],
+                  [rng.uniform(0.2, 0.5, n) for n in arch.layer_dims[1:]])
+    p, samples = make_cosine_problem(d), make_sample_set(300, 8, d, 5)
+    x = samples.domain_points
+    inner = []
+    matmul = np.matmul
+
+    def recording_matmul(a, b, *args, **kwargs):
+        inner.append(np.shape(a)[-1])
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    loss_and_parameter_gradient(net, p, samples)
+    weighted_parameter_gradient(net, x, rng.standard_normal(len(x)),
+                                rng.standard_normal(x.shape))
+    values_and_input_gradients(net, x)
+    assert inner and 1 not in inner
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("points_away_from_kinks did not return")
+
+
+def test_points_away_from_kinks_fails_when_no_point_clears_the_kinks():
+    # both first-layer ReLU units are off on [0, 1], so the second layer's
+    # pre-activation is its bias 1e-4 at every point and no draw clears 1e-3
+    arch = Architecture((1, 2, 1, 1), (RELU, RELU2, IDENTITY))
+    net = Network(arch, [np.ones((2, 1)), np.ones((1, 2)), np.ones((1, 1))],
+                  [np.full(2, -5.0), np.full(1, 1e-4), np.zeros(1)])
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(30)
+    try:
+        with pytest.raises(pytest.fail.Exception, match="min_preact=0.001"):
+            points_away_from_kinks(net, rng_for(0), 3, box=(0.0, 1.0), min_preact=1e-3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_training_step_and_checkpoint_share_one_workspace(monkeypatch):
     # the checkpoint's reverse sweep runs in the training step's workspace,
     # leaving its Jacobian stacks untouched, rather than in one of its own
@@ -416,7 +464,7 @@ def test_training_step_and_checkpoint_share_one_workspace(monkeypatch):
 
 
 def _stack_buffers(ws):
-    return [a for name in ws._STACK_BUFFERS for a in getattr(ws, name) if a is not None]
+    return [a for name in ("ps", "gs", "q", "mat") for a in getattr(ws, name) if a is not None]
 
 
 @pytest.mark.parametrize("d", [2, 3])
