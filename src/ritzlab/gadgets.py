@@ -194,10 +194,63 @@ def _product_gadget_rows(ra, rb):
 _PROD_COMBINE = np.array([0.25, 0.25, -0.25, -0.25])
 
 
-def _factor_biases(idx: SplineIndex) -> np.ndarray:
-    """First-layer biases -(i_a + j) h of the 4 shifted sigma2 units per axis a."""
-    h = 2.0 ** (-idx.level)
-    return np.array([-(i + j) * h for i in idx.index for j in range(4)])
+def _product_trees(level: int, dim: int, terms) -> Network:
+    """One net computing sum_j c_j N_{level, i_j} over terms [(i_j, c_j)], each
+    N a binary product tree of its univariate factors, every distinct hidden
+    unit built once.
+
+    Every order-3 B-spline on one dyadic grid combines the same truncated
+    powers sigma2(x_a - k h) (de Boor, A Practical Guide to Splines, 2001), so
+    stage 1 holds one unit per (axis a, knot shift k) that some term uses.  A
+    tree value is keyed by what it computes: a factor (a, i), a pair of child
+    keys, or a 1-tuple for an odd value passed through one identity unit.  Each
+    later stage holds one product gadget per distinct pair and one pass-through
+    per distinct odd value, in tree-position order, and the output row is
+    sum_j c_j times each term's final combine row.  Values are kept as (unit
+    positions, coefficients) over the latest stage's outputs.
+    """
+    h = 2.0 ** (-level)
+    net = _StagedNet(dim)
+
+    shifts = sorted({(a, i + j) for index, _ in terms for a, i in enumerate(index)
+                     for j in range(4)})
+    unit = {s: pos for pos, s in enumerate(shifts)}
+    net.begin_stage()
+    net.add_units(np.eye(dim)[[a for a, _ in shifts]], np.array([-k * h for _, k in shifts]),
+                  RELU2)
+    net.commit_stage()
+
+    factor = 2.0 ** (2 * level - 1) * np.array(_BINOM3)
+    values = {(a, i): ([unit[a, i + j] for j in range(4)], factor)
+              for index, _ in terms for a, i in enumerate(index)}
+    trees = [tuple(enumerate(index)) for index, _ in terms]  # each term's value keys
+
+    def row(key):
+        pos, coef = values[key]
+        out = np.zeros(net.width)
+        out[pos] = coef
+        return out
+
+    while len(trees[0]) > 1:
+        trees = [tuple(t[k : k + 2] for k in range(0, len(t), 2)) for t in trees]
+        net.begin_stage()
+        queued = {}
+        for p in range(len(trees[0])):
+            for key in sorted({t[p] for t in trees}):
+                if len(key) == 2:
+                    rows, biases = _product_gadget_rows(row(key[0]), row(key[1]))
+                    queued[key] = (net.add_units(rows, biases, RELU2), _PROD_COMBINE)
+                else:
+                    pos = net.add_units(row(key[0])[None, :], np.array([0.0]), IDENTITY)
+                    queued[key] = (pos, np.ones(1))
+        net.commit_stage()
+        values = queued
+
+    out = np.zeros(net.width)
+    for (key,), (_, c) in zip(trees, terms):
+        pos, coef = values[key]
+        out[pos] += c * coef
+    return net.finish(out, 0.0)
 
 
 def build_multivariate_bspline(idx: SplineIndex) -> Network:
@@ -205,38 +258,8 @@ def build_multivariate_bspline(idx: SplineIndex) -> Network:
 
     Depth <= ceil(log2 d) + 2 and width <= 4d, both asserted.
     """
+    built = _product_trees(idx.level, idx.dim, [(idx.index, 1.0)])
     d = idx.dim
-    net = _StagedNet(d)
-
-    # stage 1: the 4 shifted sigma2 units of every univariate factor
-    net.begin_stage()
-    net.add_units(np.repeat(np.eye(d), 4, axis=0), _factor_biases(idx), RELU2)
-    net.commit_stage()
-
-    scale = 2.0 ** (2 * idx.level - 1)
-    values = []
-    for axis in range(d):
-        row = np.zeros(net.width)
-        row[4 * axis : 4 * axis + 4] = scale * np.array(_BINOM3)
-        values.append(row)
-
-    # product tree; an odd value passes through one identity unit per level
-    while len(values) > 1:
-        net.begin_stage()
-        queued = []  # (unit positions, output combination) per new value
-        for k in range(0, len(values) - 1, 2):
-            rows, biases = _product_gadget_rows(values[k], values[k + 1])
-            queued.append((net.add_units(rows, biases, RELU2), _PROD_COMBINE))
-        if len(values) % 2 == 1:
-            queued.append((net.add_units(values[-1][None, :], np.array([0.0]), IDENTITY), 1.0))
-        net.commit_stage()
-        values = []
-        for pos, combine in queued:
-            row = np.zeros(net.width)
-            row[pos] = combine
-            values.append(row)
-
-    built = net.finish(values[0], 0.0)
     _assert_bounds(built, math.ceil(math.log2(d)) + 2, 4 * d, "multivariate B-spline")
     return built
 
@@ -253,43 +276,16 @@ def _assert_bounds(net: Network, max_depth: int, max_width: int, what: str) -> N
 
 
 def build_spline_combination(comb: SplineCombination) -> Network:
-    """Single net computing sum_j c_j N_{l, i_j} as K parallel subnets.
+    """Single net computing sum_j c_j N_{l, i_j}: the terms' product trees
+    (build_multivariate_bspline) with every distinct hidden unit built once.
 
-    Every term is the same product-tree net (build_multivariate_bspline)
-    up to its first-layer biases, the knots -(i_a + j) h: no other weight
-    or bias depends on the index.  So one template net supplies every
-    layer: K stacked copies of its first weight matrix with each term's
-    biases, block-diagonal copies of its middle layers, and an output row
-    of c_j times its output row per term.  The middle layers are declared
-    block-diagonal, so evaluation multiplies each template matrix alone.
+    The full basis at d = 3, level 2 gives (3,27,150,864,1); a sparse
+    combination builds only the knots and products its terms use.
     """
     if not comb.coefficients:
         raise ValueError("combination has no coefficients")
     items = sorted(comb.coefficients.items(), key=lambda kv: kv[0].index)
-    k_terms = len(items)
-    template = build_multivariate_bspline(items[0][0])
-    arch = template.architecture
-
-    weights = [np.vstack([template.weights[0]] * k_terms)]  # all read the shared input
-    biases = [np.concatenate([_factor_biases(idx) for idx, _ in items])]
-    for w, b in zip(template.weights[1:-1], template.biases[1:-1]):
-        # assignment into zeros keeps the template's -0.0 entries and +0.0 elsewhere
-        blocks = np.zeros((k_terms, w.shape[0], k_terms, w.shape[1]))
-        blocks[range(k_terms), :, range(k_terms)] = w
-        weights.append(blocks.reshape(k_terms * w.shape[0], k_terms * w.shape[1]))
-        biases.append(np.tile(b, k_terms))
-    weights.append(np.hstack([c * template.weights[-1] for _, c in items]))
-    biases.append(np.array([sum(c * template.biases[-1][0] for _, c in items)]))
-
-    acts = []
-    for spec, n_units in zip(arch.activations[:-1], arch.layer_dims[1:]):
-        tags = (spec,) * n_units if isinstance(spec, str) else spec
-        acts.append(tags * k_terms)
-    acts.append(IDENTITY)
-
-    dims = (comb.dim, *(w.shape[0] for w in weights))
-    middle = {k: k_terms for k in range(1, len(weights) - 1)}
-    built = Network(Architecture(dims, tuple(acts)), weights, biases, _blocks=middle)
+    built = _product_trees(comb.level, comb.dim, [(idx.index, c) for idx, c in items])
     if built.architecture.depth > math.ceil(math.log2(max(comb.dim, 1))) + 3:
         raise AssertionError("spline combination exceeded its depth bound")
     return built

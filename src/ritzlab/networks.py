@@ -6,25 +6,23 @@ input gradients and parameter sensitivities have closed-form layered
 recursions; no general-purpose autodiff is involved.
 
 Every pass is one block loop, _block_pass: it records each _CHUNK_ROWS-row
-block's tape once into a workspace kept per thread and shape (_Workspace),
-and a streamed pass shares its blocks out over the usable cores.  Input
-gradients at d >= 2 come from one reverse sweep over a tape of values and
-derivatives (_adjoint, seeded with 1), which costs about one value sweep at
-any d; only a tape that _adjoint replays with gradient weights, and every
-d = 1 tape, carries the forward-mode input-Jacobian stacks.  Activations
-have one in-place implementation (_activate); mixed layers apply each tag's
-formula to its units through per-unit masks.
+block's tape once, in block order on the calling thread, into a workspace
+kept per thread and shape (_Workspace).  Input gradients at d >= 2 come from
+one reverse sweep over a tape of values and derivatives (_adjoint, seeded
+with 1), which costs about one value sweep at any d; only a tape that
+_adjoint replays with gradient weights, and every d = 1 tape, carries the
+forward-mode input-Jacobian stacks.  Activations have one in-place
+implementation (_activate); mixed layers apply each tag's formula to its
+units through per-unit masks.
 """
 
 from __future__ import annotations
 
-import contextvars
 import copy
 import functools
 import math
 import numbers
 import operator
-import os
 import threading
 from dataclasses import dataclass
 
@@ -172,8 +170,8 @@ class Network:
     order of _layer_views.  Every constructor rejects non-finite parameters.
     """
 
-    def __init__(self, architecture: Architecture, weights, biases, _blocks=None):
-        """Copy the per-layer arrays into a fresh theta; _blocks as in _bind."""
+    def __init__(self, architecture: Architecture, weights, biases):
+        """Copy the per-layer arrays into a fresh theta."""
         if len(weights) != architecture.depth or len(biases) != architecture.depth:
             raise DimensionMismatchError("need one weight matrix and bias per layer")
         theta = np.empty(architecture.n_parameters)
@@ -185,11 +183,9 @@ class Network:
                         f"layer {k + 1} {kind} shape {given.shape}, expected {view.shape}"
                     )
                 view[...] = given
-        self._bind(architecture, theta, _blocks)
+        self._bind(architecture, theta)
 
-    def _bind(self, architecture: Architecture, theta: np.ndarray, blocks=None) -> None:
-        """Bind theta.  blocks {k: K} declares weights[k] == np.kron(np.eye(K), block),
-        checked exactly (else ValueError); _forward_caches then multiplies block alone."""
+    def _bind(self, architecture: Architecture, theta: np.ndarray) -> None:
         if not np.isfinite(theta).all():
             raise ValueError("network has non-finite parameters")
         theta = theta.view()
@@ -197,13 +193,6 @@ class Network:
         self._arch = architecture
         self._theta = theta
         self._weights, self._biases = map(tuple, _layer_views(architecture, theta))
-        self._blocks = [None] * architecture.depth
-        for k, n_blocks in (blocks or {}).items():
-            w = self._weights[k]
-            block = w[: w.shape[0] // n_blocks, : w.shape[1] // n_blocks]
-            if not np.array_equal(w, np.kron(np.eye(n_blocks), block)):
-                raise ValueError(f"layer {k + 1} is not {n_blocks} diagonal copies of a block")
-            self._blocks[k] = block.copy()
 
     @property
     def architecture(self) -> Architecture:
@@ -297,7 +286,9 @@ class _Workspace:
     view fps[l].T, else the memory of d2[l], which _adjoint overwrites only
     after its last read of f'_l.  The other lists are scratch of _adjoint.
     P_l and mat are C-ordered like a fresh w @ G, and G_l and q follow _stack,
-    so every value is bitwise that of freshly allocated arrays.
+    so every value is bitwise that of freshly allocated arrays.  A pass fills
+    one workspace of its own thread (_workspace), so passes that callers run
+    from several threads never share one.
     """
 
     _ROW_BUFFERS = ("fs", "fps", "delta", "lam", "d2")
@@ -410,19 +401,14 @@ def _second_derivative(spec, fp: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _layer_product(a: np.ndarray, w: np.ndarray, block, out: np.ndarray,
+def _layer_product(a: np.ndarray, w: np.ndarray, out: np.ndarray,
                    reverse: bool = False) -> None:
     """out = a @ w.T, or a @ w when reverse: the one product of a layer with a
-    batch a of rows.  A layer declared as K diagonal copies of one block
-    (Network._bind) multiplies it alone, on (rows * K, n / K) views.  An inner
-    size of 1 is one product per element, as in its GEMM.  On a stack's batch
-    view (_batch) numpy issues the same GEMM as for the unit-major w @ G.
+    batch a of rows.  An inner size of 1 is one product per element, as in its
+    GEMM.  On a stack's batch view (_batch) numpy issues the same GEMM as for
+    the unit-major w @ G.
     """
-    m = w if block is None else block
-    m = m if reverse else m.T
-    if block is not None:  # each row splits into K independent rows of the diagonal block
-        a = a.reshape(-1, m.shape[0], copy=False)
-        out = out.reshape(-1, m.shape[1], copy=False)
+    m = w if reverse else w.T
     if m.shape[0] == 1:
         np.multiply(a, m, out=out)
     else:
@@ -442,15 +428,15 @@ def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace, derivatives: bo
     d-component at a time on (N_l, rows) views, so inner loops run along rows.
     """
     ws.fs[0] = x
-    layers = zip(net.architecture.activations, net.weights, net.biases, net._blocks)
-    for k, (spec, w, bias, block) in enumerate(layers):
+    layers = zip(net.architecture.activations, net.weights, net.biases)
+    for k, (spec, w, bias) in enumerate(layers):
         z = ws.fs[k + 1]  # the pre-activation, activated in place
-        _layer_product(ws.fs[k], w, block, z)
+        _layer_product(ws.fs[k], w, z)
         z += bias
         _activate(spec, z, ws.fps[k] if derivatives else None)
         if jacobians:
             if k:
-                _layer_product(_batch(ws.gs[k]), w, None, _batch(ws.ps[k]))
+                _layer_product(_batch(ws.gs[k]), w, _batch(ws.ps[k]))
             else:
                 ws.ps[0] = w[:, None, :]
             fpt, p, g = ws.fpt[k], ws.ps[k], ws.gs[k + 1]
@@ -461,25 +447,18 @@ def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace, derivatives: bo
     return ws
 
 
-def _usable_cores() -> int:
-    """CPUs this process may run on: the most threads a streamed pass uses."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
 def _block_pass(net: Network, x: np.ndarray, input_gradients: bool = False, seeds=None,
                 consume=None):
-    """The one loop of every network pass: one forward tape per block.
+    """The one loop of every network pass: one forward tape per block, in
+    block order on the calling thread.
 
     Input gradients come from the tape's Jacobian stacks when d = 1 or when
     seeds is given (its gradient weights replay them), else from the reverse
     sweep of _adjoint seeded with 1.  A streamed pass hands consume(lo, hi,
     values (rows,), input gradients (rows, d) or None) views of each block's
-    workspace, its blocks shared out over min(_usable_cores(), blocks)
-    threads, each with its own workspace and a copy of the caller's context
-    (and so np.errstate); the first error is re-raised after all joins.  consume may write only rows lo:hi.  Any other
-    pass runs in block order on the caller and copies out values (all columns)
-    and input gradients; seeds(lo, hi, values, gradients) -> (value weights,
+    workspace, so it holds no full-size array of its own; consume may write
+    only rows lo:hi.  Any other pass copies out values (all columns) and
+    input gradients; seeds(lo, hi, values, gradients) -> (value weights,
     gradient weights or None) then seeds _adjoint's replay of the tape.  No
     callback may run a pass.  Returns (values (B, N_L), input gradients (B, d)
     or None, parameter gradient or None), all None when streamed.
@@ -500,48 +479,24 @@ def _block_pass(net: Network, x: np.ndarray, input_gradients: bool = False, seed
         return vals, grads, grad
     derivatives = input_gradients or seeds is not None
     jacobians = input_gradients and (arch.input_dim == 1 or seeds is not None)
-    errors = []
-
-    def run(starts):
-        ws = None
-        try:
-            ws = _workspace(arch.layer_dims, min(n, _CHUNK_ROWS), input_gradients)
-            for lo in starts:
-                hi = min(lo + _CHUNK_ROWS, n)
-                tape = _forward_caches(net, x[lo:hi], ws.head(hi - lo), derivatives, jacobians)
-                du = (tape.gs[-1][0] if jacobians else
-                      _adjoint(net, tape, 1.0) if input_gradients else None)
-                if streamed:
-                    consume(lo, hi, tape.fs[-1][:, 0], du)
-                    continue
-                vals[lo:hi] = tape.fs[-1]
-                if input_gradients:
-                    grads[lo:hi] = du
-                if seeds is not None:
-                    v, m = seeds(lo, hi, vals[lo:hi, 0], None if grads is None else grads[lo:hi])
-                    _adjoint(net, tape, v[:, None], None if m is None else m[None], grad_w,
-                             grad_b)
-        except BaseException as exc:
-            errors.append(exc)
-        finally:
-            if ws is not None:
-                ws.release_input()
-
-    starts = range(0, n, _CHUNK_ROWS)
-    n_shares = min(_usable_cores(), len(starts)) if streamed else 1
-    threads = []
+    ws = _workspace(arch.layer_dims, min(n, _CHUNK_ROWS), input_gradients)
     try:
-        for i in range(1, n_shares):
-            thread = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(run, starts[i::n_shares]))
-            thread.start()
-            threads.append(thread)
-        run(starts[::n_shares])
+        for lo in range(0, n, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, n)
+            tape = _forward_caches(net, x[lo:hi], ws.head(hi - lo), derivatives, jacobians)
+            du = (tape.gs[-1][0] if jacobians else
+                  _adjoint(net, tape, 1.0) if input_gradients else None)
+            if streamed:
+                consume(lo, hi, tape.fs[-1][:, 0], du)
+                continue
+            vals[lo:hi] = tape.fs[-1]
+            if input_gradients:
+                grads[lo:hi] = du
+            if seeds is not None:
+                v, m = seeds(lo, hi, vals[lo:hi, 0], None if grads is None else grads[lo:hi])
+                _adjoint(net, tape, v[:, None], None if m is None else m[None], grad_w, grad_b)
     finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+        ws.release_input()
     return vals, grads, grad
 
 
@@ -561,9 +516,8 @@ def _finite_on_unit_cube(net: Network) -> bool:
     |bias_l|, and each b_l <= 1e300 leaves 1e8 for the rounding of a pass."""
     b = np.ones(net.architecture.input_dim)
     with np.errstate(over="ignore"):
-        for w, bias, block in zip(net.weights, net.biases, net._blocks):
-            beta = np.abs(bias) + (np.abs(w) @ b if block is None else  # block: K copies
-                                   (b.reshape(-1, block.shape[1]) @ np.abs(block).T).ravel())
+        for w, bias in zip(net.weights, net.biases):
+            beta = np.abs(bias) + np.abs(w) @ b
             b = np.maximum(beta, beta * beta)
             if not b.max() <= 1e300:
                 return False
@@ -604,16 +558,16 @@ def _adjoint(net: Network, tape: _Workspace, lam, mat=None, grad_w: list | None 
     and nothing is propagated below layer 1, since the input layer has no
     parameters.  Without them the sweep runs on through W_1 and returns
     d(lam u)/dx, (B, d), in the workspace buffer lam[0]: the input gradient
-    of u when lam = 1.  The lam and mat products are _layer_product, the
-    former on a declared block alone.  The tape must carry the input Jacobians
-    whenever mat is given; mat is a unit-major (N_l, B, d) stack like those of
-    the tape, and every temporary is a workspace buffer.
+    of u when lam = 1.  The lam and mat products are _layer_product.  The tape
+    must carry the input Jacobians whenever mat is given; mat is a unit-major
+    (N_l, B, d) stack like those of the tape, and every temporary is a
+    workspace buffer.
     """
     t = tape
     accumulate = grad_w is not None
-    layers = list(zip(net.architecture.activations, net.weights, net._blocks))
+    layers = list(zip(net.architecture.activations, net.weights))
     for k in range(net.architecture.depth - 1, -1, -1):
-        spec, w, block = layers[k]
+        spec, w = layers[k]
         delta = np.multiply(lam, t.fps[k], out=t.delta[k])
         gw = t.gw[k]
         if mat is not None:
@@ -627,13 +581,13 @@ def _adjoint(net: Network, tape: _Workspace, lam, mat=None, grad_w: list | None 
             grad_w[k] += np.matmul(_batch(t.q[k]).T, _batch(t.gs[k]), out=gw)
             if k:
                 mat = t.mat[k]
-                _layer_product(_batch(t.q[k]), w, None, _batch(mat), reverse=True)
+                _layer_product(_batch(t.q[k]), w, _batch(mat), reverse=True)
         if accumulate:
             grad_w[k] += np.matmul(delta.T, t.fs[k], out=gw)
             grad_b[k] += delta.sum(axis=0)
         if k or not accumulate:
             lam = t.lam[k]
-            _layer_product(delta, w, block, lam, reverse=True)
+            _layer_product(delta, w, lam, reverse=True)
     return lam
 
 

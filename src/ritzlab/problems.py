@@ -24,8 +24,8 @@ class Problem:
     Evaluators are vectorized: each callable maps an (n, d) array of points
     to (n,) values (the gradient to (n, d)); g is evaluated on boundary
     points, whose face is their one coordinate equal to 0.0 or 1.0.  Every
-    callable is row-wise (each output row depends only on its input row) and
-    may run on disjoint row blocks from several threads at once.
+    callable is row-wise (each output row depends only on its input row), so
+    the estimators may call it block by block.
     """
 
     name: str

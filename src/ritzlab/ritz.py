@@ -86,8 +86,7 @@ def _boundary_values(net: Network, y: np.ndarray, g_vals: np.ndarray) -> np.ndar
 
 
 def _check_loss_inputs(net: Network, p: Problem, samples: SampleSet) -> None:
-    if samples.d != p.d or net.architecture.input_dim != p.d:
-        raise ValueError("sample/net dimensions do not match the problem")
+    _check_input_dim(net, p, samples)
     if samples.n_domain == 0 or samples.n_boundary == 0:
         raise ValueError("sample set must contain domain and boundary points")
 

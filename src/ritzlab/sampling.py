@@ -137,8 +137,9 @@ def mc_mean(values, volume: float = 1.0) -> MCEstimate:
 def _pointwise(net: Network, x: np.ndarray, *integrands) -> np.ndarray:
     """Row k holds integrands[k](xb, u, grad u) at every point of x: each maps a
     block's points xb, with the net's values u and input gradients there, to
-    one value per point.  The blocks are streamed, several threads at once
-    (networks._block_pass), so x and the result are the only full-size arrays."""
+    one value per point.  The blocks are streamed one after another on the
+    calling thread (networks._block_pass), so x and the result are the only
+    full-size arrays."""
     x = _as_batch(net, x)
     out = np.empty((len(integrands), x.shape[0]))
 
@@ -169,10 +170,11 @@ def _sqrt_with_se(mean_sq: float, se_sq: float) -> tuple:
     return root, se
 
 
-def _check_input_dim(net: Network, p: Problem) -> None:
-    """Fail a net/problem dimension mismatch before any point is drawn."""
-    if net.architecture.input_dim != p.d:
-        raise ValueError("network input dimension does not match the problem")
+def _check_input_dim(net: Network, p: Problem, samples: SampleSet | None = None) -> None:
+    """Fail a net (or sample set) whose dimension is not the problem's, before
+    any point is drawn or evaluated."""
+    if net.architecture.input_dim != p.d or (samples is not None and samples.d != p.d):
+        raise ValueError("input dimension does not match the problem")
 
 
 def h1_error(net: Network, p: Problem, n_quad: int, seed: int) -> H1ErrorReport:

@@ -138,8 +138,7 @@ def tape_values_and_input_gradients(net: Network, x):
 # Below are the batch-major, (B, N_l, d), recursions on activation tables of
 # their own, in fresh arrays and _CHUNK_ROWS-row blocks: the forward-mode
 # input Jacobians, the reverse sweep lam <- (lam * f'_l) W_l for grad u, and
-# the parameter adjoint.  A net without block declarations is bitwise equal
-# to them.
+# the parameter adjoint.  The library's passes are bitwise equal to them.
 
 
 def _unit_tables(net):

@@ -2,12 +2,9 @@
 
 Each drawn net exercises some of the engine's special paths: the d = 1
 unit-major tape, the one-input outer product, the layer-1 view P_1 = W_1,
-block-declared layers, 256-row block edges, mixed-activation masks and the
-d >= 2 reverse sweep for grad u.  Every pass is checked against the
-batch-major oracles of conftest (bitwise unless a layer is block-declared,
-whose block products round differently from the dense ones), against the
-same net with its block declaration dropped, and grad u against central
-differences.
+256-row block edges, mixed-activation masks and the d >= 2 reverse sweep for
+grad u.  Every pass is checked bitwise against the batch-major oracles of
+conftest, and grad u against central differences.
 """
 
 import numpy as np
@@ -42,55 +39,32 @@ _TAGS = (RELU, RELU2, IDENTITY)
 @st.composite
 def _engine_nets(draw):
     """(net, rng): d 1..3, depth 1..4, widths 1..9, per-layer or per-unit
-    activations, and optionally one hidden-to-hidden layer declared as K
-    diagonal copies of a block, built by np.kron(np.eye(K), block)."""
+    activations."""
     d = draw(st.integers(1, 3))
     hidden = draw(st.lists(st.integers(1, 9), min_size=0, max_size=3))
-    blocks = None
-    if len(hidden) >= 2 and draw(st.booleans()):
-        k = draw(st.integers(1, len(hidden) - 1))  # layer k + 1 maps hidden[k - 1] to hidden[k]
-        n_copies = draw(st.integers(2, 3))
-        hidden[k - 1] = n_copies * draw(st.integers(1, 9 // n_copies))
-        hidden[k] = n_copies * draw(st.integers(1, 9 // n_copies))
-        blocks = {k: n_copies}
     dims = (d, *hidden, 1)
     acts = [draw(st.one_of(st.sampled_from(_TAGS),
                            st.lists(st.sampled_from(_TAGS), min_size=n, max_size=n).map(tuple)))
             for n in hidden]
     rng = rng_for(draw(st.integers(0, 2**32 - 1)))
     ws = [rng.standard_normal((n_out, n_in)) / np.sqrt(n_in) for n_in, n_out in zip(dims, dims[1:])]
-    for k, n_copies in (blocks or {}).items():
-        n_out, n_in = ws[k].shape
-        ws[k] = np.kron(np.eye(n_copies), ws[k][: n_out // n_copies, : n_in // n_copies])
     bs = [0.5 * rng.standard_normal(n) for n in dims[1:]]
-    return Network(Architecture(dims, (*acts, IDENTITY)), ws, bs, _blocks=blocks), rng
-
-
-def _check(got, want, exact):
-    if exact:
-        assert np.array_equal(got, want)
-    else:
-        scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
-
-
-def _passes(net, x, v, m, p, samples):
-    vals, grads = values_and_input_gradients(net, x)
-    return [forward_batch(net, x), vals, grads, weighted_parameter_gradient(net, x, v),
-            weighted_parameter_gradient(net, x, v, m),
-            loss_and_parameter_gradient(net, p, samples)[1]]
+    return Network(Architecture(dims, (*acts, IDENTITY)), ws, bs), rng
 
 
 @settings(max_examples=200)
 @given(_engine_nets(), st.integers(0, 2), st.integers(-2, 2))
-def test_engine_passes_match_oracles_differences_and_the_plain_net(case, n_blocks, offset):
+def test_engine_passes_match_oracles_and_differences(case, n_blocks, offset):
     net, rng = case
     d = net.architecture.input_dim
     n = max(1, 256 * n_blocks + offset)  # block edges on either side of 256 rows
     x = rng.uniform(0.0, 1.0, size=(n, d))
     v, m = rng.standard_normal(n), rng.standard_normal((n, d))
     p, samples = make_quadratic_problem(d), make_sample_set(n, 8, d, n)
-    got = _passes(net, x, v, m, p, samples)
+    vals, grads = values_and_input_gradients(net, x)
+    got = [forward_batch(net, x), vals, grads, weighted_parameter_gradient(net, x, v),
+           weighted_parameter_gradient(net, x, v, m),
+           loss_and_parameter_gradient(net, p, samples)[1]]
 
     oracle = batch_major_jacobian_gradients if d == 1 else batch_major_reverse_gradients
     vals, grads = oracle(net, x)
@@ -102,14 +76,8 @@ def test_engine_passes_match_oracles_differences_and_the_plain_net(case, n_block
         net, y, -(2.0 * d / len(y)) * p.g(y))
     want = [vals, vals, grads, batch_major_parameter_gradient(net, x, v),
             batch_major_parameter_gradient(net, x, v, m), loss_grad]
-    exact = all(b is None for b in net._blocks)
     for g, w in zip(got, want):
-        _check(g, w, exact)
-
-    if not exact:
-        plain = Network(net.architecture, net.weights, net.biases)
-        for g, w in zip(got, _passes(plain, x, v, m, p, samples)):
-            _check(g, w, False)
+        assert np.array_equal(g, w)
 
     pts = points_away_from_kinks(net, rng, 3, box=(0.0, 1.0), min_preact=1e-3, max_draws=300)
     u, du = values_and_input_gradients(net, pts)

@@ -233,32 +233,61 @@ def _unit_tags(arch, k):
     return (spec,) * arch.layer_dims[k + 1] if isinstance(spec, str) else spec
 
 
-@pytest.mark.parametrize("d, level", [(1, 3), (2, 2), (3, 1)])
-def test_combination_layout_is_stacked_term_nets(d, level):
-    # term j's block of every layer is byte-equal to its own product-tree net
+def _random_terms(d, level, seed):
+    """One seeded random coefficient per tensor-product index at (d, level)."""
     idxs = [SplineIndex(level, i) for i in itertools.product(full_index_range(level), repeat=d)]
-    coeffs = rng_for(303).normal(size=len(idxs))
-    coeffs[:3] = (-1.5, 0.0, -0.0)
-    cnet = build_spline_combination(
-        SplineCombination(level, d, {idx: float(c) for idx, c in zip(idxs, coeffs)}))
-    subs = [build_multivariate_bspline(idx) for idx in idxs]  # idxs are sorted
-    depth = subs[0].architecture.depth
-    assert cnet.architecture.depth == depth
-    for k in range(depth - 1):
-        rows, cols = subs[0].weights[k].shape
-        for j, sub in enumerate(subs):
-            r = slice(j * rows, (j + 1) * rows)
-            c = slice(None) if k == 0 else slice(j * cols, (j + 1) * cols)
-            assert cnet.weights[k][r, c].tobytes() == sub.weights[k].tobytes()
-            assert cnet.biases[k][r].tobytes() == sub.biases[k].tobytes()
-            assert _unit_tags(cnet.architecture, k)[r] == _unit_tags(sub.architecture, k)
-            if k > 0:
-                off = np.delete(cnet.weights[k][r], c, axis=1)
-                assert np.all(off == 0.0) and not np.signbit(off).any()
-    cols = subs[0].weights[-1].shape[1]
-    for j, (sub, coef) in enumerate(zip(subs, coeffs)):
-        block = cnet.weights[-1][:, j * cols : (j + 1) * cols]
-        assert block.tobytes() == (coef * sub.weights[-1]).tobytes()
+    return {idx: float(c) for idx, c in zip(idxs, rng_for(seed).normal(size=len(idxs)))}
+
+
+@pytest.mark.parametrize("d, level, dims", [(1, 3, (1, 13, 1)), (2, 2, (2, 18, 144, 1)),
+                                            (3, 2, (3, 27, 150, 864, 1))])
+def test_combination_builds_each_hidden_unit_once(d, level, dims):
+    cnet = build_spline_combination(SplineCombination(level, d, _random_terms(d, level, 303)))
+    arch = cnet.architecture
+    assert arch.layer_dims == dims
+    for k in range(arch.depth - 1):
+        # + 0.0 identifies -0.0 with 0.0, as a unit's output does
+        units = {(tuple(w + 0.0), b + 0.0, tag)
+                 for w, b, tag in zip(cnet.weights[k], cnet.biases[k], _unit_tags(arch, k))}
+        assert len(units) == dims[k + 1], k
+
+
+def test_sparse_combination_builds_only_the_knots_its_terms_use():
+    level, h = 3, 2.0**-3
+    terms = {SplineIndex(level, (0, 5)): 1.0, SplineIndex(level, (3, 5)): -2.0}
+    cnet = build_spline_combination(SplineCombination(level, 2, terms))
+    # knot shifts i..i+3 per axis: 0..6 on axis 0, 5..8 on axis 1; two products
+    assert cnet.architecture.layer_dims == (2, 11, 8, 1)
+    knots = {(int(np.argmax(w)), float(-b / h)) for w, b in zip(cnet.weights[0], cnet.biases[0])}
+    assert knots == {(0, k) for k in range(7)} | {(1, k) for k in range(5, 9)}
+    x = rng_for(306).uniform(0, 1, size=(200, 2))
+    want = sum(c * multivariate_bspline_value(idx, x) for idx, c in terms.items())
+    assert np.max(np.abs(forward_batch(cnet, x) - want)) <= 1e-12
+
+
+@pytest.fixture(scope="module", params=[(1, 3), (2, 2), (3, 1), (3, 2)],
+                ids=lambda dl: f"d{dl[0]}-level{dl[1]}")
+def combination_and_term_sum(request):
+    """(combination net, 1000 points, the sum of its term nets' u and grad u there)."""
+    d, level = request.param
+    terms = _random_terms(d, level, 304 + d)
+    x = rng_for(305).uniform(0, 1, size=(1000, d))
+    want_u, want_du = np.zeros(1000), np.zeros((1000, d))
+    for idx, c in terms.items():
+        u, du = values_and_input_gradients(build_multivariate_bspline(idx), x)
+        want_u += c * u
+        want_du += c * du
+    return build_spline_combination(SplineCombination(level, d, terms)), x, want_u, want_du
+
+
+@pytest.mark.parametrize("n", [1, 255, 257, 1000])
+def test_combination_matches_the_sum_of_its_term_nets(combination_and_term_sum, n):
+    cnet, x, want_u, want_du = combination_and_term_sum
+    u_scale, du_scale = np.max(np.abs(want_u)), np.max(np.abs(want_du))
+    u, du = values_and_input_gradients(cnet, x[:n])
+    assert np.max(np.abs(u - want_u[:n])) <= 1e-13 * u_scale
+    assert np.max(np.abs(du - want_du[:n])) <= 1e-13 * du_scale
+    assert np.max(np.abs(forward_batch(cnet, x[:n]) - want_u[:n])) <= 1e-13 * u_scale
 
 
 def test_partition_of_unity_via_combination():

@@ -349,9 +349,29 @@ def test_blocked_passes_bitwise_equal_one_block(monkeypatch, label):
         assert np.array_equal(got, want)
 
 
+def _random_combination(d, level):
+    """A spline-combination net with one seeded random coefficient per term."""
+    rng = rng_for(500 + 10 * d + level)
+    idxs = itertools.product(full_index_range(level), repeat=d)
+    return build_spline_combination(SplineCombination(
+        level, d, {SplineIndex(level, i): float(rng.normal()) for i in idxs}))
+
+
+def test_saved_and_rebuilt_spline_nets_match_the_built_net(tmp_path):
+    net = _random_combination(2, 2)
+    save_network(net, tmp_path / "spline.txt")
+    x = sample_domain(257, 2, 63)
+    want = (forward_batch(net, x), *values_and_input_gradients(net, x))
+    for other in (load_network(tmp_path / "spline.txt"),
+                  net.with_parameters(net.flatten_parameters())):
+        assert np.array_equal(other.flatten_parameters(), net.flatten_parameters())
+        got = (forward_batch(other, x), *values_and_input_gradients(other, x))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_threads_never_share_a_workspace():
     # four nets of one shape, so every thread asks for the same workspace key,
-    # and a spline-combination net with block-diagonal layers
+    # and a spline-combination net
     nets = [random_relu2_net(2, (64, 64), seed=60 + i) for i in range(4)]
     nets.append(_random_combination(2, 1))
     x = rng_for(99).uniform(0.0, 1.0, size=(600, 2))
@@ -472,7 +492,6 @@ def test_h1_error_multiplies_no_jacobian_stack(monkeypatch, d):
     # at d >= 2 grad u comes from the reverse sweep, so only a pass that
     # replays its tape with gradient weights (the fused loss gradient here)
     # reads or writes a Jacobian stack
-    monkeypatch.setattr(networks, "_usable_cores", lambda: 1)  # every block on this thread
     net = random_relu2_net(d, (16, 8), seed=68 + d)
     p, samples = make_cosine_problem(d), make_sample_set(600, 8, d, 9)
     calls = []
@@ -588,23 +607,11 @@ def test_chunked_paths_match_unchunked(case):
 
 @st.composite
 def _nets_near_overflow(draw):
-    """A random net, or one whose layer 2 is declared as K diagonal copies of
-    a block, with each layer's weights and biases scaled by up to 1e150."""
+    """A random net with each layer's weights and biases scaled by up to 1e150."""
     arch, ws, bs, rng = draw(_layers())
-    blocks = None
-    n_copies = draw(st.integers(1, 3))
-    if n_copies > 1:
-        d, a, b = arch.input_dim, n_copies * draw(st.integers(1, 4)), draw(st.integers(1, 4))
-        arch = Architecture((d, a, n_copies * b, 1),
-                            (RELU2, draw(st.sampled_from([RELU, RELU2, IDENTITY])), IDENTITY))
-        block = rng.standard_normal((b, a // n_copies))
-        ws = [rng.standard_normal((a, d)), np.kron(np.eye(n_copies), block),
-              rng.standard_normal((1, n_copies * b))]
-        bs = [rng.standard_normal(n) for n in arch.layer_dims[1:]]
-        blocks = {1: n_copies}
     scales = [10.0 ** draw(st.integers(0, 150)) for _ in ws]
     net = Network(arch, [w * c for w, c in zip(ws, scales)],
-                  [v * c for v, c in zip(bs, scales)], _blocks=blocks)
+                  [v * c for v, c in zip(bs, scales)])
     return net, rng
 
 
@@ -632,16 +639,15 @@ def test_unit_cube_certificate_on_known_nets():
     # every layer's bound is max(beta, beta^2): u = 1e152 at x = 1 is not certified
     assert not networks._finite_on_unit_cube(single_relu2_neuron(1e76))
     assert networks._finite_on_unit_cube(single_relu2_neuron(1e74))
-    # layer 2 is two copies of the block [[0, 1]], and only the first copy sees
-    # the large unit of layer 1: u = 1e200 * (1e100)^2 overflows
+    # the first unit of layer 2 reads the large unit of layer 1:
+    # u = 1e200 * (1e100)^2 overflows
     arch = Architecture((1, 4, 2, 1), (IDENTITY, RELU2, IDENTITY))
-    blocked = Network(arch, [np.zeros((4, 1)), np.kron(np.eye(2), [[0.0, 1.0]]),
-                             np.array([[1e200, 0.0]])],
-                      [np.array([0.0, 1e100, 0.0, 0.0]), np.zeros(2), np.zeros(1)],
-                      _blocks={1: 2})
+    sparse = Network(arch, [np.zeros((4, 1)), np.kron(np.eye(2), [[0.0, 1.0]]),
+                            np.array([[1e200, 0.0]])],
+                     [np.array([0.0, 1e100, 0.0, 0.0]), np.zeros(2), np.zeros(1)])
     with np.errstate(over="ignore"):
-        assert np.isinf(forward_batch(blocked, np.zeros((1, 1)))[0])
-    assert not networks._finite_on_unit_cube(blocked)
+        assert np.isinf(forward_batch(sparse, np.zeros((1, 1)))[0])
+    assert not networks._finite_on_unit_cube(sparse)
 
 
 # ------------------------------------------------------ serialization
@@ -761,105 +767,3 @@ def test_parameter_order_is_layer_major_row_major_then_bias():
     back = net.with_parameters(net.flatten_parameters())
     assert np.array_equal(back.weights[0], w1)
     assert np.array_equal(back.biases[1], b2)
-
-
-# --------------------------------------------- block-diagonal spline layers
-
-
-def _random_combination(d, level):
-    """A spline-combination net with one seeded random coefficient per term."""
-    rng = rng_for(500 + 10 * d + level)
-    idxs = itertools.product(full_index_range(level), repeat=d)
-    return build_spline_combination(SplineCombination(
-        level, d, {SplineIndex(level, i): float(rng.normal()) for i in idxs}))
-
-
-def _max_rel_gap(a, b, scale):
-    return float(np.max(np.abs(a - b))) / scale
-
-
-@pytest.fixture(scope="module", params=[(2, 1), (2, 2), (3, 1), (3, 2)],
-                ids=lambda dl: f"d{dl[0]}-level{dl[1]}")
-def spline_pair(request):
-    """(block net, the same theta as a plain net, value scale, gradient scale).
-
-    The scales are the plain net's largest |u| and |grad u| on 1000 points, so
-    a gap is relative to the function's size, not to a value near a zero.
-    """
-    d, _ = request.param
-    net = _random_combination(*request.param)
-    plain = Network(net.architecture, net.weights, net.biases)
-    vals, grads = values_and_input_gradients(plain, sample_domain(1000, d, 60))
-    return net, plain, float(np.max(np.abs(vals))), float(np.max(np.abs(grads)))
-
-
-@pytest.mark.parametrize("n", [1, 255, 257, 1000])
-def test_block_spline_net_agrees_with_plain_net(spline_pair, n):
-    net, plain, v_scale, g_scale = spline_pair
-    depth, d = net.architecture.depth, net.architecture.input_dim
-    assert [b is not None for b in net._blocks] == [0 < k < depth - 1 for k in range(depth)]
-    assert not any(b is not None for b in plain._blocks)
-    x = sample_domain(n, d, 61)
-    vals, grads = values_and_input_gradients(net, x)
-    ref_vals, ref_grads = values_and_input_gradients(plain, x)
-    assert _max_rel_gap(vals, ref_vals, v_scale) <= 1e-14
-    assert _max_rel_gap(grads, ref_grads, g_scale) <= 1e-14
-    assert _max_rel_gap(forward_batch(net, x), forward_batch(plain, x), v_scale) <= 1e-14
-    rng = rng_for(62 + n)
-    v, m = rng.standard_normal(n), rng.standard_normal((n, d))
-    for gradient_weights in (None, m):
-        ref = weighted_parameter_gradient(plain, x, v, gradient_weights)
-        got = weighted_parameter_gradient(net, x, v, gradient_weights)
-        assert _max_rel_gap(got, ref, float(np.max(np.abs(ref)))) <= 1e-14
-
-
-def test_saved_and_rebuilt_spline_nets_are_plain(tmp_path):
-    net = _random_combination(2, 2)
-    save_network(net, tmp_path / "spline.txt")
-    loaded = load_network(tmp_path / "spline.txt")
-    rebuilt = net.with_parameters(net.flatten_parameters())
-    plain = Network(net.architecture, net.weights, net.biases)
-    x = sample_domain(257, 2, 63)
-    ref_vals, ref_grads = values_and_input_gradients(plain, x)
-    vals, grads = values_and_input_gradients(net, x)
-    for other in (loaded, rebuilt):
-        assert not any(b is not None for b in other._blocks)
-        assert np.array_equal(other.flatten_parameters(), net.flatten_parameters())
-        other_vals, other_grads = values_and_input_gradients(other, x)
-        assert np.array_equal(other_vals, ref_vals) and np.array_equal(other_grads, ref_grads)
-        assert _max_rel_gap(other_vals, vals, float(np.max(np.abs(vals)))) <= 1e-14
-        assert _max_rel_gap(other_grads, grads, float(np.max(np.abs(grads)))) <= 1e-14
-
-
-def test_false_block_declaration_raises():
-    net = _random_combination(2, 1)  # layer 2 is 16 copies of one 4 x 8 block
-    arch, ws, bs = net.architecture, [np.array(w) for w in net.weights], net.biases
-    assert Network(arch, ws, bs, _blocks={1: 16})._blocks[1].shape == (4, 8)
-    off_block = [w.copy() for w in ws]
-    off_block[1][0, -1] = 1.0
-    unequal = [w.copy() for w in ws]
-    unequal[1][-1, -1] += 1.0
-    for weights, blocks in ((off_block, {1: 16}), (unequal, {1: 16}), (ws, {1: 15}),
-                            (ws, {0: 16})):
-        with pytest.raises(ValueError, match="diagonal copies of a block"):
-            Network(arch, weights, bs, _blocks=blocks)
-    d1 = _random_combination(1, 3)
-    assert d1.architecture.depth == 2 and d1._blocks == [None, None]
-
-
-def test_block_layers_never_multiply_the_dense_matrices(monkeypatch):
-    net = _random_combination(3, 2)
-    assert net.architecture.layer_dims == (3, 2592, 1080, 864, 1)
-    dense = {(1080, 2592), (2592, 1080), (864, 1080), (1080, 864)}
-    shapes = []
-    matmul = np.matmul
-
-    def recording_matmul(*args, **kwargs):
-        shapes.extend(np.shape(a)[-2:] for a in (*args, kwargs.get("out")) if a is not None)
-        return matmul(*args, **kwargs)
-
-    monkeypatch.setattr(np, "matmul", recording_matmul)
-    x = sample_domain(256, 3, 64)
-    forward_batch(net, x)
-    values_and_input_gradients(net, x)
-    assert shapes and not dense & set(shapes)

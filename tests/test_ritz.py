@@ -88,8 +88,18 @@ def test_dimension_mismatch_fails_before_sampling(monkeypatch, estimate):
     for module in ("ritzlab.sampling", "ritzlab.ritz"):
         for name in ("sample_domain", "sample_boundary", "make_sample_set"):
             monkeypatch.setattr(f"{module}.{name}", no_sampling)
-    with pytest.raises(ValueError, match="^network input dimension does not match the problem$"):
+    with pytest.raises(ValueError, match="^input dimension does not match the problem$"):
         estimate(random_relu2_net(2, (3,), seed=0), make_cosine_problem(1))
+
+
+@pytest.mark.parametrize("entry", [empirical_loss, loss_and_parameter_gradient])
+def test_loss_entries_name_a_net_or_sample_mismatch_alike(entry):
+    # the one dimension check of every entry point, with its one message
+    p = make_cosine_problem(2)
+    for net_d, sample_d in ((1, 2), (2, 1)):
+        samples = make_sample_set(4, 4, sample_d, 0)
+        with pytest.raises(ValueError, match="^input dimension does not match the problem$"):
+            entry(random_relu2_net(net_d, (3,), seed=0), p, samples)
 
 
 def test_empty_sample_set_rejected():

@@ -262,10 +262,12 @@ def test_reported_standard_errors_match_realized_spread(label):
 
 def _streamed_case(label):
     """(net, problem) of each streamed-estimator check."""
-    if label == "spline d2":  # its hidden layers are declared as diagonal blocks
-        p = make_cosine_problem(2)
-        net = build_spline_combination(fit_spline_coefficients(p.u_star, 2, 2))
-        assert any(block is not None for block in net._blocks)
+    if label.startswith("spline"):  # the decomposition's level-2 spline nets
+        d = int(label[-1])
+        p = make_cosine_problem(d)
+        net = build_spline_combination(fit_spline_coefficients(p.u_star, 2, d))
+        assert net.architecture.layer_dims == {2: (2, 18, 144, 1),
+                                               3: (3, 27, 150, 864, 1)}[d]
         return net, p
     if label == "mixed pin":
         return _pin_net("mixed", 2), make_quadratic_problem(2)
@@ -275,18 +277,16 @@ def _streamed_case(label):
 
 
 @pytest.mark.parametrize("n_quad", [2, 255, 256, 257, 1000, 3001])
-@pytest.mark.parametrize("label", ["relu2 d1", "relu2 d2", "relu2 d3", "mixed pin", "spline d2"])
-def test_streamed_estimators_bitwise_equal_whole_arrays_at_any_worker_count(
-        monkeypatch, label, n_quad):
+@pytest.mark.parametrize("label", ["relu2 d1", "relu2 d2", "relu2 d3", "mixed pin", "spline d2",
+                                   "spline d3"])
+def test_streamed_estimators_bitwise_equal_whole_arrays(label, n_quad):
     net, p = _streamed_case(label)
     want = [float(v).hex() for v in whole_array_estimators(net, p, n_quad, 11)]
-    for cores in (1, 2, 5):
-        monkeypatch.setattr(networks, "_usable_cores", lambda: cores)
-        err = h1_error(net, p, n_quad, 11)
-        pop = population_loss_estimate(net, p, n_quad, 12)
-        exc = energy_excess(net, p, n_quad, 12)
-        got = [*err[:6], *pop, *exc[:4]]
-        assert [float(v).hex() for v in got] == want, cores
+    err = h1_error(net, p, n_quad, 11)
+    pop = population_loss_estimate(net, p, n_quad, 12)
+    exc = energy_excess(net, p, n_quad, 12)
+    got = [*err[:6], *pop, *exc[:4]]
+    assert [float(v).hex() for v in got] == want
 
 
 def _overflow_past_first_block(n_quad, seed):
@@ -302,9 +302,8 @@ def _overflow_past_first_block(n_quad, seed):
                    [np.full(2, -s * t), np.zeros(1)])
 
 
-def test_streamed_passes_run_under_the_callers_errstate(monkeypatch):
-    # four 256-row blocks on four threads: the caller's share has no overflow
-    monkeypatch.setattr(networks, "_usable_cores", lambda: 4)
+def test_streamed_passes_run_under_the_callers_errstate():
+    # four 256-row blocks: the first has no overflow, a later one has
     p = make_cosine_problem(1)
     net = _overflow_past_first_block(1000, 0)
     with warnings.catch_warnings():
@@ -316,7 +315,7 @@ def test_streamed_passes_run_under_the_callers_errstate(monkeypatch):
         h1_error(net, p, 1000, 0)
 
 
-def test_an_error_in_a_streamed_block_reaches_the_caller(monkeypatch):
+def test_an_error_in_a_streamed_block_reaches_the_caller():
     class BlockError(RuntimeError):
         pass
 
@@ -325,9 +324,18 @@ def test_an_error_in_a_streamed_block_reaches_the_caller(monkeypatch):
             raise BlockError("short block")
         return base.u_star(x)
 
-    monkeypatch.setattr(networks, "_usable_cores", lambda: 4)
     base = make_cosine_problem(2)
     threads = threading.active_count()
     with pytest.raises(BlockError):
         h1_error(random_relu2_net(2, (8,), seed=3), replace(base, u_star=u_star), 1000, 0)
     assert threading.active_count() == threads
+
+
+def test_streamed_passes_start_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a streamed pass started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    p = make_cosine_problem(2)
+    rep = h1_error(random_relu2_net(2, (8,), seed=4), p, 1000, 0)
+    assert math.isfinite(rep.h1_err)
