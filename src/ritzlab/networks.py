@@ -253,13 +253,13 @@ _WORKSPACE_ENTRIES = 4
 _workspaces = threading.local()
 
 
-def _stack(n_units: int, rows: int, d: int) -> np.ndarray:
+def _stack(n_units: int, rows: int, d: int, empty=np.empty) -> np.ndarray:
     """Empty (n_units, rows, d) Jacobian stack, point-major in memory when d == 1:
     BLAS rounds by operand orientation, and that layout keeps d = 1 results
     bitwise those of a batch-major (rows, n_units, 1) recursion."""
     if d == 1:
-        return np.empty((rows, n_units, 1)).transpose(1, 0, 2)
-    return np.empty((n_units, rows, d))
+        return empty((rows, n_units, 1)).transpose(1, 0, 2)
+    return empty((n_units, rows, d))
 
 
 def _batch(stack: np.ndarray) -> np.ndarray:
@@ -291,47 +291,59 @@ class _Workspace:
     from several threads never share one.
     """
 
-    _ROW_BUFFERS = ("fs", "fps", "delta", "lam", "d2")
-    _UNIT_BUFFERS = ("fpt", "s", "ps", "gs", "q", "mat")
-
     def __init__(self, dims: tuple, rows: int, need_input_gradient: bool):
-        d, units, hidden = dims[0], dims[1:], dims[1:-1]
+        units = dims[1:]
 
         def rows_by(ns):
             return [np.empty((rows, n)) for n in ns]
 
-        self.rows, self.d = rows, d
+        self.dims, self.rows, self.d = dims, rows, dims[0]
         self.fs = [None, *rows_by(units)]
         self.fps, self.delta = rows_by(units), rows_by(units)
         self.lam = rows_by(dims[:-1])
         self.gw = [np.empty((n_out, n_in)) for n_in, n_out in zip(dims, units)]
-        self.d2 = self.s = self.fpt = self.ps = self.gs = self.q = self.mat = None
-        if need_input_gradient:
-            self.d2 = rows_by(units)
-            self.s = [np.empty((n, rows)) for n in units]
-            self.fpt = ([fp.T for fp in self.fps] if d == 1 else
-                        [a.reshape(n, rows, copy=False) for n, a in zip(units, self.d2)])
-            self.ps = [None, *(np.empty((n, rows, d)) for n in units[1:])]
-            eye = np.broadcast_to(np.eye(d), (rows, d, d)).transpose(1, 0, 2)
-            self.gs = [eye.reshape(d, rows * d).reshape(eye.shape),  # a view at d = 1
-                       *(_stack(n, rows, d) for n in units)]
-            self.q = [_stack(n, rows, d) for n in units]
-            self.mat = [None, *(np.empty((n, rows, d)) for n in hidden)]
+        self.d2 = rows_by(units) if need_input_gradient else None
+        self._stacks()
         self._head = None
 
+    def _stacks(self, memory=None) -> None:
+        """Set the unit-major buffers if the workspace has input gradients: fresh, or
+        laid out like fresh at the start of each flat array memory yields in turn."""
+        self.s = self.fpt = self.ps = self.gs = self.q = self.mat = None
+        self.memory = []
+        if self.d2 is None:
+            return
+
+        def empty(shape):
+            a = np.empty(shape) if memory is None else next(memory)[:math.prod(shape)]
+            self.memory.append(a.reshape(-1))
+            return a.reshape(shape)
+
+        rows, d, units = self.rows, self.d, self.dims[1:]
+        self.s = [empty((n, rows)) for n in units]
+        self.fpt = ([fp.T for fp in self.fps] if d == 1 else
+                    [a.reshape(n, rows, copy=False) for n, a in zip(units, self.d2)])
+        self.ps = [None, *(empty((n, rows, d)) for n in units[1:])]
+        eye = np.broadcast_to(np.eye(d), (rows, d, d)).transpose(1, 0, 2)
+        self.gs = [eye.reshape(d, rows * d).reshape(eye.shape),  # a view at d = 1
+                   *(_stack(n, rows, d, empty) for n in units)]
+        self.q = [_stack(n, rows, d, empty) for n in units]
+        self.mat = [None, *(empty((n, rows, d)) for n in units[:-1])]
+
     def head(self, rows: int) -> "_Workspace":
-        """The workspace itself, or views of its leading rows for a short block."""
+        """The workspace itself, or for a short block one on its memory, laid out
+        like fresh arrays: the leading rows of a unit-major stack are strided,
+        and BLAS may round a strided operand differently."""
         if rows == self.rows:
             return self
         if self._head is None or self._head.rows != rows:
             head = copy.copy(self)
             head.rows, head._head = rows, None
-            for names, cut in ((self._ROW_BUFFERS, lambda a: a[:rows]),
-                               (self._UNIT_BUFFERS, lambda a: a[:, :rows])):
-                for name in names:
-                    bufs = getattr(self, name)
-                    if bufs is not None:
-                        setattr(head, name, [None if a is None else cut(a) for a in bufs])
+            for name in ("fs", "fps", "delta", "lam", "d2"):
+                bufs = getattr(self, name)
+                if bufs is not None:
+                    setattr(head, name, [None if a is None else a[:rows] for a in bufs])
+            head._stacks(iter(self.memory))
             self._head = head
         return self._head
 
@@ -591,33 +603,16 @@ def _adjoint(net: Network, tape: _Workspace, lam, mat=None, grad_w: list | None 
     return lam
 
 
-def weighted_parameter_gradient(
-    net: Network,
-    x: np.ndarray,
-    value_weights: np.ndarray,
-    gradient_weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact adjoint accumulation of parameter derivatives over a batch.
-
-    Returns sum_b [ v_b * du(x_b)/dphi + sum_i m_{b,i} * d(D_i u)(x_b)/dphi ]
-    as a flat vector in the documented parameter order.  Its reverse pass,
-    _adjoint, is also the one behind the Ritz loss gradient; exact for the
-    piecewise-polynomial activations used here.
-    """
+def weighted_parameter_gradient(net: Network, x: np.ndarray,
+                                value_weights: np.ndarray) -> np.ndarray:
+    """sum_b v_b * du(x_b)/dphi over a batch, as a flat vector in the documented
+    parameter order, by the exact adjoint behind the Ritz loss gradient too
+    (_adjoint; exact for the piecewise-polynomial activations used here)."""
     x = _as_batch(net, x)
     v = np.asarray(value_weights, dtype=float)
     if v.shape != (x.shape[0],):
         raise DimensionMismatchError("value_weights must have one entry per point")
-    m = None
-    if gradient_weights is not None:
-        m = np.asarray(gradient_weights, dtype=float)
-        if m.shape != (x.shape[0], net.architecture.input_dim):
-            raise DimensionMismatchError("gradient_weights must be (B, d)")
-
-    def seeds(lo, hi, _vals, _grads):
-        return v[lo:hi], None if m is None else m[lo:hi]
-
-    return _block_pass(net, x, input_gradients=m is not None, seeds=seeds)[2]
+    return _block_pass(net, x, seeds=lambda lo, hi, _vals, _grads: (v[lo:hi], None))[2]
 
 
 def _activation_spec_to_line(spec) -> str:

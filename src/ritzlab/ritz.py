@@ -100,23 +100,33 @@ def empirical_loss(net: Network, p: Problem, samples: SampleSet) -> LossReport:
     return _loss_report(p.d, pieces, _boundary_values(net, y, g_vals), g_vals)
 
 
-def population_loss_estimate(net: Network, p: Problem, n_quad: int, seed: int) -> MCEstimate:
-    """Monte-Carlo estimate of the population Ritz energy on fresh samples.
-
-    The boundary integrand is u * g, with u from _boundary_values, so a u
-    that overflows at a boundary sample makes the value NaN.
+def _population_terms(net: Network, p: Problem, n_quad: int, seed: int):
+    """mc_mean of the population integrand, of the quadratic form |grad v|^2
+    + w v^2 (v = u - u*) and of their paired difference population - form / 2,
+    from one streamed pass over sample_domain(n_quad, d, seed); then that of u * g
+    on sample_boundary(n_quad, d, seed), drawn once the rows are dropped, with u
+    from _boundary_values, so a u that overflows there makes it NaN.
     """
     _check_input_dim(net, p)
     n_quad = _as_int(n_quad, "n_quad", 2)
 
     def integrand(xb, u, du):
-        tg, tm, tf = _domain_pieces(u, du, lambda: p.w(xb), lambda: p.f(xb))
-        return tg + tm - tf
+        w = p.w(xb)
+        tg, tm, tf = _domain_pieces(u, du, lambda: w, lambda: p.f(xb))
+        v, dv = u - p.u_star(xb), du - p.grad_u_star(xb)
+        return tg + tm - tf, np.sum(dv**2, axis=1) + w * v**2
 
-    dom = mc_mean(_pointwise(net, sample_domain(n_quad, p.d, seed), integrand)[0])
+    pop, form = _pointwise(net, sample_domain(n_quad, p.d, seed), integrand, 2)
+    dom = mc_mean(pop), mc_mean(form), mc_mean(pop - 0.5 * form)
+    del pop, form
     y = sample_boundary(n_quad, p.d, seed)
     g_vals = p.g(y)
-    bnd = mc_mean(_boundary_values(net, y, g_vals) * g_vals, 2.0 * p.d)
+    return dom, mc_mean(_boundary_values(net, y, g_vals) * g_vals, 2.0 * p.d)
+
+
+def population_loss_estimate(net: Network, p: Problem, n_quad: int, seed: int) -> MCEstimate:
+    """Monte-Carlo estimate of the population Ritz energy on fresh samples."""
+    (dom, _, _), bnd = _population_terms(net, p, n_quad, seed)
     return MCEstimate(dom.value - bnd.value, math.hypot(dom.std_error, bnd.std_error))
 
 
@@ -125,13 +135,16 @@ class EnergyExcessReport(NamedTuple):
 
     For the weak solution u*, L(u) - L(u*) = (grad v, grad v)/2 + (v, v)_w / 2
     with v = u - u*; h1_sq_of_diff estimates the bracket (grad v, grad v)
-    + (v, v)_w on an independent sample stream, so excess ~ h1_sq_of_diff / 2.
+    + (v, v)_w on the population estimate's domain sample, so excess ~
+    h1_sq_of_diff / 2.  sandwich_se is the SE of excess - h1_sq_of_diff / 2
+    from their paired per-point difference (common random numbers).
     """
 
     excess: float
     excess_se: float
     h1_sq_of_diff: float
     h1_sq_of_diff_se: float
+    sandwich_se: float
     n_quad: int
     seed: int
 
@@ -139,22 +152,10 @@ class EnergyExcessReport(NamedTuple):
 def energy_excess(net: Network, p: Problem, n_quad: int, seed: int) -> EnergyExcessReport:
     if p.analytic_energy is None:
         raise ValueError(f"problem {p.name!r} has no analytic energy")
-    pop = population_loss_estimate(net, p, n_quad, seed)
-
-    def integrand(xb, u, du):
-        v, dv = u - p.u_star(xb), du - p.grad_u_star(xb)
-        return np.sum(dv**2, axis=1) + p.w(xb) * v**2
-
-    x = sample_domain(n_quad, p.d, derived_seed(seed, 1))
-    quad_form = mc_mean(_pointwise(net, x, integrand)[0])
-    return EnergyExcessReport(
-        excess=pop.value - p.analytic_energy,
-        excess_se=pop.std_error,
-        h1_sq_of_diff=quad_form.value,
-        h1_sq_of_diff_se=quad_form.std_error,
-        n_quad=n_quad,
-        seed=seed,
-    )
+    (dom, quad_form, paired), bnd = _population_terms(net, p, n_quad, seed)
+    return EnergyExcessReport(dom.value - bnd.value - p.analytic_energy,
+                              math.hypot(dom.std_error, bnd.std_error), *quad_form,
+                              math.hypot(paired.std_error, bnd.std_error), n_quad, seed)
 
 
 def loss_and_parameter_gradient(net: Network, p: Problem, samples: SampleSet):
@@ -165,10 +166,10 @@ def loss_and_parameter_gradient(net: Network, p: Problem, samples: SampleSet):
     adjoint replays it seeded with d(loss)/du = (w u - f)/n and
     d(loss)/d(grad u) = grad u / n.  The boundary adjoint runs only when some
     g(Y_j) is nonzero, since it adds nothing otherwise; boundary values come
-    from _boundary_values.  The gradient is bitwise the domain and boundary
-    weighted_parameter_gradient passes seeded with the tape's grad u.  The
-    loss is bitwise empirical_loss at d = 1; at d >= 2 empirical_loss reads
-    grad u by the reverse sweep, so the two agree to rounding.
+    from _boundary_values.  The gradient is bitwise a _block_pass replay seeded
+    so plus the boundary weighted_parameter_gradient.  The loss is bitwise
+    empirical_loss at d = 1; at d >= 2 empirical_loss reads grad u by the
+    reverse sweep, so the two agree to rounding.
     """
     _check_loss_inputs(net, p, samples)
     x, y = samples.domain_points, samples.boundary_points

@@ -134,18 +134,19 @@ def mc_mean(values, volume: float = 1.0) -> MCEstimate:
     )
 
 
-def _pointwise(net: Network, x: np.ndarray, *integrands) -> np.ndarray:
-    """Row k holds integrands[k](xb, u, grad u) at every point of x: each maps a
-    block's points xb, with the net's values u and input gradients there, to
-    one value per point.  The blocks are streamed one after another on the
-    calling thread (networks._block_pass), so x and the result are the only
-    full-size arrays."""
+def _pointwise(net: Network, x: np.ndarray, integrand, n_rows: int) -> np.ndarray:
+    """Row k holds row k of integrand(xb, u, grad u) at every point of x: it
+    maps a block's points xb, with the net's values u and input gradients
+    there, to n_rows arrays of one value per point, so what rows share is
+    computed once per block.  The blocks are streamed one after another on
+    the calling thread (networks._block_pass), so x and the result are the
+    only full-size arrays."""
     x = _as_batch(net, x)
-    out = np.empty((len(integrands), x.shape[0]))
+    out = np.empty((n_rows, x.shape[0]))
 
     def consume(lo, hi, u, du):
-        for row, integrand in zip(out, integrands):
-            row[lo:hi] = integrand(x[lo:hi], u, du)
+        for row, values in zip(out, integrand(x[lo:hi], u, du)):
+            row[lo:hi] = values
 
     _block_pass(net, x, input_gradients=True, consume=consume)
     return out
@@ -182,8 +183,11 @@ def h1_error(net: Network, p: Problem, n_quad: int, seed: int) -> H1ErrorReport:
     _check_input_dim(net, p)
     n_quad = _as_int(n_quad, "n_quad", 2)  # the fewest points with a standard error
     x = sample_domain(n_quad, p.d, seed)
-    e_sq, s_sq = _pointwise(net, x, lambda xb, u, du: (u - p.u_star(xb)) ** 2,
-                            lambda xb, u, du: np.sum((du - p.grad_u_star(xb)) ** 2, axis=1))
+
+    def integrand(xb, u, du):
+        return (u - p.u_star(xb)) ** 2, np.sum((du - p.grad_u_star(xb)) ** 2, axis=1)
+
+    e_sq, s_sq = _pointwise(net, x, integrand, 2)
     m_e, se_e = mc_mean(e_sq)
     m_s, se_s = mc_mean(s_sq)
     l2, l2_se = _sqrt_with_se(m_e, se_e)

@@ -22,7 +22,6 @@ from ritzlab.networks import (
     weighted_parameter_gradient,
 )
 from ritzlab.problems import Problem
-from ritzlab.ritz import derived_seed
 from ritzlab.sampling import _sqrt_with_se, mc_mean, sample_boundary, sample_domain
 
 
@@ -118,8 +117,18 @@ def parameter_sensitivities(net: Network, x):
     for i in range(d):
         e = np.zeros((1, d))
         e[0, i] = 1.0
-        dgrad[i] = weighted_parameter_gradient(net, xb, np.zeros(1), e)
+        dgrad[i] = replayed_parameter_gradient(net, xb, np.zeros(1), e)
     return du, dgrad
+
+
+def replayed_parameter_gradient(net: Network, x, v, m) -> np.ndarray:
+    """sum_b [ v_b * du(x_b)/dphi + sum_i m_{b,i} * d(D_i u)(x_b)/dphi ]: the
+    forward-mode tape replayed with value and gradient weights, as the fused
+    loss gradient replays it for its domain term."""
+    def seeds(lo, hi, _vals, _grads):
+        return v[lo:hi], m[lo:hi]
+
+    return _block_pass(net, _as_batch(net, x), input_gradients=True, seeds=seeds)[2]
 
 
 def tape_values_and_input_gradients(net: Network, x):
@@ -236,7 +245,8 @@ def batch_major_reverse_gradients(net, x):
 
 
 def batch_major_parameter_gradient(net, x, v, m=None):
-    """weighted_parameter_gradient(net, x, v, m) by the batch-major adjoint."""
+    """weighted_parameter_gradient(net, x, v), or with m
+    replayed_parameter_gradient(net, x, v, m), by the batch-major adjoint."""
     grad_w = [np.zeros_like(w) for w in net.weights]
     grad_b = [np.zeros_like(b) for b in net.biases]
     for lo, hi in _batch_major_blocks(x):
@@ -268,8 +278,8 @@ def evaluate_spline_combination(comb: SplineCombination, x) -> np.ndarray:
 def whole_array_estimators(net: Network, p: Problem, n_quad: int, seed: int) -> list:
     """The floats of h1_error(net, p, n_quad, seed), then those of
     population_loss_estimate and energy_excess at seed + 1, by whole-array
-    formulas: one values_and_input_gradients pass over all points, then each
-    per-point integrand over whole arrays."""
+    formulas: one values_and_input_gradients pass over each domain sample,
+    then each per-point integrand over whole arrays."""
     x = sample_domain(n_quad, p.d, seed)
     vals, grads = values_and_input_gradients(net, x)
     m_e, se_e = mc_mean((vals - p.u_star(x)) ** 2)
@@ -279,17 +289,16 @@ def whole_array_estimators(net: Network, p: Problem, n_quad: int, seed: int) -> 
 
     x = sample_domain(n_quad, p.d, seed + 1)
     vals, grads = values_and_input_gradients(net, x)
-    dom = mc_mean(0.5 * np.sum(grads**2, axis=1) + 0.5 * p.w(x) * vals**2 - vals * p.f(x))
+    energy = 0.5 * np.sum(grads**2, axis=1) + 0.5 * p.w(x) * vals**2 - vals * p.f(x)
+    v, dv = vals - p.u_star(x), grads - p.grad_u_star(x)
+    quad = np.sum(dv**2, axis=1) + p.w(x) * v**2
+    dom, paired = mc_mean(energy), mc_mean(energy - 0.5 * quad)
     y = sample_boundary(n_quad, p.d, seed + 1)
     g = p.g(y)
     bnd = mc_mean(forward_batch(net, y) * g, 2.0 * p.d)
     pop = [dom.value - bnd.value, math.hypot(dom.std_error, bnd.std_error)]
-
-    x = sample_domain(n_quad, p.d, derived_seed(seed + 1, 1))
-    vals, grads = values_and_input_gradients(net, x)
-    v, dv = vals - p.u_star(x), grads - p.grad_u_star(x)
-    quad_form = mc_mean(np.sum(dv**2, axis=1) + p.w(x) * v**2)
-    return [*h1, *pop, pop[0] - p.analytic_energy, pop[1], *quad_form]
+    return [*h1, *pop, pop[0] - p.analytic_energy, pop[1], *mc_mean(quad),
+            math.hypot(paired.std_error, bnd.std_error)]
 
 
 class ProblemDefinitionError(RuntimeError):

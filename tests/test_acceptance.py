@@ -231,8 +231,7 @@ def test_criterion_07_energy_sandwich_identity():
     for k in range(10):
         net = random_relu2_net(2, (6, 5), seed=9500 + k, scale=0.6)
         rep = energy_excess(net, p, 200_000, seed=9600 + k)
-        combined = math.hypot(rep.excess_se, 0.5 * rep.h1_sq_of_diff_se)
-        z = abs(rep.excess - 0.5 * rep.h1_sq_of_diff) / combined
+        z = abs(rep.excess - 0.5 * rep.h1_sq_of_diff) / rep.sandwich_se
         worst_z = max(worst_z, z)
     elapsed = time.perf_counter() - t0
     ok = worst_z <= 5.0 and elapsed < 120.0

@@ -30,6 +30,7 @@ from conftest import (
     batch_major_parameter_gradient,
     batch_major_reverse_gradients,
     points_away_from_kinks,
+    replayed_parameter_gradient,
     rng_for,
 )
 
@@ -63,7 +64,7 @@ def test_engine_passes_match_oracles_and_differences(case, n_blocks, offset):
     p, samples = make_quadratic_problem(d), make_sample_set(n, 8, d, n)
     vals, grads = values_and_input_gradients(net, x)
     got = [forward_batch(net, x), vals, grads, weighted_parameter_gradient(net, x, v),
-           weighted_parameter_gradient(net, x, v, m),
+           replayed_parameter_gradient(net, x, v, m),
            loss_and_parameter_gradient(net, p, samples)[1]]
 
     oracle = batch_major_jacobian_gradients if d == 1 else batch_major_reverse_gradients

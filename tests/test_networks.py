@@ -53,6 +53,7 @@ from conftest import (
     parameter_sensitivities,
     points_away_from_kinks,
     random_relu2_net,
+    replayed_parameter_gradient,
     rng_for,
     tape_values_and_input_gradients,
 )
@@ -243,7 +244,7 @@ def test_weighted_parameter_gradient_combines_seeds():
     x = points_away_from_kinks(net, rng, 4)
     v = rng.standard_normal(4)
     m = rng.standard_normal((4, 2))
-    combined = weighted_parameter_gradient(net, x, v, m)
+    combined = replayed_parameter_gradient(net, x, v, m)
     manual = np.zeros(net.n_parameters)
     for b in range(4):
         du, dgrad = parameter_sensitivities(net, x[b])
@@ -257,9 +258,9 @@ def test_weighted_parameter_gradient_chunking_invariant(monkeypatch):
     x = rng.uniform(-1, 1, size=(37, 2))
     v = rng.standard_normal(37)
     m = rng.standard_normal((37, 2))
-    full = weighted_parameter_gradient(net, x, v, m)
+    full = replayed_parameter_gradient(net, x, v, m)
     monkeypatch.setattr(networks, "_CHUNK_ROWS", 5)
-    small = weighted_parameter_gradient(net, x, v, m)
+    small = replayed_parameter_gradient(net, x, v, m)
     assert np.allclose(full, small, rtol=1e-13, atol=1e-13)
 
 
@@ -305,9 +306,25 @@ def test_unit_major_tape_bitwise_equals_batch_major(monkeypatch, kind, d):
         e[0, i] = 1.0
         assert np.array_equal(dgrad[i], batch_major_parameter_gradient(net, x[:1], np.zeros(1), e))
     monkeypatch.setattr(networks, "_CHUNK_ROWS", 7)
-    assert np.array_equal(weighted_parameter_gradient(net, x, v, m),
+    assert np.array_equal(replayed_parameter_gradient(net, x, v, m),
                           batch_major_parameter_gradient(net, x, v, m))
     assert np.array_equal(values_and_input_gradients(net, x)[1], oracle(net, x)[1])
+
+
+def test_short_last_block_replays_bitwise_like_a_fresh_workspace():
+    # 257 rows end in a 1-row block; the leading rows of the 256-row workspace's
+    # unit-major stacks are strided views, and BLAS rounded products of such
+    # views by one ulp differently at width-1 layers
+    arch = Architecture((3, 5, 1, 6, 1), (RELU, RELU, RELU2, IDENTITY))
+    dims = arch.layer_dims
+    for seed in range(20):
+        rng = rng_for(200 + seed)
+        ws = [rng.standard_normal((o, i)) / np.sqrt(i) for i, o in zip(dims, dims[1:])]
+        net = Network(arch, ws, [0.5 * rng.standard_normal(o) for o in dims[1:]])
+        x = rng.uniform(0.0, 1.0, size=(257, 3))
+        v, m = rng.standard_normal(257), rng.standard_normal((257, 3))
+        assert np.array_equal(replayed_parameter_gradient(net, x, v, m),
+                              batch_major_parameter_gradient(net, x, v, m)), seed
 
 
 @pytest.mark.parametrize("dims,acts", [
@@ -446,7 +463,7 @@ def test_no_layer_product_has_inner_size_one(monkeypatch, d):
 
     monkeypatch.setattr(np, "matmul", recording_matmul)
     loss_and_parameter_gradient(net, p, samples)
-    weighted_parameter_gradient(net, x, rng.standard_normal(len(x)),
+    replayed_parameter_gradient(net, x, rng.standard_normal(len(x)),
                                 rng.standard_normal(x.shape))
     values_and_input_gradients(net, x)
     assert inner and 1 not in inner
@@ -595,10 +612,11 @@ def test_chunked_paths_match_unchunked(case):
     m = rng.standard_normal(x.shape)
     # the default block (256 rows) holds the whole batch of <= 40 points
     full_vals, full_grads = values_and_input_gradients(net, x)
-    full = [weighted_parameter_gradient(net, x, v, mm) for mm in (None, m)]
+    full = [weighted_parameter_gradient(net, x, v), replayed_parameter_gradient(net, x, v, m)]
     with patch.object(networks, "_CHUNK_ROWS", chunk):
         vals, grads = values_and_input_gradients(net, x)
-        chunked = [weighted_parameter_gradient(net, x, v, mm) for mm in (None, m)]
+        chunked = [weighted_parameter_gradient(net, x, v),
+                   replayed_parameter_gradient(net, x, v, m)]
     _assert_close_scaled(vals, full_vals)
     _assert_close_scaled(grads, full_grads)
     for got, want in zip(chunked, full):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ritzlab.networks as networks
 from ritzlab.gadgets import fit_spline_coefficients
 from ritzlab.networks import (
     IDENTITY,
@@ -41,6 +42,7 @@ from conftest import (
     forward,
     forward_with_input_gradient,
     random_relu2_net,
+    replayed_parameter_gradient,
     rng_for,
     sum_of_squares_net,
     tape_values_and_input_gradients,
@@ -243,8 +245,38 @@ def test_energy_excess_sandwich_identity_w_equals_one():
     for seed in (15, 16, 17):
         net = random_relu2_net(2, (5, 4), seed=seed, scale=0.5)
         rep = energy_excess(net, p, 200_000, seed=seed)
-        combined = math.hypot(rep.excess_se, 0.5 * rep.h1_sq_of_diff_se)
-        assert abs(rep.excess - 0.5 * rep.h1_sq_of_diff) <= 5 * combined
+        assert abs(rep.excess - 0.5 * rep.h1_sq_of_diff) <= 5 * rep.sandwich_se
+
+
+@pytest.mark.parametrize("make_problem, boundary_passes",
+                         [(make_cosine_problem, 0), (make_quadratic_problem, 1)])
+def test_energy_excess_streams_one_domain_pass(monkeypatch, make_problem, boundary_passes):
+    # the population energy and the quadratic form read one tape on one sample;
+    # the boundary is evaluated only when g is nonzero somewhere (cosine: g = 0)
+    p = make_problem(2)
+    net = random_relu2_net(2, (5, 4), seed=30)
+    assert networks._finite_on_unit_cube(net)
+    block_pass, calls = networks._block_pass, []
+
+    def counting_block_pass(net, x, *args, **kwargs):
+        calls.append((len(x), kwargs.get("consume") is not None))
+        return block_pass(net, x, *args, **kwargs)
+
+    for module in ("networks", "sampling", "ritz"):
+        monkeypatch.setattr(f"ritzlab.{module}._block_pass", counting_block_pass)
+    energy_excess(net, p, 3000, seed=31)
+    assert calls == [(3000, True)] + [(3000, False)] * boundary_passes
+
+
+@pytest.mark.parametrize("make_problem", [make_cosine_problem, make_quadratic_problem])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_energy_excess_is_the_population_estimate_less_the_analytic_energy(make_problem, d):
+    p = make_problem(d)
+    net = random_relu2_net(d, (6, 5), seed=32 + d)
+    rep = energy_excess(net, p, 2001, seed=33)
+    pop = population_loss_estimate(net, p, 2001, seed=33)
+    assert [rep.excess.hex(), rep.excess_se.hex()] == [(pop.value - p.analytic_energy).hex(),
+                                                       pop.std_error.hex()]
 
 
 def test_energy_excess_nonnegative_up_to_noise():
@@ -342,7 +374,7 @@ def two_pass_loss_and_gradient(net, p, samples, values_and_gradients):
     g_vals = p.g(y)
     b_vals = forward_batch(net, y)
     tb = 2.0 * p.d * float(np.mean(b_vals * g_vals))
-    grad = weighted_parameter_gradient(net, x, (p.w(x) * vals - p.f(x)) / n, grads / n)
+    grad = replayed_parameter_gradient(net, x, (p.w(x) * vals - p.f(x)) / n, grads / n)
     grad += weighted_parameter_gradient(net, y, -(2.0 * p.d / m) * g_vals)
     return (tg + tm - tf - tb, tg, tm, tf, tb), grad
 

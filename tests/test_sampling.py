@@ -230,6 +230,11 @@ def test_h1_error_repeated_run_variance_scales():
 _SD_RATIO_BAND = (0.646, 1.384)
 
 
+def _estimate(rep, name):
+    """The named field; "sandwich" is excess - h1_sq_of_diff / 2, with SE sandwich_se."""
+    return rep.excess - 0.5 * rep.h1_sq_of_diff if name == "sandwich" else getattr(rep, name)
+
+
 @pytest.mark.parametrize("label", ["zero", "random", "trained"])
 def test_reported_standard_errors_match_realized_spread(label):
     p = make_cosine_problem(1)
@@ -242,7 +247,8 @@ def test_reported_standard_errors_match_realized_spread(label):
                        TrainConfig(iterations=600, eval_every=100))
     estimators = [lambda s: h1_error(net, p, 4000, s), lambda s: energy_excess(net, p, 4000, s)]
     # h1_err_se is left out: hypot(l2 SE, seminorm SE) ignores their covariance
-    fields = [(0, "l2_err"), (0, "h1_semi_err"), (1, "excess"), (1, "h1_sq_of_diff")]
+    fields = [(0, "l2_err"), (0, "h1_semi_err"), (1, "excess"), (1, "h1_sq_of_diff"),
+              (1, "sandwich")]
     if label == "zero":
         fields.remove((1, "excess"))  # exactly 0 with SE 0 on the zero net, as is the gap
     else:
@@ -251,7 +257,7 @@ def test_reported_standard_errors_match_realized_spread(label):
         fields.append((2, "mean_abs_gap"))
     reports = [[estimate(s) for estimate in estimators] for s in range(40)]
     for which, name in fields:
-        values = np.array([getattr(r[which], name) for r in reports])
+        values = np.array([_estimate(r[which], name) for r in reports])
         ses = np.array([getattr(r[which], name + "_se") for r in reports])
         ratio = np.std(values, ddof=1) / np.median(ses)
         assert _SD_RATIO_BAND[0] <= ratio <= _SD_RATIO_BAND[1], (name, ratio)
@@ -285,7 +291,7 @@ def test_streamed_estimators_bitwise_equal_whole_arrays(label, n_quad):
     err = h1_error(net, p, n_quad, 11)
     pop = population_loss_estimate(net, p, n_quad, 12)
     exc = energy_excess(net, p, n_quad, 12)
-    got = [*err[:6], *pop, *exc[:4]]
+    got = [*err[:6], *pop, *exc[:5]]
     assert [float(v).hex() for v in got] == want
 
 
