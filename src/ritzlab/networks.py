@@ -9,11 +9,11 @@ Every pass is one block loop, _block_pass: it records each _CHUNK_ROWS-row
 block's tape once, in block order on the calling thread, into a workspace
 kept per thread and shape (_Workspace).  Input gradients at d >= 2 come from
 one reverse sweep over a tape of values and derivatives (_adjoint, seeded
-with 1), which costs about one value sweep at any d; only a tape that
-_adjoint replays with gradient weights, and every d = 1 tape, carries the
-forward-mode input-Jacobian stacks.  Activations have one in-place
-implementation (_activate); mixed layers apply each tag's formula to its
-units through per-unit masks.
+with 1, so started at the output row W_L), which costs about one value
+sweep at any d; only a tape that _adjoint replays with gradient weights,
+and every d = 1 tape, carries the forward-mode input-Jacobian stacks.
+Activations have one in-place implementation (_activate); mixed layers
+apply each tag's formula to its units through per-unit masks.
 """
 
 from __future__ import annotations
@@ -459,31 +459,25 @@ def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace, derivatives: bo
     return ws
 
 
-def _block_pass(net: Network, x: np.ndarray, input_gradients: bool = False, seeds=None,
-                consume=None):
+def _block_pass(net: Network, x: np.ndarray, input_gradients: bool = False, seeds=None):
     """The one loop of every network pass: one forward tape per block, in
     block order on the calling thread.
 
     Input gradients come from the tape's Jacobian stacks when d = 1 or when
     seeds is given (its gradient weights replay them), else from the reverse
-    sweep of _adjoint seeded with 1.  A streamed pass hands consume(lo, hi,
-    values (rows,), input gradients (rows, d) or None) views of each block's
-    workspace, so it holds no full-size array of its own; consume may write
-    only rows lo:hi.  Any other pass copies out values (all columns) and
-    input gradients; seeds(lo, hi, values, gradients) -> (value weights,
-    gradient weights or None) then seeds _adjoint's replay of the tape.  No
-    callback may run a pass.  Returns (values (B, N_L), input gradients (B, d)
-    or None, parameter gradient or None), all None when streamed.
+    sweep of _adjoint seeded with 1.  Values (all columns) and input gradients
+    are copied out of each block's workspace; seeds(lo, hi, values, gradients)
+    -> (value weights, gradient weights or None) then seeds _adjoint's replay
+    of the tape, and may not run a pass.  Returns (values (B, N_L), input
+    gradients (B, d) or None, parameter gradient or None).
     """
     arch = net.architecture
-    streamed = consume is not None
-    if (input_gradients or seeds is not None or streamed) and arch.output_dim != 1:
+    if (input_gradients or seeds is not None) and arch.output_dim != 1:
         raise DimensionMismatchError("expects a scalar-output network")
     n = x.shape[0]
-    vals = grads = grad = None
-    if not streamed:
-        vals = np.empty((n, arch.output_dim))
-        grads = np.empty((n, arch.input_dim)) if input_gradients else None
+    vals = np.empty((n, arch.output_dim))
+    grads = np.empty((n, arch.input_dim)) if input_gradients else None
+    grad = None
     if seeds is not None:
         grad = np.zeros(net.n_parameters)
         grad_w, grad_b = _layer_views(arch, grad)
@@ -496,14 +490,9 @@ def _block_pass(net: Network, x: np.ndarray, input_gradients: bool = False, seed
         for lo in range(0, n, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, n)
             tape = _forward_caches(net, x[lo:hi], ws.head(hi - lo), derivatives, jacobians)
-            du = (tape.gs[-1][0] if jacobians else
-                  _adjoint(net, tape, 1.0) if input_gradients else None)
-            if streamed:
-                consume(lo, hi, tape.fs[-1][:, 0], du)
-                continue
             vals[lo:hi] = tape.fs[-1]
             if input_gradients:
-                grads[lo:hi] = du
+                grads[lo:hi] = tape.gs[-1][0] if jacobians else _adjoint(net, tape)
             if seeds is not None:
                 v, m = seeds(lo, hi, vals[lo:hi, 0], None if grads is None else grads[lo:hi])
                 _adjoint(net, tape, v[:, None], None if m is None else m[None], grad_w, grad_b)
@@ -559,26 +548,33 @@ def _sum_of_products(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     return out
 
 
-def _adjoint(net: Network, tape: _Workspace, lam, mat=None, grad_w: list | None = None,
+def _adjoint(net: Network, tape: _Workspace, lam=None, mat=None, grad_w: list | None = None,
              grad_b: list | None = None) -> np.ndarray:
     """Reverse pass over one block's forward tape, lam <- (lam * f'_l) W_l.
 
     tape is the workspace filled by _forward_caches, with derivatives; lam
-    (B, 1), or a scalar, seeds d/du and mat (1, B, d), when not None, seeds
-    d/d(grad u).  With grad_w/grad_b (per-layer views of one flat gradient,
-    from _layer_views) the parameter derivatives are accumulated into them
-    and nothing is propagated below layer 1, since the input layer has no
+    (B, 1) seeds d/du and mat (1, B, d), when not None, seeds d/d(grad u).
+    With grad_w/grad_b (per-layer views of one flat gradient, from
+    _layer_views) the parameter derivatives are accumulated into them and
+    nothing is propagated below layer 1, since the input layer has no
     parameters.  Without them the sweep runs on through W_1 and returns
-    d(lam u)/dx, (B, d), in the workspace buffer lam[0]: the input gradient
-    of u when lam = 1.  The lam and mat products are _layer_product.  The tape
-    must carry the input Jacobians whenever mat is given; mat is a unit-major
-    (N_l, B, d) stack like those of the tape, and every temporary is a
-    workspace buffer.
+    d(lam u)/dx, (B, d), in the workspace buffer lam[0].  lam None is the
+    input gradient of u, lam = 1: the identity output gives 1 * f'_L W_L =
+    W_L exactly, so that sweep starts at layer L - 1 from the (1, N_{L-1})
+    row W_L, and a net with no hidden layer returns W_1's (1, d) row, which
+    broadcasts over the block.  The lam and mat products are _layer_product.
+    The tape must carry the input Jacobians whenever mat is given; mat is a
+    unit-major (N_l, B, d) stack like those of the tape, and every temporary
+    is a workspace buffer.
     """
     t = tape
     accumulate = grad_w is not None
     layers = list(zip(net.architecture.activations, net.weights))
-    for k in range(net.architecture.depth - 1, -1, -1):
+    top = len(layers)
+    if lam is None:
+        top -= 1
+        lam = layers[top][1]
+    for k in range(top - 1, -1, -1):
         spec, w = layers[k]
         delta = np.multiply(lam, t.fps[k], out=t.delta[k])
         gw = t.gw[k]

@@ -25,7 +25,7 @@ class Problem:
     to (n,) values (the gradient to (n, d)); g is evaluated on boundary
     points, whose face is their one coordinate equal to 0.0 or 1.0.  Every
     callable is row-wise (each output row depends only on its input row), so
-    the estimators may call it block by block.
+    the estimators may call it span by span.
     """
 
     name: str

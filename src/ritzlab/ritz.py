@@ -27,7 +27,6 @@ from .networks import (
 )
 from .problems import Problem
 from .sampling import (
-    MCEstimate,
     SampleSet,
     _check_input_dim,
     _pointwise,
@@ -103,17 +102,18 @@ def empirical_loss(net: Network, p: Problem, samples: SampleSet) -> LossReport:
 def _population_terms(net: Network, p: Problem, n_quad: int, seed: int):
     """mc_mean of the population integrand, of the quadratic form |grad v|^2
     + w v^2 (v = u - u*) and of their paired difference population - form / 2,
-    from one streamed pass over sample_domain(n_quad, d, seed); then that of u * g
-    on sample_boundary(n_quad, d, seed), drawn once the rows are dropped, with u
-    from _boundary_values, so a u that overflows there makes it NaN.
+    from one span-by-span pass over sample_domain(n_quad, d, seed) (_pointwise);
+    then that of u * g on sample_boundary(n_quad, d, seed), drawn once the rows
+    are dropped, with u from _boundary_values, so a u that overflows there
+    makes it NaN.
     """
     _check_input_dim(net, p)
     n_quad = _as_int(n_quad, "n_quad", 2)
 
-    def integrand(xb, u, du):
-        w = p.w(xb)
-        tg, tm, tf = _domain_pieces(u, du, lambda: w, lambda: p.f(xb))
-        v, dv = u - p.u_star(xb), du - p.grad_u_star(xb)
+    def integrand(xs, u, du):
+        w = p.w(xs)
+        tg, tm, tf = _domain_pieces(u, du, lambda: w, lambda: p.f(xs))
+        v, dv = u - p.u_star(xs), du - p.grad_u_star(xs)
         return tg + tm - tf, np.sum(dv**2, axis=1) + w * v**2
 
     pop, form = _pointwise(net, sample_domain(n_quad, p.d, seed), integrand, 2)
@@ -124,18 +124,12 @@ def _population_terms(net: Network, p: Problem, n_quad: int, seed: int):
     return dom, mc_mean(_boundary_values(net, y, g_vals) * g_vals, 2.0 * p.d)
 
 
-def population_loss_estimate(net: Network, p: Problem, n_quad: int, seed: int) -> MCEstimate:
-    """Monte-Carlo estimate of the population Ritz energy on fresh samples."""
-    (dom, _, _), bnd = _population_terms(net, p, n_quad, seed)
-    return MCEstimate(dom.value - bnd.value, math.hypot(dom.std_error, bnd.std_error))
-
-
 class EnergyExcessReport(NamedTuple):
     """L(u) - L(u*) next to the matching quadratic form of the difference.
 
     For the weak solution u*, L(u) - L(u*) = (grad v, grad v)/2 + (v, v)_w / 2
     with v = u - u*; h1_sq_of_diff estimates the bracket (grad v, grad v)
-    + (v, v)_w on the population estimate's domain sample, so excess ~
+    + (v, v)_w on the domain sample of excess, so excess ~
     h1_sq_of_diff / 2.  sandwich_se is the SE of excess - h1_sq_of_diff / 2
     from their paired per-point difference (common random numbers).
     """

@@ -134,21 +134,24 @@ def mc_mean(values, volume: float = 1.0) -> MCEstimate:
     )
 
 
+# Points per integrand call of _pointwise, a multiple of networks._CHUNK_ROWS:
+# each span's pass then runs the blocks a pass over the whole sample would.
+_SPAN_ROWS = 4096
+
+
 def _pointwise(net: Network, x: np.ndarray, integrand, n_rows: int) -> np.ndarray:
-    """Row k holds row k of integrand(xb, u, grad u) at every point of x: it
-    maps a block's points xb, with the net's values u and input gradients
+    """Row k holds row k of integrand(xs, u, grad u) at every point of x: it
+    maps a span's points xs, with the net's values u and input gradients
     there, to n_rows arrays of one value per point, so what rows share is
-    computed once per block.  The blocks are streamed one after another on
-    the calling thread (networks._block_pass), so x and the result are the
-    only full-size arrays."""
+    computed once per span.  The spans of _SPAN_ROWS points run one after
+    another on the calling thread, each one plain networks._block_pass, so x
+    and the result are the only full-size arrays."""
     x = _as_batch(net, x)
     out = np.empty((n_rows, x.shape[0]))
-
-    def consume(lo, hi, u, du):
-        for row, values in zip(out, integrand(x[lo:hi], u, du)):
-            row[lo:hi] = values
-
-    _block_pass(net, x, input_gradients=True, consume=consume)
+    for lo in range(0, x.shape[0], _SPAN_ROWS):
+        xs = x[lo:lo + _SPAN_ROWS]
+        u, du, _ = _block_pass(net, xs, input_gradients=True)
+        out[:, lo:lo + xs.shape[0]] = integrand(xs, u[:, 0], du)
     return out
 
 
@@ -184,8 +187,8 @@ def h1_error(net: Network, p: Problem, n_quad: int, seed: int) -> H1ErrorReport:
     n_quad = _as_int(n_quad, "n_quad", 2)  # the fewest points with a standard error
     x = sample_domain(n_quad, p.d, seed)
 
-    def integrand(xb, u, du):
-        return (u - p.u_star(xb)) ** 2, np.sum((du - p.grad_u_star(xb)) ** 2, axis=1)
+    def integrand(xs, u, du):
+        return (u - p.u_star(xs)) ** 2, np.sum((du - p.grad_u_star(xs)) ** 2, axis=1)
 
     e_sq, s_sq = _pointwise(net, x, integrand, 2)
     m_e, se_e = mc_mean(e_sq)

@@ -176,7 +176,8 @@ def train(net: Network, p: Problem, samples: SampleSet, cfg: TrainConfig):
     """Run cfg.iterations optimizer steps; returns (best-iterate net, history).
 
     Aborts with TrainingDivergedError and diagnostics if the loss, the
-    gradient or the updated parameters stop being finite.
+    gradient or the updated parameters stop being finite; its message ends
+    with the last checkpoint's iteration and full-set loss.
     """
     for kind, batch, n in (("domain", cfg.batch_domain, samples.n_domain),
                            ("boundary", cfg.batch_boundary, samples.n_boundary)):
@@ -200,6 +201,11 @@ def train(net: Network, p: Problem, samples: SampleSet, cfg: TrainConfig):
             return True
         return False
 
+    def diverged(what):
+        last = history.checkpoints[-1]
+        return TrainingDivergedError(f"{what}; last checkpoint: iteration {last.iteration}, "
+                                     f"full-set loss {last.loss!r}")
+
     current = net
     best_theta = theta.copy()
     checkpoint(0, current)
@@ -210,7 +216,7 @@ def train(net: Network, p: Problem, samples: SampleSet, cfg: TrainConfig):
         batch = samples._rows(idx_d, idx_b)
         rep, grad = loss_and_parameter_gradient(current, p, batch)
         if not (math.isfinite(rep.total) and np.isfinite(grad).all()):
-            raise TrainingDivergedError(
+            raise diverged(
                 f"non-finite loss/gradient at iteration {step}: "
                 f"loss={rep.total!r}, |grad|={float(np.linalg.norm(grad)):.3e}, "
                 f"|theta|={float(np.linalg.norm(theta)):.3e}"
@@ -222,7 +228,7 @@ def train(net: Network, p: Problem, samples: SampleSet, cfg: TrainConfig):
         try:
             current = net.with_parameters(theta)
         except ValueError as exc:  # the update made theta non-finite
-            raise TrainingDivergedError(
+            raise diverged(
                 f"non-finite parameters after iteration {step}: "
                 f"|grad|={float(np.linalg.norm(grad)):.3e}, lr={lr!r}"
             ) from exc

@@ -277,9 +277,9 @@ def evaluate_spline_combination(comb: SplineCombination, x) -> np.ndarray:
 
 def whole_array_estimators(net: Network, p: Problem, n_quad: int, seed: int) -> list:
     """The floats of h1_error(net, p, n_quad, seed), then those of
-    population_loss_estimate and energy_excess at seed + 1, by whole-array
-    formulas: one values_and_input_gradients pass over each domain sample,
-    then each per-point integrand over whole arrays."""
+    energy_excess at seed + 1, by whole-array formulas: one
+    values_and_input_gradients pass over each domain sample, then each
+    per-point integrand over whole arrays."""
     x = sample_domain(n_quad, p.d, seed)
     vals, grads = values_and_input_gradients(net, x)
     m_e, se_e = mc_mean((vals - p.u_star(x)) ** 2)
@@ -296,8 +296,8 @@ def whole_array_estimators(net: Network, p: Problem, n_quad: int, seed: int) -> 
     y = sample_boundary(n_quad, p.d, seed + 1)
     g = p.g(y)
     bnd = mc_mean(forward_batch(net, y) * g, 2.0 * p.d)
-    pop = [dom.value - bnd.value, math.hypot(dom.std_error, bnd.std_error)]
-    return [*h1, *pop, pop[0] - p.analytic_energy, pop[1], *mc_mean(quad),
+    return [*h1, dom.value - bnd.value - p.analytic_energy,
+            math.hypot(dom.std_error, bnd.std_error), *mc_mean(quad),
             math.hypot(paired.std_error, bnd.std_error)]
 
 

@@ -649,8 +649,8 @@ def test_cli_train_does_not_depend_on_the_blas_thread_count(tmp_path):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs two usable cores")
 def test_cli_decompose_does_not_depend_on_the_usable_core_count(tmp_path):
-    # both estimators on the trained net and on the spline net, streamed over
-    # one thread when pinned to one CPU before ritzlab is imported, else two
+    # both estimators on the trained net and on the spline net, with BLAS on
+    # one CPU when pinned to it before ritzlab is imported, else on two
     cfg = {"problem": "quadratic", "d": 2, "n": 64, "spline_level": 2, "gap_reps": 2,
            "restarts": 1, "n_quad": 3001, "seed": 4,
            "train": {"iterations": 20, "batch_domain": 64, "batch_boundary": 64,

@@ -32,7 +32,6 @@ from ritzlab.problems import make_cosine_problem, make_quadratic_problem
 from ritzlab.ritz import (
     derived_seed,
     energy_excess,
-    population_loss_estimate,
     statistical_gap_estimate,
 )
 from ritzlab.sampling import h1_error, make_sample_set, rng_stream, sample_boundary, sample_domain
@@ -167,8 +166,6 @@ ENTRIES = {
                  _counts(n_quad=2, seed=0)),
     "energy_excess": (functools.partial(energy_excess, NET, COSINE), _ESTIMATOR_ARGS,
                       _counts(n_quad=2, seed=0)),
-    "population_loss_estimate": (functools.partial(population_loss_estimate, NET, COSINE),
-                                 _ESTIMATOR_ARGS, _counts(n_quad=2, seed=0)),
     "statistical_gap_estimate": (functools.partial(statistical_gap_estimate, NET, COSINE),
                                  {"n": 4, "reps": 2, "seed": 0, "reference_n": 8},
                                  _counts(n=1, reps=2, seed=0, reference_n=1)),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ritzlab.networks as networks
+import ritzlab.sampling as sampling
 from ritzlab.gadgets import fit_spline_coefficients
 from ritzlab.networks import (
     IDENTITY,
@@ -22,7 +23,6 @@ from ritzlab.ritz import (
     empirical_loss,
     energy_excess,
     loss_and_parameter_gradient,
-    population_loss_estimate,
     statistical_gap_estimate,
 )
 from ritzlab.sampling import (
@@ -79,10 +79,9 @@ def reference_loss(net, p, samples):
 
 @pytest.mark.parametrize("estimate", [
     lambda net, p: h1_error(net, p, 2_000_000, 0),
-    lambda net, p: population_loss_estimate(net, p, 2_000_000, 0),
     lambda net, p: energy_excess(net, p, 2_000_000, 0),
     lambda net, p: statistical_gap_estimate(net, p, 4, 2, 0),
-], ids=["h1_error", "population_loss_estimate", "energy_excess", "statistical_gap_estimate"])
+], ids=["h1_error", "energy_excess", "statistical_gap_estimate"])
 def test_dimension_mismatch_fails_before_sampling(monkeypatch, estimate):
     def no_sampling(*args):
         raise AssertionError("sampled before checking the dimensions")
@@ -178,25 +177,27 @@ def test_large_sample_loss_near_analytic_energy():
     net = sum_of_squares_net(2)
     s = make_sample_set(1_000_000, 1_000_000, 2, seed=10)
     rep = empirical_loss(net, p, s)
-    est = population_loss_estimate(net, p, 1_000_000, seed=10)
-    assert abs(rep.total - p.analytic_energy) <= 5 * est.std_error
+    est = energy_excess(net, p, 1_000_000, seed=10)
+    assert abs(rep.total - p.analytic_energy) <= 5 * est.excess_se
 
 
 # --------------------------------------------------- population estimates
+# energy_excess's excess is the population estimate less the analytic energy,
+# subtracted last, and excess_se is that estimate's standard error.
 
 
 def test_population_loss_zero_net_is_zero():
     p = make_cosine_problem(3)
-    est = population_loss_estimate(zero_net(3), p, 10_000, seed=11)
-    assert est.value == 0.0
-    assert est.std_error == 0.0
+    est = energy_excess(zero_net(3), p, 10_000, seed=11)
+    assert est.excess == 0.0 - p.analytic_energy
+    assert est.excess_se == 0.0
 
 
 def test_population_loss_deterministic():
     p = make_cosine_problem(2)
     net = random_relu2_net(2, (4,), seed=12)
-    a = population_loss_estimate(net, p, 20_000, seed=13)
-    b = population_loss_estimate(net, p, 20_000, seed=13)
+    a = energy_excess(net, p, 20_000, seed=13)
+    b = energy_excess(net, p, 20_000, seed=13)
     assert a == b
 
 
@@ -225,9 +226,11 @@ def test_population_loss_evaluates_the_boundary_only_when_g_is_nonzero(
         return forward_batch(net, x)
 
     monkeypatch.setattr("ritzlab.ritz.forward_batch", counting_forward_batch)
-    est = population_loss_estimate(net, p, 3000, seed=24)
+    rep = energy_excess(net, p, 3000, seed=24)
+    est = rep.excess, rep.excess_se
     assert calls == [3000] * boundary_passes
     ref = boundary_pass_population_loss(net, p, 3000, seed=24)
+    ref = ref.value - p.analytic_energy, ref.std_error
     assert est == ref
     assert [v.hex() for v in est] == [v.hex() for v in ref]
 
@@ -251,21 +254,28 @@ def test_energy_excess_sandwich_identity_w_equals_one():
 @pytest.mark.parametrize("make_problem, boundary_passes",
                          [(make_cosine_problem, 0), (make_quadratic_problem, 1)])
 def test_energy_excess_streams_one_domain_pass(monkeypatch, make_problem, boundary_passes):
-    # the population energy and the quadratic form read one tape on one sample;
-    # the boundary is evaluated only when g is nonzero somewhere (cosine: g = 0)
+    # the population energy and the quadratic form read one pass over one
+    # sample, run as consecutive spans that cover it once; the boundary is
+    # evaluated only when g is nonzero somewhere (cosine: g = 0)
     p = make_problem(2)
     net = random_relu2_net(2, (5, 4), seed=30)
     assert networks._finite_on_unit_cube(net)
     block_pass, calls = networks._block_pass, []
 
     def counting_block_pass(net, x, *args, **kwargs):
-        calls.append((len(x), kwargs.get("consume") is not None))
+        calls.append((x.copy(), kwargs.get("input_gradients", False)))
         return block_pass(net, x, *args, **kwargs)
 
     for module in ("networks", "sampling", "ritz"):
         monkeypatch.setattr(f"ritzlab.{module}._block_pass", counting_block_pass)
-    energy_excess(net, p, 3000, seed=31)
-    assert calls == [(3000, True)] + [(3000, False)] * boundary_passes
+    n_quad, span = 9000, sampling._SPAN_ROWS
+    assert 2 * span < n_quad < 3 * span
+    energy_excess(net, p, n_quad, seed=31)
+    assert [(len(x), grads) for x, grads in calls] == (
+        [(span, True), (span, True), (n_quad - 2 * span, True)]
+        + [(n_quad, False)] * boundary_passes)
+    assert np.array_equal(np.concatenate([x for x, _ in calls[:3]]),
+                          sample_domain(n_quad, 2, 31))
 
 
 @pytest.mark.parametrize("make_problem", [make_cosine_problem, make_quadratic_problem])
@@ -274,7 +284,7 @@ def test_energy_excess_is_the_population_estimate_less_the_analytic_energy(make_
     p = make_problem(d)
     net = random_relu2_net(d, (6, 5), seed=32 + d)
     rep = energy_excess(net, p, 2001, seed=33)
-    pop = population_loss_estimate(net, p, 2001, seed=33)
+    pop = boundary_pass_population_loss(net, p, 2001, seed=33)
     assert [rep.excess.hex(), rep.excess_se.hex()] == [(pop.value - p.analytic_energy).hex(),
                                                        pop.std_error.hex()]
 
@@ -493,8 +503,8 @@ def test_population_loss_is_nan_when_the_net_overflows_only_on_the_boundary():
     y = sample_boundary(n_quad, 1, seed)
     assert not np.any(p.g(y)) and np.any(y[:, 0] == 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        est = population_loss_estimate(blown, p, n_quad, seed)
-    assert math.isnan(est.value)
+        est = energy_excess(blown, p, n_quad, seed)
+    assert math.isnan(est.excess)
 
 
 # -------------------------------------------------------- statistical gap
@@ -555,7 +565,7 @@ def _cosine_target(q):
     (lambda net, p: energy_excess(net, p, 10.5, 0), "n_quad 10.5 is not an integer"),
     (lambda net, p: energy_excess(net, p, True, 0), "n_quad True is not an integer"),
     (lambda net, p: energy_excess(net, p, 1, 0), "n_quad must be >= 2"),
-    (lambda net, p: population_loss_estimate(net, p, 2.0, 0), "n_quad 2.0 is not an integer"),
+    (lambda net, p: energy_excess(net, p, 2.0, 0), "n_quad 2.0 is not an integer"),
     (lambda net, p: fit_spline_coefficients(_cosine_target, 2, 0), "dim must be >= 1"),
     (lambda net, p: fit_spline_coefficients(_cosine_target, 2, 2.0), "dim 2.0 is not"),
     (lambda net, p: fit_spline_coefficients(_cosine_target, 2.0, 1), "level 2.0 is not"),
@@ -565,7 +575,7 @@ def _cosine_target(q):
     (lambda net, p: fit_spline_coefficients(lambda q: np.ones((len(q), 2)), 2, 1),
      r"target must map .* got shape \(17, 2\)"),
 ], ids=["h1-float", "h1-bool", "h1-one", "excess-float", "excess-bool", "excess-one",
-        "population-float", "fit-dim-zero", "fit-dim-float", "fit-level-float",
+        "excess-two-float", "fit-dim-zero", "fit-dim-float", "fit-level-float",
         "fit-level-zero", "fit-nan-target", "fit-2-column-target"])
 def test_evaluation_entries_reject_bad_inputs_naming_them(call, match):
     with pytest.raises(ValueError, match=match):

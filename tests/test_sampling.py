@@ -7,18 +7,19 @@ import numpy as np
 import pytest
 
 import ritzlab.cli as cli
-from ritzlab import networks
+from ritzlab import networks, sampling
 from ritzlab.gadgets import (
     build_spline_combination,
     fit_spline_coefficients,
     prescribe_architecture,
 )
 from ritzlab.harness import StudyConfig, run_convergence_study
-from ritzlab.networks import IDENTITY, RELU2, Architecture, Network
+from ritzlab.networks import IDENTITY, RELU2, Architecture, Network, values_and_input_gradients
 from ritzlab.problems import make_cosine_problem, make_quadratic_problem
-from ritzlab.ritz import energy_excess, population_loss_estimate, statistical_gap_estimate
+from ritzlab.ritz import energy_excess, statistical_gap_estimate
 from ritzlab.sampling import (
     SampleSet,
+    _sqrt_with_se,
     h1_error,
     make_sample_set,
     mc_mean,
@@ -282,16 +283,15 @@ def _streamed_case(label):
     return random_relu2_net(d, (24, 16), seed=40 + d), problem
 
 
-@pytest.mark.parametrize("n_quad", [2, 255, 256, 257, 1000, 3001])
+@pytest.mark.parametrize("n_quad", [2, 255, 256, 257, 1000, 3001, 4097])
 @pytest.mark.parametrize("label", ["relu2 d1", "relu2 d2", "relu2 d3", "mixed pin", "spline d2",
                                    "spline d3"])
 def test_streamed_estimators_bitwise_equal_whole_arrays(label, n_quad):
     net, p = _streamed_case(label)
     want = [float(v).hex() for v in whole_array_estimators(net, p, n_quad, 11)]
     err = h1_error(net, p, n_quad, 11)
-    pop = population_loss_estimate(net, p, n_quad, 12)
     exc = energy_excess(net, p, n_quad, 12)
-    got = [*err[:6], *pop, *exc[:5]]
+    got = [*err[:6], *exc[:5]]
     assert [float(v).hex() for v in got] == want
 
 
@@ -325,16 +325,36 @@ def test_an_error_in_a_streamed_block_reaches_the_caller():
     class BlockError(RuntimeError):
         pass
 
+    spans = []
+
     def u_star(x):
-        if x.shape[0] < networks._CHUNK_ROWS:  # the last of four blocks
-            raise BlockError("short block")
+        spans.append(x.shape[0])
+        if len(spans) == 2:  # the second of three spans
+            raise BlockError("second span")
         return base.u_star(x)
 
     base = make_cosine_problem(2)
     threads = threading.active_count()
     with pytest.raises(BlockError):
-        h1_error(random_relu2_net(2, (8,), seed=3), replace(base, u_star=u_star), 1000, 0)
+        h1_error(random_relu2_net(2, (8,), seed=3), replace(base, u_star=u_star), 9000, 0)
+    assert spans == [sampling._SPAN_ROWS] * 2
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_affine_net_gradient_is_its_weight_row(d):
+    # with no hidden layer the reverse sweep starts and ends at W_1 itself
+    rng = rng_for(60 + d)
+    w, b = rng.normal(size=(1, d)), rng.normal(size=1)
+    net = Network(Architecture((d, 1), (IDENTITY,)), [w], [b])
+    x = sample_domain(4097, d, 5)
+    _, grads = values_and_input_gradients(net, x)
+    assert grads.shape == x.shape
+    assert np.array_equal(grads, np.repeat(w, len(x), axis=0))
+    p = make_cosine_problem(d)
+    rep = h1_error(net, p, 4097, 5)
+    semi = _sqrt_with_se(*mc_mean(np.sum((w - p.grad_u_star(x)) ** 2, axis=1)))
+    assert [rep.h1_semi_err, rep.h1_semi_err_se] == list(semi)
 
 
 def test_streamed_passes_start_no_thread(monkeypatch):

@@ -293,6 +293,27 @@ def test_divergence_aborts_with_diagnostic():
     assert "iteration" in str(err.value)
 
 
+@pytest.mark.parametrize("lr, init_scale, cause, last", [
+    (1e12, 1.0, "non-finite loss/gradient at iteration 12", 8),
+    (1e308, 10.0, "non-finite parameters after iteration 1", 0),
+])
+def test_divergence_names_the_last_checkpoint(lr, init_scale, cause, last):
+    # the message ends with the last checkpoint's iteration and full-set
+    # loss, which a run stopped at that iteration reports as its final loss
+    p, samples, net = small_setup(n=64)
+    net = init_network(net.architecture, init_scale, seed=1)
+    cfg = TrainConfig(optimizer="sgd", learning_rate=lr, iterations=200, batch_domain=64,
+                      batch_boundary=64, eval_every=4, seed=8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, hist = train(net, p, samples, replace(cfg, iterations=last))
+        with pytest.raises(TrainingDivergedError) as err:
+            train(net, p, samples, cfg)
+    loss = hist.checkpoints[-1].loss
+    assert hist.checkpoints[-1].iteration == last and math.isfinite(loss)
+    assert str(err.value).startswith(cause + ": ")
+    assert str(err.value).endswith(f"; last checkpoint: iteration {last}, full-set loss {loss!r}")
+
+
 def test_history_summary_has_no_wall_time():
     p, samples, net = small_setup(n=64)
     _, hist = train(net, p, samples, TrainConfig(iterations=10, batch_domain=32,
