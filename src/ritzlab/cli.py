@@ -170,20 +170,13 @@ def main(argv=None) -> int:
     pg.add_argument("--out", default=None)
     pg.set_defaults(fn=_cmd_verify_gradnet)
 
-    pt = sub.add_parser("train", help="train one network per a YAML config")
-    pt.add_argument("config")
-    pt.add_argument("--out", default=None)
-    pt.set_defaults(fn=_cmd_train)
-
-    ps = sub.add_parser("study", help="run a convergence-rate study")
-    ps.add_argument("config")
-    ps.add_argument("--out", default=None)
-    ps.set_defaults(fn=_cmd_study)
-
-    pd = sub.add_parser("decompose", help="run an error-decomposition report")
-    pd.add_argument("config")
-    pd.add_argument("--out", default=None)
-    pd.set_defaults(fn=_cmd_decompose)
+    for name, fn, text in (("train", _cmd_train, "train one network per a YAML config"),
+                           ("study", _cmd_study, "run a convergence-rate study"),
+                           ("decompose", _cmd_decompose, "run an error-decomposition report")):
+        pc = sub.add_parser(name, help=text)
+        pc.add_argument("config")
+        pc.add_argument("--out", default=None)
+        pc.set_defaults(fn=fn)
 
     pb = sub.add_parser("bounds", help="print all theory-bound values as JSON")
     pb.add_argument("--depth", type=int, required=True)

@@ -52,9 +52,7 @@ class SplineIndex:
         top = 2**level - 1
         for i in index:
             if not -2 <= i <= top:
-                raise InvalidSplineIndexError(
-                    f"index {i} outside [-2, {top}] at level {level}"
-                )
+                raise InvalidSplineIndexError(f"index {i} outside [-2, {top}] at level {level}")
 
     @property
     def dim(self) -> int:
@@ -203,11 +201,14 @@ def _product_trees(level: int, dim: int, terms) -> Network:
     powers sigma2(x_a - k h) (de Boor, A Practical Guide to Splines, 2001), so
     stage 1 holds one unit per (axis a, knot shift k) that some term uses.  A
     tree value is keyed by what it computes: a factor (a, i), a pair of child
-    keys, or a 1-tuple for an odd value passed through one identity unit.  Each
-    later stage holds one product gadget per distinct pair and one pass-through
-    per distinct odd value, in tree-position order, and the output row is
-    sum_j c_j times each term's final combine row.  Values are kept as (unit
-    positions, coefficients) over the latest stage's outputs.
+    keys, or a 1-tuple for an odd value passed through one identity unit, and is
+    kept as (unit positions, coefficients) over the latest stage's outputs.
+    Each stage below the root holds one product gadget per distinct pair and one
+    pass-through per distinct odd value, in tree-position order.  The root
+    factors sum_j c_j L_j R_j by the mode unfolding of the coefficient tensor
+    (Kolda and Bader, SIAM Review 2009): one gadget per key K on the side with
+    fewer distinct keys (left on a tie) multiplies K by the row sum_{j: K} c_j
+    (other side of term j), in (left, right) order.
     """
     h = 2.0 ** (-level)
     net = _StagedNet(dim)
@@ -231,7 +232,7 @@ def _product_trees(level: int, dim: int, terms) -> Network:
         out[pos] = coef
         return out
 
-    while len(trees[0]) > 1:
+    while len(trees[0]) > 2:
         trees = [tuple(t[k : k + 2] for k in range(0, len(t), 2)) for t in trees]
         net.begin_stage()
         queued = {}
@@ -246,11 +247,19 @@ def _product_trees(level: int, dim: int, terms) -> Network:
         net.commit_stage()
         values = queued
 
-    out = np.zeros(net.width)
-    for (key,), (_, c) in zip(trees, terms):
-        pos, coef = values[key]
-        out[pos] += c * coef
-    return net.finish(out, 0.0)
+    if len(trees[0]) == 1:  # d = 1: the factors are the output
+        return net.finish(sum(c * row(key) for (key,), (_, c) in zip(trees, terms)), 0.0)
+
+    side = int(len({t[1] for t in trees}) < len({t[0] for t in trees}))
+    groups = {}
+    for t, (_, c) in zip(trees, terms):
+        groups[t[side]] = groups.get(t[side], 0.0) + c * row(t[1 - side])
+    net.begin_stage()
+    for key in sorted(groups):
+        pair = (row(key), groups[key]) if side == 0 else (groups[key], row(key))
+        net.add_units(*_product_gadget_rows(*pair), RELU2)
+    net.commit_stage()
+    return net.finish(np.tile(_PROD_COMBINE, len(groups)), 0.0)
 
 
 def build_multivariate_bspline(idx: SplineIndex) -> Network:
@@ -265,22 +274,19 @@ def build_multivariate_bspline(idx: SplineIndex) -> Network:
 
 
 def _assert_bounds(net: Network, max_depth: int, max_width: int, what: str) -> None:
-    if net.architecture.depth > max_depth:
-        raise AssertionError(
-            f"{what}: depth {net.architecture.depth} exceeds bound {max_depth}"
-        )
-    if net.architecture.width > max_width:
-        raise AssertionError(
-            f"{what}: width {net.architecture.width} exceeds bound {max_width}"
-        )
+    arch = net.architecture
+    for name, size, bound in (("depth", arch.depth, max_depth), ("width", arch.width, max_width)):
+        if size > bound:
+            raise AssertionError(f"{what}: {name} {size} exceeds bound {bound}")
 
 
 def build_spline_combination(comb: SplineCombination) -> Network:
     """Single net computing sum_j c_j N_{l, i_j}: the terms' product trees
-    (build_multivariate_bspline) with every distinct hidden unit built once.
+    (build_multivariate_bspline) with every distinct hidden unit built once and
+    the root product factored on its side with fewer distinct values.
 
-    The full basis at d = 3, level 2 gives (3,27,150,864,1); a sparse
-    combination builds only the knots and products its terms use.
+    The full basis at level 2 gives (2,18,24,1) at d = 2 and (3,27,150,24,1) at
+    d = 3; a sparse combination builds only the knots and products its terms use.
     """
     if not comb.coefficients:
         raise ValueError("combination has no coefficients")
@@ -364,11 +370,7 @@ def build_gradient_norm_network(net: Network) -> Network:
     if depth == 1:
         # affine net: the gradient is the constant weight row
         const = float(np.sum(w_in[0][0] ** 2))
-        built = Network(
-            Architecture((d, 1), (IDENTITY,)),
-            [np.zeros((1, d))],
-            [np.array([const])],
-        )
+        built = Network(Architecture((d, 1), (IDENTITY,)), [np.zeros((1, d))], [np.array([const])])
         _assert_bounds(built, depth + 3, d * (depth + 2) * arch.width, "gradient-norm net")
         return built
 

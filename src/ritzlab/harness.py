@@ -399,6 +399,7 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
         "decomposition_rhs_bound": 2.0 / c_low * proxies,
         "decomposition_check_satisfied": bool(lhs <= proxies + slack),
         "decomposition_check_slack": slack,
+        "decomposition_check_conclusive": bool(slack < proxies),
         "train_summary": history.summary(),
     }
 

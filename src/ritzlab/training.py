@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .networks import Architecture, Network, _as_int, _as_real
+from .networks import Architecture, Network, _activate, _as_int, _as_real, _layer_views
 from .problems import Problem
 from .ritz import empirical_loss, loss_and_parameter_gradient
 from .sampling import SampleSet, rng_stream
@@ -172,12 +172,24 @@ class AdamState:
         return np.subtract(theta, step, out=step)
 
 
+def _first_non_finite_layer(arch: Architecture, theta: np.ndarray, x=None) -> str:
+    """Names the first layer whose parameters (x None), or values at points x, are non-finite."""
+    what = "parameters" if x is None else "values on the minibatch"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (w, b, spec) in enumerate(zip(*_layer_views(arch, theta), arch.activations), 1):
+            if x is not None:
+                _activate(spec, x := x @ w.T + b, None)
+            if not np.isfinite(np.append(w, b) if x is None else x).all():
+                return f"first non-finite {what}: layer {k}"
+    return f"no layer has non-finite {what}"
+
+
 def train(net: Network, p: Problem, samples: SampleSet, cfg: TrainConfig):
     """Run cfg.iterations optimizer steps; returns (best-iterate net, history).
 
-    Aborts with TrainingDivergedError and diagnostics if the loss, the
-    gradient or the updated parameters stop being finite; its message ends
-    with the last checkpoint's iteration and full-set loss.
+    Aborts with TrainingDivergedError if the loss, the gradient or the
+    updated parameters stop being finite; its message names the first
+    non-finite layer and ends with the last checkpoint's iteration and loss.
     """
     for kind, batch, n in (("domain", cfg.batch_domain, samples.n_domain),
                            ("boundary", cfg.batch_boundary, samples.n_boundary)):
@@ -219,7 +231,9 @@ def train(net: Network, p: Problem, samples: SampleSet, cfg: TrainConfig):
             raise diverged(
                 f"non-finite loss/gradient at iteration {step}: "
                 f"loss={rep.total!r}, |grad|={float(np.linalg.norm(grad)):.3e}, "
-                f"|theta|={float(np.linalg.norm(theta)):.3e}"
+                f"|theta|={float(np.linalg.norm(theta)):.3e}, " + _first_non_finite_layer(
+                    net.architecture, theta,
+                    np.vstack([batch.domain_points, batch.boundary_points]))
             )
         if cfg.optimizer == "adam":
             theta = adam.step(theta, grad, lr)
@@ -230,7 +244,8 @@ def train(net: Network, p: Problem, samples: SampleSet, cfg: TrainConfig):
         except ValueError as exc:  # the update made theta non-finite
             raise diverged(
                 f"non-finite parameters after iteration {step}: "
-                f"|grad|={float(np.linalg.norm(grad)):.3e}, lr={lr!r}"
+                f"|grad|={float(np.linalg.norm(grad)):.3e}, lr={lr!r}, "
+                + _first_non_finite_layer(net.architecture, theta)
             ) from exc
         if step % epoch_steps == 0:
             lr *= cfg.lr_decay

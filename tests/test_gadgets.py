@@ -239,8 +239,8 @@ def _random_terms(d, level, seed):
     return {idx: float(c) for idx, c in zip(idxs, rng_for(seed).normal(size=len(idxs)))}
 
 
-@pytest.mark.parametrize("d, level, dims", [(1, 3, (1, 13, 1)), (2, 2, (2, 18, 144, 1)),
-                                            (3, 2, (3, 27, 150, 864, 1))])
+@pytest.mark.parametrize("d, level, dims", [(1, 3, (1, 13, 1)), (2, 2, (2, 18, 24, 1)),
+                                            (3, 2, (3, 27, 150, 24, 1))])
 def test_combination_builds_each_hidden_unit_once(d, level, dims):
     cnet = build_spline_combination(SplineCombination(level, d, _random_terms(d, level, 303)))
     arch = cnet.architecture
@@ -256,8 +256,9 @@ def test_sparse_combination_builds_only_the_knots_its_terms_use():
     level, h = 3, 2.0**-3
     terms = {SplineIndex(level, (0, 5)): 1.0, SplineIndex(level, (3, 5)): -2.0}
     cnet = build_spline_combination(SplineCombination(level, 2, terms))
-    # knot shifts i..i+3 per axis: 0..6 on axis 0, 5..8 on axis 1; two products
-    assert cnet.architecture.layer_dims == (2, 11, 8, 1)
+    # knot shifts i..i+3 per axis: 0..6 on axis 0, 5..8 on axis 1; one root
+    # product, as both terms share the right factor N_{3,5}(y)
+    assert cnet.architecture.layer_dims == (2, 11, 4, 1)
     knots = {(int(np.argmax(w)), float(-b / h)) for w, b in zip(cnet.weights[0], cnet.biases[0])}
     assert knots == {(0, k) for k in range(7)} | {(1, k) for k in range(5, 9)}
     x = rng_for(306).uniform(0, 1, size=(200, 2))
@@ -265,7 +266,35 @@ def test_sparse_combination_builds_only_the_knots_its_terms_use():
     assert np.max(np.abs(forward_batch(cnet, x) - want)) <= 1e-12
 
 
-@pytest.fixture(scope="module", params=[(1, 3), (2, 2), (3, 1), (3, 2)],
+@pytest.mark.parametrize("indices", [[(0, 5), (3, 5)], [(0, 2), (0, 5), (0, 7)],
+                                     [(0, 1, 2), (0, 1, 4), (3, 1, 2), (3, 6, 6)]],
+                         ids=["right-shared", "left-shared", "d3-tie"])
+def test_root_product_is_factored_on_the_side_with_fewer_keys(indices):
+    level, d = 3, len(indices[0])
+    split = 2 ** (math.ceil(math.log2(d)) - 1)  # factors in the root's left subtree
+    coefs = rng_for(307).normal(size=len(indices))
+    terms = {SplineIndex(level, i): float(c) for i, c in zip(indices, coefs)}
+    cnet = build_spline_combination(SplineCombination(level, d, terms))
+    keys = [{i[:split] for i in indices}, {i[split:] for i in indices}]
+    assert cnet.architecture.layer_dims[-2] == 4 * min(map(len, keys))
+    x = rng_for(308).uniform(0, 1, size=(500, d))
+    want = sum(c * multivariate_bspline_value(idx, x) for idx, c in terms.items())
+    assert np.max(np.abs(forward_batch(cnet, x) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_one_term_root_keeps_the_left_right_gadget_order():
+    # the plain (x factor, y factor) product gadget, as in a single B-spline's tree
+    level = 2
+    cnet = build_spline_combination(SplineCombination(level, 2, {SplineIndex(level, (1, 0)): 1.0}))
+    f = 2.0 ** (2 * level - 1) * np.array([1.0, -3.0, 3.0, -1.0])
+    x_row, y_row = np.concatenate([f, np.zeros(4)]), np.concatenate([np.zeros(4), f])
+    want = np.stack([x_row + y_row, -(x_row + y_row), x_row - y_row, y_row - x_row])
+    assert cnet.architecture.layer_dims == (2, 8, 4, 1)
+    assert np.array_equal(cnet.weights[1], want)
+    assert np.array_equal(cnet.weights[2], [[0.25, 0.25, -0.25, -0.25]])
+
+
+@pytest.fixture(scope="module", params=[(1, 3), (2, 2), (3, 1), (3, 2), (4, 1)],
                 ids=lambda dl: f"d{dl[0]}-level{dl[1]}")
 def combination_and_term_sum(request):
     """(combination net, 1000 points, the sum of its term nets' u and grad u there)."""

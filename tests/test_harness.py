@@ -342,6 +342,20 @@ def test_decomposition_slack_combines_every_proxy_standard_error():
         report["decomposition_lhs"] <= report["decomposition_rhs_proxies"] + slack)
 
 
+@pytest.mark.parametrize("n, gap_reps, iterations, conclusive",
+                         [(64, 3, 30, False), (256, 16, 300, True)])
+def test_decomposition_check_is_conclusive_only_when_it_can_fail(n, gap_reps, iterations,
+                                                                 conclusive):
+    # a slack of at least the proxies lets any lhs >= 0 pass the check
+    cfg = DecompositionConfig(problem="cosine", d=1, n=n, spline_level=2,
+                              gap_reps=gap_reps, restarts=1, n_quad=4000,
+                              train=tiny_train(iterations), seed=8)
+    report = run_error_decomposition(cfg)
+    flag = report["decomposition_check_conclusive"]
+    assert type(flag) is bool and flag is conclusive
+    assert flag == (report["decomposition_check_slack"] < report["decomposition_rhs_proxies"])
+
+
 def test_decomposition_requires_analytic_energy():
     cfg = DecompositionConfig(problem="cosine", d=1, n=64, train=tiny_train(10))
     # both shipped problems have analytic energy; simulate a missing one

@@ -273,8 +273,8 @@ def _streamed_case(label):
         d = int(label[-1])
         p = make_cosine_problem(d)
         net = build_spline_combination(fit_spline_coefficients(p.u_star, 2, d))
-        assert net.architecture.layer_dims == {2: (2, 18, 144, 1),
-                                               3: (3, 27, 150, 864, 1)}[d]
+        assert net.architecture.layer_dims == {2: (2, 18, 24, 1),
+                                               3: (3, 27, 150, 24, 1)}[d]
         return net, p
     if label == "mixed pin":
         return _pin_net("mixed", 2), make_quadratic_problem(2)

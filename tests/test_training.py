@@ -293,13 +293,20 @@ def test_divergence_aborts_with_diagnostic():
     assert "iteration" in str(err.value)
 
 
-@pytest.mark.parametrize("lr, init_scale, cause, last", [
-    (1e12, 1.0, "non-finite loss/gradient at iteration 12", 8),
-    (1e308, 10.0, "non-finite parameters after iteration 1", 0),
+@pytest.mark.parametrize("lr, init_scale, cause, layer, last", [
+    (1e12, 1.0, "non-finite loss/gradient at iteration 12",
+     "no layer has non-finite values on the minibatch", 8),
+    (1e150, 1.0, "non-finite loss/gradient at iteration 2",
+     "first non-finite values on the minibatch: layer 2", 0),
+    (1e200, 1.0, "non-finite loss/gradient at iteration 2",
+     "first non-finite values on the minibatch: layer 1", 0),
+    (1e308, 10.0, "non-finite parameters after iteration 1",
+     "first non-finite parameters: layer 1", 0),
 ])
-def test_divergence_names_the_last_checkpoint(lr, init_scale, cause, last):
-    # the message ends with the last checkpoint's iteration and full-set
-    # loss, which a run stopped at that iteration reports as its final loss
+def test_divergence_names_the_last_checkpoint(lr, init_scale, cause, layer, last):
+    # the message names the first non-finite layer and ends with the last
+    # checkpoint's iteration and full-set loss, which a run stopped at that
+    # iteration reports as its final loss
     p, samples, net = small_setup(n=64)
     net = init_network(net.architecture, init_scale, seed=1)
     cfg = TrainConfig(optimizer="sgd", learning_rate=lr, iterations=200, batch_domain=64,
@@ -311,6 +318,7 @@ def test_divergence_names_the_last_checkpoint(lr, init_scale, cause, last):
     loss = hist.checkpoints[-1].loss
     assert hist.checkpoints[-1].iteration == last and math.isfinite(loss)
     assert str(err.value).startswith(cause + ": ")
+    assert f", {layer}; " in str(err.value)
     assert str(err.value).endswith(f"; last checkpoint: iteration {last}, full-set loss {loss!r}")
 
 
