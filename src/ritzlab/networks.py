@@ -7,7 +7,8 @@ recursions; no general-purpose autodiff is involved.
 
 Every pass is one block loop, _block_pass: it records each _CHUNK_ROWS-row
 block's tape once, in block order on the calling thread, into a workspace
-kept per thread and shape (_Workspace).  Input gradients at d >= 2 come from
+kept per thread, layer dims and block row count (_Workspace), so a short
+last block fills one of its own size.  Input gradients at d >= 2 come from
 one reverse sweep over a tape of values and derivatives (_adjoint, seeded
 with 1, so started at the output row W_L), which costs about one value
 sweep at any d; only a tape that _adjoint replays with gradient weights,
@@ -18,7 +19,6 @@ apply each tag's formula to its units through per-unit masks.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import numbers
@@ -253,13 +253,13 @@ _WORKSPACE_ENTRIES = 4
 _workspaces = threading.local()
 
 
-def _stack(n_units: int, rows: int, d: int, empty=np.empty) -> np.ndarray:
+def _stack(n_units: int, rows: int, d: int) -> np.ndarray:
     """Empty (n_units, rows, d) Jacobian stack, point-major in memory when d == 1:
     BLAS rounds by operand orientation, and that layout keeps d = 1 results
     bitwise those of a batch-major (rows, n_units, 1) recursion."""
     if d == 1:
-        return empty((rows, n_units, 1)).transpose(1, 0, 2)
-    return empty((n_units, rows, d))
+        return np.empty((rows, n_units, 1)).transpose(1, 0, 2)
+    return np.empty((n_units, rows, d))
 
 
 def _batch(stack: np.ndarray) -> np.ndarray:
@@ -285,10 +285,11 @@ class _Workspace:
     release_input.  fpt holds each f'_l unit-major, (N_l, rows): at d = 1 the
     view fps[l].T, else the memory of d2[l], which _adjoint overwrites only
     after its last read of f'_l.  The other lists are scratch of _adjoint.
-    P_l and mat are C-ordered like a fresh w @ G, and G_l and q follow _stack,
-    so every value is bitwise that of freshly allocated arrays.  A pass fills
-    one workspace of its own thread (_workspace), so passes that callers run
-    from several threads never share one.
+    Every buffer is allocated with exactly `rows` rows, and P_l and mat are
+    C-ordered like a fresh w @ G while G_l and q follow _stack, so every
+    value is bitwise that of freshly allocated arrays.  A pass fills one
+    workspace of its own thread per block row count (_workspace), so passes
+    that callers run from several threads never share one.
     """
 
     def __init__(self, dims: tuple, rows: int, need_input_gradient: bool):
@@ -297,63 +298,30 @@ class _Workspace:
         def rows_by(ns):
             return [np.empty((rows, n)) for n in ns]
 
-        self.dims, self.rows, self.d = dims, rows, dims[0]
+        d = self.d = dims[0]
         self.fs = [None, *rows_by(units)]
         self.fps, self.delta = rows_by(units), rows_by(units)
         self.lam = rows_by(dims[:-1])
         self.gw = [np.empty((n_out, n_in)) for n_in, n_out in zip(dims, units)]
-        self.d2 = rows_by(units) if need_input_gradient else None
-        self._stacks()
-        self._head = None
-
-    def _stacks(self, memory=None) -> None:
-        """Set the unit-major buffers if the workspace has input gradients: fresh, or
-        laid out like fresh at the start of each flat array memory yields in turn."""
-        self.s = self.fpt = self.ps = self.gs = self.q = self.mat = None
-        self.memory = []
-        if self.d2 is None:
+        self.d2 = self.s = self.fpt = self.ps = self.gs = self.q = self.mat = None
+        if not need_input_gradient:
             return
-
-        def empty(shape):
-            a = np.empty(shape) if memory is None else next(memory)[:math.prod(shape)]
-            self.memory.append(a.reshape(-1))
-            return a.reshape(shape)
-
-        rows, d, units = self.rows, self.d, self.dims[1:]
-        self.s = [empty((n, rows)) for n in units]
+        self.d2 = rows_by(units)
+        self.s = [np.empty((n, rows)) for n in units]
         self.fpt = ([fp.T for fp in self.fps] if d == 1 else
                     [a.reshape(n, rows, copy=False) for n, a in zip(units, self.d2)])
-        self.ps = [None, *(empty((n, rows, d)) for n in units[1:])]
+        self.ps = [None, *(np.empty((n, rows, d)) for n in units[1:])]
         eye = np.broadcast_to(np.eye(d), (rows, d, d)).transpose(1, 0, 2)
         self.gs = [eye.reshape(d, rows * d).reshape(eye.shape),  # a view at d = 1
-                   *(_stack(n, rows, d, empty) for n in units)]
-        self.q = [_stack(n, rows, d, empty) for n in units]
-        self.mat = [None, *(empty((n, rows, d)) for n in units[:-1])]
-
-    def head(self, rows: int) -> "_Workspace":
-        """The workspace itself, or for a short block one on its memory, laid out
-        like fresh arrays: the leading rows of a unit-major stack are strided,
-        and BLAS may round a strided operand differently."""
-        if rows == self.rows:
-            return self
-        if self._head is None or self._head.rows != rows:
-            head = copy.copy(self)
-            head.rows, head._head = rows, None
-            for name in ("fs", "fps", "delta", "lam", "d2"):
-                bufs = getattr(self, name)
-                if bufs is not None:
-                    setattr(head, name, [None if a is None else a[:rows] for a in bufs])
-            head._stacks(iter(self.memory))
-            self._head = head
-        return self._head
+                   *(_stack(n, rows, d) for n in units)]
+        self.q = [_stack(n, rows, d) for n in units]
+        self.mat = [None, *(np.empty((n, rows, d)) for n in units[:-1])]
 
     def release_input(self) -> None:
         """Drop the tape's references to the caller's points and to W_1."""
-        for ws in (self, self._head):
-            if ws is not None:
-                ws.fs[0] = None
-                if ws.ps is not None:
-                    ws.ps[0] = None
+        self.fs[0] = None
+        if self.ps is not None:
+            self.ps[0] = None
 
 
 def _workspace(dims: tuple, rows: int, need_input_gradient: bool) -> _Workspace:
@@ -428,10 +396,10 @@ def _layer_product(a: np.ndarray, w: np.ndarray, out: np.ndarray,
 
 
 def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace, derivatives: bool,
-                    jacobians: bool) -> _Workspace:
-    """Record one block's forward tape into ws (see _Workspace) and return it.
+                    jacobians: bool) -> None:
+    """Record one block's forward tape into ws (see _Workspace).
 
-    x holds exactly ws.rows points.  Each z_l is formed in f_l's buffer by
+    x has as many rows as ws.  Each z_l is formed in f_l's buffer by
     _layer_product and activated in place.  derivatives records the f'_l,
     which _adjoint reads; jacobians (which needs them) also records the input
     Jacobians, in a workspace that has room for them.  Layer 1 runs no
@@ -456,12 +424,12 @@ def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace, derivatives: bo
                 np.copyto(fpt, ws.fps[k].T)
             for i in range(ws.d):
                 np.multiply(fpt, p[..., i], out=g[..., i])
-    return ws
 
 
 def _block_pass(net: Network, x: np.ndarray, input_gradients: bool = False, seeds=None):
     """The one loop of every network pass: one forward tape per block, in
-    block order on the calling thread.
+    block order on the calling thread, each in this thread's workspace for
+    its row count (_workspace), released (release_input) as the block ends.
 
     Input gradients come from the tape's Jacobian stacks when d = 1 or when
     seeds is given (its gradient weights replay them), else from the reverse
@@ -481,23 +449,21 @@ def _block_pass(net: Network, x: np.ndarray, input_gradients: bool = False, seed
     if seeds is not None:
         grad = np.zeros(net.n_parameters)
         grad_w, grad_b = _layer_views(arch, grad)
-    if n == 0:
-        return vals, grads, grad
     derivatives = input_gradients or seeds is not None
     jacobians = input_gradients and (arch.input_dim == 1 or seeds is not None)
-    ws = _workspace(arch.layer_dims, min(n, _CHUNK_ROWS), input_gradients)
-    try:
-        for lo in range(0, n, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, n)
-            tape = _forward_caches(net, x[lo:hi], ws.head(hi - lo), derivatives, jacobians)
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n)
+        tape = _workspace(arch.layer_dims, hi - lo, input_gradients)
+        try:
+            _forward_caches(net, x[lo:hi], tape, derivatives, jacobians)
             vals[lo:hi] = tape.fs[-1]
             if input_gradients:
                 grads[lo:hi] = tape.gs[-1][0] if jacobians else _adjoint(net, tape)
             if seeds is not None:
                 v, m = seeds(lo, hi, vals[lo:hi, 0], None if grads is None else grads[lo:hi])
                 _adjoint(net, tape, v[:, None], None if m is None else m[None], grad_w, grad_b)
-    finally:
-        ws.release_input()
+        finally:
+            tape.release_input()
     return vals, grads, grad
 
 

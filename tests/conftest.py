@@ -1,11 +1,20 @@
+import functools
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from ritzlab.gadgets import _BINOM3, SplineCombination, multivariate_bspline_value
+from ritzlab.gadgets import (
+    _BINOM3,
+    _POINTS_PER_INTERVAL,
+    SplineCombination,
+    bspline_value,
+    full_index_range,
+    multivariate_bspline_value,
+)
 from ritzlab.harness import _random_relu2_net
 import ritzlab.networks as networks
 from ritzlab.networks import (
@@ -273,6 +282,30 @@ def evaluate_spline_combination(comb: SplineCombination, x) -> np.ndarray:
     for idx, c in comb.coefficients.items():
         out += c * multivariate_bspline_value(idx, x)
     return out
+
+
+def kronecker_spline_fit(target, level: int, dim: int) -> np.ndarray:
+    """The full tensor-product spline fit's coefficients, in
+    itertools.product(full_index_range(level), repeat=dim) order, by one dense
+    least-squares solve with the d-fold Kronecker design on the collocation
+    grid of fit_spline_coefficients."""
+    axis_pts = np.linspace(0.0, 1.0, _POINTS_PER_INTERVAL * 2**level + 1)
+    uni = np.stack([bspline_value(level, i, axis_pts) for i in full_index_range(level)], axis=1)
+    design = functools.reduce(np.kron, [uni] * dim)
+    grids = np.meshgrid(*([axis_pts] * dim), indexing="ij")
+    return np.linalg.lstsq(design, target(np.stack([g.reshape(-1) for g in grids], axis=1)),
+                           rcond=None)[0]
+
+
+def traced_peak(fn):
+    """(result, peak traced bytes above the start) of one call of fn."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def whole_array_estimators(net: Network, p: Problem, n_quad: int, seed: int) -> list:

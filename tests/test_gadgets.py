@@ -27,8 +27,10 @@ from conftest import (
     bspline_derivative,
     evaluate_spline_combination,
     forward,
+    kronecker_spline_fit,
     random_relu2_net,
     rng_for,
+    traced_peak,
 )
 
 
@@ -108,6 +110,14 @@ def test_univariate_bspline_index_range():
 def test_spline_level_and_index_must_be_integers(make):
     with pytest.raises(InvalidSplineIndexError, match="is not an integer"):
         make()
+
+
+def test_empty_spline_index_is_rejected_before_either_builder():
+    # an empty index would reach _product_trees and fail there with a bare IndexError
+    with pytest.raises(InvalidSplineIndexError, match=r"spline index \(\) is empty"):
+        build_multivariate_bspline(SplineIndex(2, ()))
+    with pytest.raises(InvalidSplineIndexError, match=r"spline index \[\] is empty"):
+        build_spline_combination(SplineCombination(2, 0, {SplineIndex(2, []): 1.0}))
 
 
 @pytest.mark.parametrize("level, i, match", [
@@ -351,6 +361,38 @@ def test_fit_2d_target_in_span():
     x = rng_for(305).uniform(0, 1, size=(300, 2))
     err = evaluate_spline_combination(comb, x) - multivariate_bspline_value(idx, x)
     assert np.max(np.abs(err)) <= 1e-8
+
+
+def _asymmetric_target(q):
+    """A smooth target that changes under every permutation of the axes, so a
+    solve along the wrong axis shows."""
+    return np.sin(q @ (1.0 + np.arange(q.shape[1]))) + q[:, 0] * q[:, -1] ** 2
+
+
+def _fit_vector(level, dim):
+    comb = fit_spline_coefficients(_asymmetric_target, level, dim)
+    return np.array([comb.coefficients[SplineIndex(level, i)]
+                     for i in itertools.product(full_index_range(level), repeat=dim)])
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_fit_is_the_dense_kronecker_solve_bitwise_at_d1(level):
+    assert np.array_equal(_fit_vector(level, 1),
+                          kronecker_spline_fit(_asymmetric_target, level, 1))
+
+
+@pytest.mark.parametrize("dim, level", [(2, 2), (2, 3), (3, 2)])
+def test_fit_agrees_with_the_dense_kronecker_solve(dim, level):
+    got, want = _fit_vector(level, dim), kronecker_spline_fit(_asymmetric_target, level, dim)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_fit_at_d3_level4_solves_axis_by_axis_in_little_memory():
+    # the dense Kronecker design here would be 65^3 x 18^3 doubles, 12.8 GB
+    comb, peak = traced_peak(lambda: fit_spline_coefficients(_asymmetric_target, 4, 3))
+    assert len(comb.coefficients) == 18**3 and peak <= 64 * 2**20
+    x = rng_for(307).uniform(0, 1, size=(200, 3))
+    assert np.max(np.abs(evaluate_spline_combination(comb, x) - _asymmetric_target(x))) <= 1e-3
 
 
 def test_fit_network_agrees_with_closed_form():

@@ -4,7 +4,6 @@ import signal
 import sys
 import tempfile
 import threading
-import tracemalloc
 import weakref
 from pathlib import Path
 from unittest.mock import patch
@@ -56,6 +55,7 @@ from conftest import (
     replayed_parameter_gradient,
     rng_for,
     tape_values_and_input_gradients,
+    traced_peak,
 )
 
 
@@ -327,6 +327,23 @@ def test_short_last_block_replays_bitwise_like_a_fresh_workspace():
                               batch_major_parameter_gradient(net, x, v, m)), seed
 
 
+def test_short_last_block_has_a_cached_workspace_of_its_own_size(monkeypatch):
+    monkeypatch.setattr(networks._workspaces, "lru", {}, raising=False)
+    net = random_relu2_net(2, (16, 8), seed=69)
+    dims = net.architecture.layer_dims
+    x = rng_for(72).uniform(0.0, 1.0, size=(257, 2))
+    values_and_input_gradients(net, x)
+    assert list(networks._workspaces.lru) == [(dims, 256, True), (dims, 1, True)]
+    tail = networks._workspaces.lru[dims, 1, True]
+
+    def no_new_workspace(*key):
+        raise AssertionError(f"built a workspace for {key}")
+
+    monkeypatch.setattr(networks, "_Workspace", no_new_workspace)
+    values_and_input_gradients(net, x[:1])
+    assert networks._workspaces.lru[dims, 1, True] is tail
+
+
 @pytest.mark.parametrize("dims,acts", [
     ((2, 9, 6, 1), (RELU2, (RELU, RELU2, IDENTITY) * 2, IDENTITY)),
     ((3, 8, 4), (RELU2, IDENTITY)),
@@ -540,23 +557,12 @@ def test_passes_keep_no_reference_to_the_net():
     assert held() is None
 
 
-def _traced_peak(fn):
-    """(result, peak traced bytes above the start) of one call of fn."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_values_and_input_gradients_reuses_its_workspace():
     p = make_cosine_problem(2)
     net = build_spline_combination(fit_spline_coefficients(p.u_star, 2, 2))
     x = sample_domain(100_000, 2, 3)
     values_and_input_gradients(net, x)  # warm-up: allocates the workspace
-    (vals, grads), peak = _traced_peak(lambda: values_and_input_gradients(net, x))
+    (vals, grads), peak = traced_peak(lambda: values_and_input_gradients(net, x))
     assert peak <= vals.nbytes + grads.nbytes + 4 * 2**20
 
 
@@ -566,7 +572,7 @@ def test_training_step_allocates_no_block_sized_array():
     assert net.architecture.layer_dims == (2, 128, 128, 128, 1)
     samples = make_sample_set(256, 256, 2, 4)
     loss_and_parameter_gradient(net, p, samples)  # warm-up
-    (_, grad), peak = _traced_peak(lambda: loss_and_parameter_gradient(net, p, samples))
+    (_, grad), peak = traced_peak(lambda: loss_and_parameter_gradient(net, p, samples))
     # the fresh gradient is the one large allocation; a 256 x 128 block
     # alive next to it would push the peak past this bound
     assert peak < grad.nbytes + networks._CHUNK_ROWS * 128 * 8
