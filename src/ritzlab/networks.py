@@ -13,8 +13,10 @@ one reverse sweep over a tape of values and derivatives (_adjoint, seeded
 with 1, so started at the output row W_L), which costs about one value
 sweep at any d; only a tape that _adjoint replays with gradient weights,
 and every d = 1 tape, carries the forward-mode input-Jacobian stacks.
-Activations have one in-place implementation (_activate); mixed layers
-apply each tag's formula to its units through per-unit masks.
+Every domain integral runs through one span loop, _pointwise, one _block_pass
+per span of whole blocks.  Activations have one in-place implementation
+(_activate); mixed layers apply each tag's formula to its units through
+per-unit masks.
 """
 
 from __future__ import annotations
@@ -231,6 +233,7 @@ class Network:
 
 
 def _as_batch(net: Network, x) -> np.ndarray:
+    """x as a finite (B, d) batch of the net's input dim, else a named error."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 and net.architecture.input_dim == 1:
         x = x.reshape(1, 1)
@@ -240,6 +243,8 @@ def _as_batch(net: Network, x) -> np.ndarray:
         raise DimensionMismatchError(
             f"input shape {x.shape} does not match input dim {net.architecture.input_dim}"
         )
+    if not np.isfinite(x).all():
+        raise ValueError("x has a non-finite coordinate")
     return x
 
 
@@ -465,6 +470,25 @@ def _block_pass(net: Network, x: np.ndarray, input_gradients: bool = False, seed
         finally:
             tape.release_input()
     return vals, grads, grad
+
+
+# Points per integrand call of _pointwise, a whole number of blocks: each
+# span's pass then runs the blocks a pass over the whole sample would.
+_SPAN_ROWS = 16 * _CHUNK_ROWS
+
+
+def _pointwise(net: Network, x: np.ndarray, integrand, n_rows: int) -> np.ndarray:
+    """Row k holds row k of integrand(xs, u, grad u) at every point of the checked
+    (n >= 1, d) batch x: it maps a span's points xs, with the net's values u and
+    input gradients there, to n_rows arrays of one value per point, computed once
+    per span.  Every domain integral runs its spans of _SPAN_ROWS points one by one
+    on the calling thread, each one _block_pass, so only x and the result are full-size."""
+    out = np.empty((n_rows, x.shape[0]))
+    for lo in range(0, x.shape[0], _SPAN_ROWS):
+        xs = x[lo:lo + _SPAN_ROWS]
+        u, du, _ = _block_pass(net, xs, input_gradients=True)
+        out[:, lo:lo + xs.shape[0]] = integrand(xs, u[:, 0], du)
+    return out
 
 
 def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:

@@ -21,15 +21,14 @@ from .networks import (
     _as_int,
     _block_pass,
     _finite_on_unit_cube,
+    _pointwise,
     forward_batch,
-    values_and_input_gradients,
     weighted_parameter_gradient,
 )
 from .problems import Problem
 from .sampling import (
     SampleSet,
     _check_input_dim,
-    _pointwise,
     make_sample_set,
     mc_mean,
     sample_boundary,
@@ -58,19 +57,14 @@ class LossReport(NamedTuple):
     boundary_term: float
 
 
-def _domain_pieces(vals, grads, w_at, f_at):
-    """Per-point gradient, mass and forcing integrands of the Ritz loss.
-
-    w_at() and f_at() return w and f at the points; they are called after
-    the gradient piece is formed, so their arrays are not alive alongside it.
-    """
-    grad_piece = 0.5 * np.sum(grads**2, axis=1)
-    return grad_piece, 0.5 * w_at() * vals**2, vals * f_at()
+def _domain_pieces(vals, grads, w, f):
+    """Per-point gradient, mass and forcing integrands of the Ritz loss."""
+    return 0.5 * np.sum(grads**2, axis=1), 0.5 * w * vals**2, vals * f
 
 
-def _loss_report(d: int, domain_pieces, b_vals, g_vals) -> LossReport:
-    """Sample means of the domain pieces plus the boundary term, as one report."""
-    tg, tm, tf = (float(np.mean(piece)) for piece in domain_pieces)
+def _loss_report(d: int, domain_means, b_vals, g_vals) -> LossReport:
+    """The domain pieces' sample means plus the boundary term, as one report."""
+    tg, tm, tf = domain_means
     tb = 2.0 * d * float(np.mean(b_vals * g_vals))
     return LossReport(tg + tm - tf - tb, tg, tm, tf, tb)
 
@@ -91,37 +85,14 @@ def _check_loss_inputs(net: Network, p: Problem, samples: SampleSet) -> None:
 
 
 def empirical_loss(net: Network, p: Problem, samples: SampleSet) -> LossReport:
-    """Empirical Ritz loss on a fixed sample set, terms reported separately."""
+    """Empirical Ritz loss on a fixed sample set, terms reported separately; the
+    domain pieces run span by span (_pointwise) and are averaged before the boundary."""
     _check_loss_inputs(net, p, samples)
     x, y = samples.domain_points, samples.boundary_points
-    pieces = _domain_pieces(*values_and_input_gradients(net, x), lambda: p.w(x), lambda: p.f(x))
+    means = [float(np.mean(piece)) for piece in _pointwise(
+        net, x, lambda xs, u, du: _domain_pieces(u, du, p.w(xs), p.f(xs)), 3)]
     g_vals = p.g(y)
-    return _loss_report(p.d, pieces, _boundary_values(net, y, g_vals), g_vals)
-
-
-def _population_terms(net: Network, p: Problem, n_quad: int, seed: int):
-    """mc_mean of the population integrand, of the quadratic form |grad v|^2
-    + w v^2 (v = u - u*) and of their paired difference population - form / 2,
-    from one span-by-span pass over sample_domain(n_quad, d, seed) (_pointwise);
-    then that of u * g on sample_boundary(n_quad, d, seed), drawn once the rows
-    are dropped, with u from _boundary_values, so a u that overflows there
-    makes it NaN.
-    """
-    _check_input_dim(net, p)
-    n_quad = _as_int(n_quad, "n_quad", 2)
-
-    def integrand(xs, u, du):
-        w = p.w(xs)
-        tg, tm, tf = _domain_pieces(u, du, lambda: w, lambda: p.f(xs))
-        v, dv = u - p.u_star(xs), du - p.grad_u_star(xs)
-        return tg + tm - tf, np.sum(dv**2, axis=1) + w * v**2
-
-    pop, form = _pointwise(net, sample_domain(n_quad, p.d, seed), integrand, 2)
-    dom = mc_mean(pop), mc_mean(form), mc_mean(pop - 0.5 * form)
-    del pop, form
-    y = sample_boundary(n_quad, p.d, seed)
-    g_vals = p.g(y)
-    return dom, mc_mean(_boundary_values(net, y, g_vals) * g_vals, 2.0 * p.d)
+    return _loss_report(p.d, means, _boundary_values(net, y, g_vals), g_vals)
 
 
 class EnergyExcessReport(NamedTuple):
@@ -144,9 +115,30 @@ class EnergyExcessReport(NamedTuple):
 
 
 def energy_excess(net: Network, p: Problem, n_quad: int, seed: int) -> EnergyExcessReport:
+    """mc_mean of the population integrand, of the quadratic form |grad v|^2
+    + w v^2 (v = u - u*) and of their paired difference population - form / 2,
+    from one span-by-span pass over sample_domain(n_quad, d, seed) (_pointwise);
+    then that of u * g on sample_boundary(n_quad, d, seed), drawn once the rows
+    are dropped, with u from _boundary_values, so a u that overflows there
+    makes it NaN.
+    """
     if p.analytic_energy is None:
         raise ValueError(f"problem {p.name!r} has no analytic energy")
-    (dom, quad_form, paired), bnd = _population_terms(net, p, n_quad, seed)
+    _check_input_dim(net, p)
+    n_quad = _as_int(n_quad, "n_quad", 2)
+
+    def integrand(xs, u, du):
+        w = p.w(xs)
+        tg, tm, tf = _domain_pieces(u, du, w, p.f(xs))
+        v, dv = u - p.u_star(xs), du - p.grad_u_star(xs)
+        return tg + tm - tf, np.sum(dv**2, axis=1) + w * v**2
+
+    pop, form = _pointwise(net, sample_domain(n_quad, p.d, seed), integrand, 2)
+    dom, quad_form, paired = mc_mean(pop), mc_mean(form), mc_mean(pop - 0.5 * form)
+    del pop, form
+    y = sample_boundary(n_quad, p.d, seed)
+    g_vals = p.g(y)
+    bnd = mc_mean(_boundary_values(net, y, g_vals) * g_vals, 2.0 * p.d)
     return EnergyExcessReport(dom.value - bnd.value - p.analytic_energy,
                               math.hypot(dom.std_error, bnd.std_error), *quad_form,
                               math.hypot(paired.std_error, bnd.std_error), n_quad, seed)
@@ -177,8 +169,8 @@ def loss_and_parameter_gradient(net: Network, p: Problem, samples: SampleSet):
     vals, grads, grad = _block_pass(net, x, input_gradients=True, seeds=domain_seeds)
     if np.any(g_vals):
         grad += weighted_parameter_gradient(net, y, -(2.0 * p.d / m) * g_vals)
-    pieces = _domain_pieces(vals[:, 0], grads, lambda: w_vals, lambda: f_vals)
-    return _loss_report(p.d, pieces, _boundary_values(net, y, g_vals), g_vals), grad
+    means = [float(np.mean(piece)) for piece in _domain_pieces(vals[:, 0], grads, w_vals, f_vals)]
+    return _loss_report(p.d, means, _boundary_values(net, y, g_vals), g_vals), grad
 
 
 class StatisticalGapReport(NamedTuple):

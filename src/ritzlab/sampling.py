@@ -3,7 +3,8 @@
 All randomness comes from the counter-based Philox generator (numpy's
 Philox 4x64), keyed by (seed, stream tag), so every consumer can derive
 independent reproducible streams and parallel chunking can reproduce the
-sequential results.  The generator identity is recorded in reports.
+sequential results.  The generator identity is recorded in reports.  The
+quadrature (h1_error) integrates through the engine's span loop, _pointwise.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .networks import Network, _as_batch, _as_int, _block_pass
+from .networks import Network, _as_int, _pointwise
 from .problems import Problem
 
 RNG_ALGORITHM = "numpy.random.Philox(4x64), key=(seed, stream-tag)"
@@ -132,27 +133,6 @@ def mc_mean(values, volume: float = 1.0) -> MCEstimate:
         volume * float(np.mean(vals)),
         volume * float(np.std(vals, ddof=1)) / math.sqrt(vals.size),
     )
-
-
-# Points per integrand call of _pointwise, a multiple of networks._CHUNK_ROWS:
-# each span's pass then runs the blocks a pass over the whole sample would.
-_SPAN_ROWS = 4096
-
-
-def _pointwise(net: Network, x: np.ndarray, integrand, n_rows: int) -> np.ndarray:
-    """Row k holds row k of integrand(xs, u, grad u) at every point of x: it
-    maps a span's points xs, with the net's values u and input gradients
-    there, to n_rows arrays of one value per point, so what rows share is
-    computed once per span.  The spans of _SPAN_ROWS points run one after
-    another on the calling thread, each one plain networks._block_pass, so x
-    and the result are the only full-size arrays."""
-    x = _as_batch(net, x)
-    out = np.empty((n_rows, x.shape[0]))
-    for lo in range(0, x.shape[0], _SPAN_ROWS):
-        xs = x[lo:lo + _SPAN_ROWS]
-        u, du, _ = _block_pass(net, xs, input_gradients=True)
-        out[:, lo:lo + xs.shape[0]] = integrand(xs, u[:, 0], du)
-    return out
 
 
 class H1ErrorReport(NamedTuple):

@@ -187,8 +187,8 @@ def _first_non_finite_layer(arch: Architecture, theta: np.ndarray, x=None) -> st
 def train(net: Network, p: Problem, samples: SampleSet, cfg: TrainConfig):
     """Run cfg.iterations optimizer steps; returns (best-iterate net, history).
 
-    Aborts with TrainingDivergedError if the loss, the gradient or the
-    updated parameters stop being finite; its message names the first
+    Aborts with TrainingDivergedError if the loss, the gradient's sum of squares
+    or the updated parameters stop being finite; its message names the first
     non-finite layer and ends with the last checkpoint's iteration and loss.
     """
     for kind, batch, n in (("domain", cfg.batch_domain, samples.n_domain),
@@ -227,10 +227,12 @@ def train(net: Network, p: Problem, samples: SampleSet, cfg: TrainConfig):
         idx_b = rng.choice(samples.n_boundary, size=cfg.batch_boundary, replace=False)
         batch = samples._rows(idx_d, idx_b)
         rep, grad = loss_and_parameter_gradient(current, p, batch)
-        if not (math.isfinite(rep.total) and np.isfinite(grad).all()):
+        with np.errstate(over="ignore"):  # a finite sum of squares keeps Adam's v finite
+            sq_norm = float(grad @ grad)
+        if not (math.isfinite(rep.total) and math.isfinite(sq_norm)):
             raise diverged(
                 f"non-finite loss/gradient at iteration {step}: "
-                f"loss={rep.total!r}, |grad|={float(np.linalg.norm(grad)):.3e}, "
+                f"loss={rep.total!r}, |grad|={math.sqrt(sq_norm):.3e}, "
                 f"|theta|={float(np.linalg.norm(theta)):.3e}, " + _first_non_finite_layer(
                     net.architecture, theta,
                     np.vstack([batch.domain_points, batch.boundary_points]))

@@ -4,11 +4,13 @@ Each drawn net exercises some of the engine's special paths: the d = 1
 unit-major tape, the one-input outer product, the layer-1 view P_1 = W_1,
 256-row block edges, mixed-activation masks and the d >= 2 reverse sweep for
 grad u.  Every pass is checked bitwise against the batch-major oracles of
-conftest, and grad u against central differences.
+conftest, and grad u against central differences.  Explicit examples put the
+row count on each side of the first block edge and of the first 4096-point
+span edge at every d, whatever the derandomized draws reach.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ritzlab.networks import (
@@ -22,7 +24,7 @@ from ritzlab.networks import (
     weighted_parameter_gradient,
 )
 from ritzlab.problems import make_quadratic_problem
-from ritzlab.ritz import loss_and_parameter_gradient
+from ritzlab.ritz import empirical_loss, loss_and_parameter_gradient
 from ritzlab.sampling import make_sample_set
 
 from conftest import (
@@ -53,8 +55,24 @@ def _engine_nets(draw):
     return Network(Architecture(dims, (*acts, IDENTITY)), ws, bs), rng
 
 
+def _at_block_and_span_edges(test):
+    """One example per d = 1, 2, 3 and row count 1, 255, 256, 257, 4095, 4096
+    and 4097, on a net with a mixed layer."""
+    for d in (1, 2, 3):
+        for n_blocks, offset in ((0, 1), (1, -1), (1, 0), (1, 1), (16, -1), (16, 0), (16, 1)):
+            rng = rng_for(70 + d)
+            dims = (d, 5, 4, 1)
+            ws = [rng.standard_normal((n_out, n_in)) / np.sqrt(n_in)
+                  for n_in, n_out in zip(dims, dims[1:])]
+            bs = [0.5 * rng.standard_normal(n) for n in dims[1:]]
+            arch = Architecture(dims, (RELU2, (RELU, RELU2, IDENTITY, RELU2), IDENTITY))
+            test = example((Network(arch, ws, bs), rng), n_blocks, offset)(test)
+    return test
+
+
 @settings(max_examples=200)
 @given(_engine_nets(), st.integers(0, 2), st.integers(-2, 2))
+@_at_block_and_span_edges
 def test_engine_passes_match_oracles_and_differences(case, n_blocks, offset):
     net, rng = case
     d = net.architecture.input_dim
@@ -65,7 +83,7 @@ def test_engine_passes_match_oracles_and_differences(case, n_blocks, offset):
     vals, grads = values_and_input_gradients(net, x)
     got = [forward_batch(net, x), vals, grads, weighted_parameter_gradient(net, x, v),
            replayed_parameter_gradient(net, x, v, m),
-           loss_and_parameter_gradient(net, p, samples)[1]]
+           loss_and_parameter_gradient(net, p, samples)[1], list(empirical_loss(net, p, samples))]
 
     oracle = batch_major_jacobian_gradients if d == 1 else batch_major_reverse_gradients
     vals, grads = oracle(net, x)
@@ -75,8 +93,13 @@ def test_engine_passes_match_oracles_and_differences(case, n_blocks, offset):
                                                s_grads / n)
     loss_grad += batch_major_parameter_gradient(
         net, y, -(2.0 * d / len(y)) * p.g(y))
+    o_vals, o_grads = oracle(net, xs)  # the span loss reads grad u as the passes do
+    tg, tm, tf = (float(np.mean(piece)) for piece in (
+        0.5 * np.sum(o_grads**2, axis=1), 0.5 * p.w(xs) * o_vals**2, o_vals * p.f(xs)))
+    tb = 2.0 * d * float(np.mean(oracle(net, y)[0] * p.g(y)))
     want = [vals, vals, grads, batch_major_parameter_gradient(net, x, v),
-            batch_major_parameter_gradient(net, x, v, m), loss_grad]
+            batch_major_parameter_gradient(net, x, v, m), loss_grad,
+            [tg + tm - tf - tb, tg, tm, tf, tb]]
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 

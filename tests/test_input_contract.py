@@ -27,7 +27,14 @@ from ritzlab.bounds import (
 )
 from ritzlab.gadgets import fit_spline_coefficients, full_index_range, prescribe_architecture
 from ritzlab.harness import DecompositionConfig, StudyConfig, TrainRunConfig
-from ritzlab.networks import IDENTITY, RELU2, Architecture
+from ritzlab.networks import (
+    IDENTITY,
+    RELU2,
+    Architecture,
+    forward_batch,
+    values_and_input_gradients,
+    weighted_parameter_gradient,
+)
 from ritzlab.problems import make_cosine_problem, make_quadratic_problem
 from ritzlab.ritz import (
     derived_seed,
@@ -85,6 +92,21 @@ def test_bad_input_fails_naming_the_argument(call, name):
     with pytest.raises(ValueError) as info:
         call()
     assert _names_argument(info.value, name), str(info.value)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("entry", [
+    forward_batch,
+    values_and_input_gradients,
+    lambda net, x: weighted_parameter_gradient(net, x, np.ones(len(x))),
+], ids=["forward_batch", "values_and_input_gradients", "weighted_parameter_gradient"])
+def test_non_finite_point_fails_naming_x(entry, bad):
+    # a NaN or inf coordinate would otherwise come back as a silent NaN
+    x = np.full((3, 1), 0.5)
+    x[1, 0] = bad
+    with pytest.raises(ValueError) as info:
+        entry(NET, x)
+    assert _names_argument(info.value, "x"), str(info.value)
 
 
 # ------------------------------------------------ fuzzed bad values

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ritzlab.networks as networks
-import ritzlab.sampling as sampling
 from ritzlab.gadgets import fit_spline_coefficients
 from ritzlab.networks import (
     IDENTITY,
@@ -46,6 +45,7 @@ from conftest import (
     rng_for,
     sum_of_squares_net,
     tape_values_and_input_gradients,
+    traced_peak,
 )
 
 
@@ -154,6 +154,35 @@ def test_loss_permutation_invariant_to_rounding():
     net = random_relu2_net(2, (5,), seed=9)
     a, b = empirical_loss(net, p, s), empirical_loss(net, p, s2)
     assert a.total == pytest.approx(b.total, rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_span_loss_equals_the_whole_array_loss(d):
+    # the domain pieces run span by span; on either side of a span edge every
+    # term equals that of one whole-array pass, its three pieces and their means
+    p = make_quadratic_problem(d)
+    net = random_relu2_net(d, (6, 5), seed=40 + d)
+    for n in (4095, 4096, 4097, 8193):
+        s = make_sample_set(n, 300, d, seed=n)
+        x, y = s.domain_points, s.boundary_points
+        vals, grads = values_and_input_gradients(net, x)
+        pieces = 0.5 * np.sum(grads**2, axis=1), 0.5 * p.w(x) * vals**2, vals * p.f(x)
+        tg, tm, tf = (float(np.mean(piece)) for piece in pieces)
+        tb = 2.0 * d * float(np.mean(forward_batch(net, y) * p.g(y)))
+        want = [tg + tm - tf - tb, tg, tm, tf, tb]
+        assert [t.hex() for t in empirical_loss(net, p, s)] == [t.hex() for t in want]
+
+
+def test_span_loss_holds_no_per_point_tape():
+    # the domain pieces are reduced before the boundary term is formed, so the
+    # peak is their three rows and one boundary array; whole arrays of u,
+    # grad u and the pieces held 12 values a point at d = 3
+    p, n = make_cosine_problem(3), 200_000
+    net = random_relu2_net(3, (16, 12), seed=5)
+    s = make_sample_set(n, n, 3, 6)
+    empirical_loss(net, p, s)  # warm-up: allocates the workspaces
+    _, peak = traced_peak(lambda: empirical_loss(net, p, s))
+    assert peak <= 4 * 8 * n + 2**20
 
 
 @settings(max_examples=15)
@@ -266,9 +295,9 @@ def test_energy_excess_streams_one_domain_pass(monkeypatch, make_problem, bounda
         calls.append((x.copy(), kwargs.get("input_gradients", False)))
         return block_pass(net, x, *args, **kwargs)
 
-    for module in ("networks", "sampling", "ritz"):
+    for module in ("networks", "ritz"):
         monkeypatch.setattr(f"ritzlab.{module}._block_pass", counting_block_pass)
-    n_quad, span = 9000, sampling._SPAN_ROWS
+    n_quad, span = 9000, networks._SPAN_ROWS
     assert 2 * span < n_quad < 3 * span
     energy_excess(net, p, n_quad, seed=31)
     assert [(len(x), grads) for x, grads in calls] == (

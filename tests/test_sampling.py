@@ -337,7 +337,7 @@ def test_an_error_in_a_streamed_block_reaches_the_caller():
     threads = threading.active_count()
     with pytest.raises(BlockError):
         h1_error(random_relu2_net(2, (8,), seed=3), replace(base, u_star=u_star), 9000, 0)
-    assert spans == [sampling._SPAN_ROWS] * 2
+    assert spans == [networks._SPAN_ROWS] * 2
     assert threading.active_count() == threads
 
 

@@ -322,6 +322,22 @@ def test_divergence_names_the_last_checkpoint(lr, init_scale, cause, layer, last
     assert str(err.value).endswith(f"; last checkpoint: iteration {last}, full-set loss {loss!r}")
 
 
+def test_adam_aborts_when_the_squared_gradient_overflows():
+    # step 2's gradient is finite (max |g| ~ 1e187) but its squares overflow
+    # Adam's second moment: every later update would be 0 and train would
+    # return the step-0 net; no overflow warning escapes the check
+    p, samples = make_cosine_problem(2), make_sample_set(32, 32, 2, 0)
+    net = init_network(prescribe_architecture(2, 64, 0.0), 1.0, 0)
+    assert net.architecture.layer_dims == (2, 8, 8, 8, 1)
+    cfg = TrainConfig(optimizer="adam", learning_rate=1e6, iterations=60, batch_domain=32,
+                      batch_boundary=32, eval_every=20)
+    loss = train(net, p, samples, replace(cfg, iterations=0))[1].checkpoints[-1].loss
+    with pytest.raises(TrainingDivergedError) as err:
+        train(net, p, samples, cfg)
+    assert str(err.value).startswith("non-finite loss/gradient at iteration 2: ")
+    assert str(err.value).endswith(f"; last checkpoint: iteration 0, full-set loss {loss!r}")
+
+
 def test_history_summary_has_no_wall_time():
     p, samples, net = small_setup(n=64)
     _, hist = train(net, p, samples, TrainConfig(iterations=10, batch_domain=32,
