@@ -447,12 +447,16 @@ def prescribe_architecture(d: int, n: int, nu: float) -> Architecture:
     """Depth/width prescription achieving the theoretical rate at n samples.
 
     Depth ceil(log2 d) + 3; width 4d * ceil(max(1, n^(1/(d+2+nu)) - 4))^d;
-    all hidden layers ReLU^2, linear output.
+    all hidden layers ReLU^2, linear output.  Over 1e8 hidden weights (0.8 GB per
+    parameter-sized vector, of which training keeps several) is refused by name.
     """
     d, n, nu = _as_int(d, "d", 1), _as_int(n, "n", 1), _as_real(nu, "nu")
     base = max(1.0, n ** (1.0 / (d + 2 + nu)) - 4.0)
     width = 4 * d * math.ceil(base) ** d
     depth = math.ceil(math.log2(d)) + 3
+    for name, value, w in (("d", d, 4 * d), ("n", n, width)):  # 4d: the width at any n
+        if (depth - 2) * w * w > 10**8:
+            raise ValueError(f"{name} {value} prescribes {depth - 2} x {w}^2 weights, over 1e8")
     dims = (d, *([width] * (depth - 1)), 1)
     acts = tuple([RELU2] * (depth - 1) + [IDENTITY])
     return Architecture(dims, acts)

@@ -39,6 +39,7 @@ from .networks import (
     Architecture,
     Network,
     _as_int,
+    _row_sums,
     forward_batch,
     values_and_input_gradients,
 )
@@ -181,7 +182,7 @@ def _measure_output_bound(net, d: int, seed: int, n_probe: int = 10_000) -> floa
     """Post-hoc sup bound over probe points: max(|u|, ||grad u||^2)."""
     x = sample_domain(n_probe, d, seed)
     vals, grads = values_and_input_gradients(net, x)
-    return float(max(np.max(np.abs(vals)), np.max(np.sum(grads**2, axis=1))))
+    return float(max(np.max(np.abs(vals)), np.max(_row_sums(grads**2))))
 
 
 def _cell_config(base: TrainConfig, n: int, cell_seed: int) -> TrainConfig:
@@ -508,7 +509,7 @@ def gradient_norm_check(net: Network, points: np.ndarray):
     """
     gnet = build_gradient_norm_network(net)
     _, grads = values_and_input_gradients(net, points)
-    want = np.sum(grads**2, axis=1)
+    want = _row_sums(grads**2)
     rel = np.abs(forward_batch(gnet, points) - want) / np.maximum(1.0, np.abs(want))
     arch = net.architecture
     return float(np.max(rel)), {

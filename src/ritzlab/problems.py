@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .networks import _as_int
+from .networks import _as_int, _row_sums
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def make_cosine_problem(d: int) -> Problem:
     pi = math.pi
 
     def u_star(x):
-        return np.sum(np.cos(pi * np.atleast_2d(x)), axis=1)
+        return _row_sums(np.cos(pi * np.atleast_2d(x)))
 
     def grad_u_star(x):
         return -pi * np.sin(pi * np.atleast_2d(x))
@@ -89,7 +89,7 @@ def make_quadratic_problem(d: int) -> Problem:
     d = _as_int(d, "d", 1)
 
     def u_star(x):
-        return np.sum(np.atleast_2d(x) ** 2, axis=1)
+        return _row_sums(np.atleast_2d(x) ** 2)
 
     def grad_u_star(x):
         return 2.0 * np.atleast_2d(x)

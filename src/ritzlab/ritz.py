@@ -22,6 +22,7 @@ from .networks import (
     _block_pass,
     _finite_on_unit_cube,
     _pointwise,
+    _row_sums,
     forward_batch,
     weighted_parameter_gradient,
 )
@@ -59,7 +60,7 @@ class LossReport(NamedTuple):
 
 def _domain_pieces(vals, grads, w, f):
     """Per-point gradient, mass and forcing integrands of the Ritz loss."""
-    return 0.5 * np.sum(grads**2, axis=1), 0.5 * w * vals**2, vals * f
+    return 0.5 * _row_sums(grads**2), 0.5 * w * vals**2, vals * f
 
 
 def _loss_report(d: int, domain_means, b_vals, g_vals) -> LossReport:
@@ -131,7 +132,7 @@ def energy_excess(net: Network, p: Problem, n_quad: int, seed: int) -> EnergyExc
         w = p.w(xs)
         tg, tm, tf = _domain_pieces(u, du, w, p.f(xs))
         v, dv = u - p.u_star(xs), du - p.grad_u_star(xs)
-        return tg + tm - tf, np.sum(dv**2, axis=1) + w * v**2
+        return tg + tm - tf, _row_sums(dv**2) + w * v**2
 
     pop, form = _pointwise(net, sample_domain(n_quad, p.d, seed), integrand, 2)
     dom, quad_form, paired = mc_mean(pop), mc_mean(form), mc_mean(pop - 0.5 * form)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .networks import Network, _as_int, _pointwise
+from .networks import Network, _as_int, _pointwise, _row_sums
 from .problems import Problem
 
 RNG_ALGORITHM = "numpy.random.Philox(4x64), key=(seed, stream-tag)"
@@ -40,9 +40,17 @@ def _open_unit_uniform(rng: np.random.Generator, shape) -> np.ndarray:
     return x
 
 
+def _sample_shape(n, d, what: str) -> tuple:
+    """Counts (n, d), refused by name past 2**27 coordinates (1 GiB), not by a MemoryError."""
+    n, d = _as_int(n, what, 1), _as_int(d, "d", 1)
+    if n * d > 2**27:
+        raise ValueError(f"{what} {n} x d {d}: sample too large, over 2**27 coordinates")
+    return n, d
+
+
 def sample_domain(n: int, d: int, seed: int) -> np.ndarray:
     """n i.i.d. uniform points strictly inside (0,1)^d, deterministic in seed."""
-    n, d = _as_int(n, "n", 1), _as_int(d, "d", 1)
+    n, d = _sample_shape(n, d, "n")
     return _open_unit_uniform(rng_stream(seed, _TAG_DOMAIN), (n, d))
 
 
@@ -53,7 +61,7 @@ def sample_boundary(m: int, d: int, seed: int) -> np.ndarray:
     and then a uniform point on it is the uniform distribution on the whole
     boundary.  A point's face is its one coordinate equal to 0.0 or 1.0.
     """
-    m, d = _as_int(m, "m", 1), _as_int(d, "d", 1)
+    m, d = _sample_shape(m, d, "m")
     rng = rng_stream(seed, _TAG_BOUNDARY)
     face = rng.integers(0, 2 * d, size=m)
     pts = _open_unit_uniform(rng, (m, d))
@@ -104,8 +112,8 @@ class SampleSet:
 
 
 def make_sample_set(n_domain: int, n_boundary: int, d: int, seed: int) -> SampleSet:
-    for name, n in (("n_domain", n_domain), ("n_boundary", n_boundary), ("d", d)):
-        _as_int(n, name, 1)
+    for name, n in (("n_domain", n_domain), ("n_boundary", n_boundary)):
+        _sample_shape(n, d, name)
     return SampleSet(
         domain_points=sample_domain(n_domain, d, seed),
         boundary_points=sample_boundary(n_boundary, d, seed),
@@ -168,7 +176,7 @@ def h1_error(net: Network, p: Problem, n_quad: int, seed: int) -> H1ErrorReport:
     x = sample_domain(n_quad, p.d, seed)
 
     def integrand(xs, u, du):
-        return (u - p.u_star(xs)) ** 2, np.sum((du - p.grad_u_star(xs)) ** 2, axis=1)
+        return (u - p.u_star(xs)) ** 2, _row_sums((du - p.grad_u_star(xs)) ** 2)
 
     e_sq, s_sq = _pointwise(net, x, integrand, 2)
     m_e, se_e = mc_mean(e_sq)

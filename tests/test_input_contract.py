@@ -94,6 +94,29 @@ def test_bad_input_fails_naming_the_argument(call, name):
     assert _names_argument(info.value, name), str(info.value)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: prescribe_architecture(10**6, 64, 0.0), "d"),
+    (lambda: prescribe_architecture(1, 10**12, 0.0), "n"),
+    (lambda: h1_error(NET, COSINE, 10**13, 0), "n"),
+    (lambda: energy_excess(NET, COSINE, 10**13, 0), "n"),
+    (lambda: sample_boundary(10**13, 1, 0), "m"),
+    (lambda: make_sample_set(4, 10**13, 1, 0), "n_boundary"),
+], ids=["prescribe-huge-d", "prescribe-huge-n", "h1-huge-n-quad", "excess-huge-n-quad",
+        "boundary-huge-m", "sample-set-huge-n-boundary"])
+def test_size_past_a_cap_fails_naming_the_argument(call, name):
+    # without the caps: widths of 4e6, or numpy's bare MemoryError
+    with pytest.raises(ValueError) as info:
+        call()
+    assert _names_argument(info.value, name), str(info.value)
+    assert re.search(r"over (1e8|2\*\*27)", str(info.value)), str(info.value)
+
+
+def test_prescription_cap_admits_large_d2_and_d3_nets():
+    # 2 x 6272^2 = 7.9e7 and 3 x 4116^2 = 5.1e7 hidden weights, under the 1e8 cap
+    assert prescribe_architecture(2, 10**6, 0.0).width == 6272
+    assert prescribe_architecture(3, 10**5, 0.0).width == 4116
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
 @pytest.mark.parametrize("entry", [
     forward_batch,

@@ -1,3 +1,4 @@
+import ast
 import gc
 import itertools
 import signal
@@ -791,3 +792,48 @@ def test_parameter_order_is_layer_major_row_major_then_bias():
     back = net.with_parameters(net.flatten_parameters())
     assert np.array_equal(back.weights[0], w1)
     assert np.array_equal(back.biases[1], b2)
+
+
+# ------------------------------------------------------ short-axis row sums
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+@pytest.mark.parametrize("n", [1, 255, 4097])
+def test_row_sums_hex_equal_numpy_sum(n, d):
+    rng = rng_for(10 * n + d)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0, 1e308, -1e308]
+    cases = {
+        "all -0.0": np.full((n, d), -0.0),
+        "mixed zeros": rng.choice([0.0, -0.0], (n, d)),
+        "inf and nan": rng.choice(specials, (n, d)),
+        "scaled normal": rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, (n, d)),
+    }
+    for label, a in cases.items():
+        given = a.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = networks._row_sums(a), np.sum(a, axis=1)
+        assert got.tobytes() == want.tobytes(), label
+        assert a.tobytes() == given.tobytes(), label
+
+
+def _short_axis_sums(tree: ast.AST, func=None):
+    """(line, enclosing function) of every np.sum(..., axis=1) and .sum(axis=1) call."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "sum":
+            on_np = isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+            axes = [k.value for k in node.keywords if k.arg == "axis"]
+            axes += node.args[1:2] if on_np else node.args[:1]
+            if any(isinstance(a, ast.Constant) and a.value == 1 for a in axes):
+                yield node.lineno, func
+        inner = node.name if isinstance(node, ast.FunctionDef) else func
+        yield from _short_axis_sums(node, inner)
+
+
+def test_per_point_short_axis_sums_go_through_row_sums():
+    src = Path(networks.__file__).parent
+    found = [f"{name}:{line}" for name in ("networks.py", "ritz.py", "sampling.py", "problems.py")
+             for line, func in _short_axis_sums(ast.parse((src / name).read_text()))
+             if func != "_row_sums"]
+    assert not found, (f"a sum along axis 1 at {', '.join(found)}: use networks._row_sums, "
+                       "bitwise np.sum(a, axis=1) at a twentieth of its cost for short rows")
