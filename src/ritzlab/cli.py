@@ -16,43 +16,34 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 from .bounds import BoundInputs, all_bounds
-from .gadgets import SingularFitError, prescribe_architecture
+from .gadgets import SingularFitError
 from .harness import (
     DecompositionConfig,
     StudyConfig,
     TrainRunConfig,
-    _architecture_block,
-    _cell_config,
-    _train_cell,
-    config_from_dict,
     gradient_norm_check,
     load_config,
-    load_yaml,
     run_convergence_study,
     run_error_decomposition,
+    run_training,
     verify_constructions,
     write_history_csv,
     write_json_report,
     write_study_csv,
 )
 from .networks import _as_int, load_network, save_network
-from .problems import problem_by_name
-from .sampling import RNG_ALGORITHM, rng_stream
+from .sampling import rng_stream
 from .training import TrainingDivergedError
 
 
 def _emit(report: dict, out: str | None) -> None:
+    write_json_report(report, out)
     if out:
-        write_json_report(report, out)
         print(f"wrote {out}")
-    else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True, allow_nan=False)
-        print()
 
 
 def _cmd_construct_verify(args) -> int:
@@ -86,33 +77,12 @@ def _cmd_verify_gradnet(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    raw = load_yaml(args.config)
-    cfg = config_from_dict(TrainRunConfig, raw)
-    problem = problem_by_name(cfg.problem, cfg.d)
-    arch = prescribe_architecture(problem.d, cfg.n, cfg.nu)
-    train_cfg = _cell_config(cfg.train, cfg.n, cfg.train.seed)
-    _, trained, history, loss, err = _train_cell(problem, arch, cfg.n, train_cfg, cfg.n_quad,
-                                                 cfg.seed)
-
+    trained, history, summary = run_training(load_config(TrainRunConfig, args.config))
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     netfile = os.path.join(outdir, "trained_network.txt")
     save_network(trained, netfile)
     write_history_csv(history, os.path.join(outdir, "train_history.csv"))
-    summary = {
-        "kind": "training_run",
-        "config_echo": raw,
-        "rng_algorithm": RNG_ALGORITHM,
-        "training_protocol_note": "optimizer, initialization and step counts are "
-                                  "implementation choices, not theory-mandated",
-        "architecture": _architecture_block(arch),
-        "loss": loss._asdict(),
-        "train_summary": history.summary(),
-        "h1_err": err.h1_err,
-        "h1_err_se": err.h1_err_se,
-        "l2_err": err.l2_err,
-        "l2_err_se": err.l2_err_se,
-    }
     write_json_report(summary, os.path.join(outdir, "train_summary.json"))
     print(f"wrote {netfile}")
     return 0

@@ -9,10 +9,12 @@ byte-identical; wall-clock metadata never enters a report.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -88,15 +90,11 @@ def config_from_dict(cls, raw):
     return cls(**kwargs)
 
 
-def load_yaml(path):
-    """The parsed content of a YAML file (None for an empty file)."""
-    with open(path) as fh:
-        return yaml.safe_load(fh)
-
-
 def load_config(cls, path):
-    """The config dataclass cls read from a YAML file; see config_from_dict."""
-    return config_from_dict(cls, load_yaml(path))
+    """The config dataclass cls read from a YAML file (an empty file reads as
+    None, which is no mapping); see config_from_dict."""
+    with open(path) as fh:
+        return config_from_dict(cls, yaml.safe_load(fh))
 
 
 def config_to_dict(cfg) -> dict:
@@ -206,6 +204,29 @@ def _train_cell(p: Problem, arch: Architecture, n: int, cfg: TrainConfig, n_quad
     return samples, trained, history, empirical_loss(trained, p, samples), err
 
 
+def run_training(cfg: TrainRunConfig):
+    """One `ritzlab train` run: a _train_cell at the prescribed architecture,
+    with minibatches from cfg.train.seed.  Returns (trained net, history, report)."""
+    p = problem_by_name(cfg.problem, cfg.d)
+    arch = prescribe_architecture(cfg.d, cfg.n, cfg.nu)
+    _, trained, history, loss, err = _train_cell(
+        p, arch, cfg.n, _cell_config(cfg.train, cfg.n, cfg.train.seed), cfg.n_quad, cfg.seed)
+    return trained, history, {
+        "kind": "training_run",
+        "config": config_to_dict(cfg),
+        "rng_algorithm": RNG_ALGORITHM,
+        "training_protocol_note": "optimizer, initialization and step counts are "
+                                  "implementation choices, not theory-mandated",
+        "architecture": _architecture_block(arch),
+        "loss": loss._asdict(),
+        "train_summary": history.summary(),
+        "h1_err": err.h1_err,
+        "h1_err_se": err.h1_err_se,
+        "l2_err": err.l2_err,
+        "l2_err_se": err.l2_err_se,
+    }
+
+
 def run_convergence_study(cfg: StudyConfig) -> dict:
     """Train at the prescribed architecture for each n and fit the rate.
 
@@ -216,8 +237,7 @@ def run_convergence_study(cfg: StudyConfig) -> dict:
     assertion (the theory provides an upper bound with unknown constants).
     """
     p = problem_by_name(cfg.problem, cfg.d)
-    cells = []
-    bounds_rows = []
+    cells, medians, bounds_rows = [], [], []
     for j, n in enumerate(cfg.n_values):
         arch = prescribe_architecture(cfg.d, n, cfg.nu)
         for rep in range(cfg.repetitions):
@@ -242,7 +262,10 @@ def run_convergence_study(cfg: StudyConfig) -> dict:
                     "measured_B": b_hat,
                 }
             )
-        b_median = float(np.median([c["measured_B"] for c in cells[-cfg.repetitions:]]))
+        rows = cells[-cfg.repetitions:]
+        b_median = float(np.median([c["measured_B"] for c in rows]))
+        med = float(np.median([c["h1_err"] for c in rows]))
+        medians.append({"n": n, "h1_err": med, "h1_err_sq": med**2})
         pdim = pdim_bound(arch.depth, arch.width)
         sta = statistical_error_bound(
             BoundInputs(
@@ -265,12 +288,6 @@ def run_convergence_study(cfg: StudyConfig) -> dict:
                 "measured_B_median": b_median,
             }
         )
-
-    medians = []
-    for n in cfg.n_values:
-        errs = [c["h1_err"] for c in cells if c["n"] == n]
-        med = float(np.median(errs))
-        medians.append({"n": n, "h1_err": med, "h1_err_sq": med**2})
 
     fit = None
     if len(cfg.n_values) >= 3:
@@ -534,6 +551,8 @@ def calibrate_spline_rate(levels=(2, 3, 4, 5), n_quad: int = 50_000, seed: int =
     """Fit the d=1 cosine target at several dyadic levels and report the
     observed H1-error decay together with the calibrated approximation
     constant C = max_l err_l 2^l / ||u*||_H1 (reported, never hard-coded)."""
+    if not levels:
+        raise ValueError("levels must hold at least one level")
     p = problem_by_name("cosine", 1)
     errors = []
     for level in levels:
@@ -562,8 +581,9 @@ def calibrate_spline_rate(levels=(2, 3, 4, 5), n_quad: int = 50_000, seed: int =
 
 
 def write_json_report(report: dict, path) -> None:
-    """Deterministic JSON: sorted keys, fixed indentation, trailing newline."""
-    with open(path, "w") as fh:
+    """Deterministic JSON: sorted keys, fixed indentation, trailing newline; to
+    stdout when path is None (or empty)."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
         json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 

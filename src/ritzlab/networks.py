@@ -233,7 +233,9 @@ class Network:
 
 
 def _as_batch(net: Network, x) -> np.ndarray:
-    """x as a finite (B, d) batch of the net's input dim, else a named error."""
+    """x as a finite real (B, d) batch of the net's input dim, else a named error."""
+    if np.iscomplexobj(x):  # a cast to float would keep only the real part
+        raise ValueError("x has a complex coordinate")
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 and net.architecture.input_dim == 1:
         x = x.reshape(1, 1)

@@ -30,6 +30,7 @@ from .problems import Problem
 from .sampling import (
     SampleSet,
     _check_input_dim,
+    _sample_shape,
     make_sample_set,
     mc_mean,
     sample_boundary,
@@ -79,16 +80,10 @@ def _boundary_values(net: Network, y: np.ndarray, g_vals: np.ndarray) -> np.ndar
     return g_vals
 
 
-def _check_loss_inputs(net: Network, p: Problem, samples: SampleSet) -> None:
-    _check_input_dim(net, p, samples)
-    if samples.n_domain == 0 or samples.n_boundary == 0:
-        raise ValueError("sample set must contain domain and boundary points")
-
-
 def empirical_loss(net: Network, p: Problem, samples: SampleSet) -> LossReport:
     """Empirical Ritz loss on a fixed sample set, terms reported separately; the
     domain pieces run span by span (_pointwise) and are averaged before the boundary."""
-    _check_loss_inputs(net, p, samples)
+    _check_input_dim(net, p, samples)
     x, y = samples.domain_points, samples.boundary_points
     means = [float(np.mean(piece)) for piece in _pointwise(
         net, x, lambda xs, u, du: _domain_pieces(u, du, p.w(xs), p.f(xs)), 3)]
@@ -126,7 +121,7 @@ def energy_excess(net: Network, p: Problem, n_quad: int, seed: int) -> EnergyExc
     if p.analytic_energy is None:
         raise ValueError(f"problem {p.name!r} has no analytic energy")
     _check_input_dim(net, p)
-    n_quad = _as_int(n_quad, "n_quad", 2)
+    n_quad = _sample_shape(n_quad, p.d, "n_quad", 2)[0]
 
     def integrand(xs, u, du):
         w = p.w(xs)
@@ -158,7 +153,7 @@ def loss_and_parameter_gradient(net: Network, p: Problem, samples: SampleSet):
     empirical_loss at d = 1; at d >= 2 empirical_loss reads grad u by the
     reverse sweep, so the two agree to rounding.
     """
-    _check_loss_inputs(net, p, samples)
+    _check_input_dim(net, p, samples)
     x, y = samples.domain_points, samples.boundary_points
     n, m = samples.n_domain, samples.n_boundary
     w_vals, f_vals = p.w(x), p.f(x)
@@ -208,8 +203,9 @@ def statistical_gap_estimate(
     fixed-net statistical fluctuation, not the supremum over a network class.
     """
     _check_input_dim(net, p)
-    n, reps = _as_int(n, "n", 1), _as_int(reps, "reps", 2)
-    reference_n = _as_int(reference_n, "reference_n", 1)
+    # both sizes are capped before the reference pass runs
+    n, reps = _sample_shape(n, p.d, "n")[0], _as_int(reps, "reps", 2)
+    reference_n = _sample_shape(reference_n, p.d, "reference_n")[0]
     ref = empirical_loss(net, p, make_sample_set(reference_n, reference_n, p.d,
                                                  derived_seed(seed, 0)))
     gaps = np.zeros((reps, len(ref)))

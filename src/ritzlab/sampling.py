@@ -27,7 +27,9 @@ _TAG_BOUNDARY = 1
 def rng_stream(seed: int, tag: int = 0) -> np.random.Generator:
     """Independent reproducible stream for (seed, tag)."""
     seed, tag = _as_int(seed, "seed", 0), _as_int(tag, "tag")
-    return np.random.Generator(np.random.Philox(key=[seed % 2**64, tag % 2**64]))
+    # a uint64 array: numpy casts a list key through float64 past 2**63 - 1
+    key = np.array([seed % 2**64, tag % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _open_unit_uniform(rng: np.random.Generator, shape) -> np.ndarray:
@@ -40,9 +42,10 @@ def _open_unit_uniform(rng: np.random.Generator, shape) -> np.ndarray:
     return x
 
 
-def _sample_shape(n, d, what: str) -> tuple:
-    """Counts (n, d), refused by name past 2**27 coordinates (1 GiB), not by a MemoryError."""
-    n, d = _as_int(n, what, 1), _as_int(d, "d", 1)
+def _sample_shape(n, d, what: str, low: int = 1) -> tuple:
+    """Counts (n >= low, d), refused by name past 2**27 coordinates (1 GiB), not
+    by a MemoryError."""
+    n, d = _as_int(n, what, low), _as_int(d, "d", 1)
     if n * d > 2**27:
         raise ValueError(f"{what} {n} x d {d}: sample too large, over 2**27 coordinates")
     return n, d
@@ -163,16 +166,19 @@ def _sqrt_with_se(mean_sq: float, se_sq: float) -> tuple:
 
 
 def _check_input_dim(net: Network, p: Problem, samples: SampleSet | None = None) -> None:
-    """Fail a net (or sample set) whose dimension is not the problem's, before
-    any point is drawn or evaluated."""
+    """Fail a net (or sample set) whose dimension is not the problem's, or a
+    sample set without domain or boundary points, before any point is drawn or
+    evaluated."""
     if net.architecture.input_dim != p.d or (samples is not None and samples.d != p.d):
         raise ValueError("input dimension does not match the problem")
+    if samples is not None and (samples.n_domain == 0 or samples.n_boundary == 0):
+        raise ValueError("sample set must contain domain and boundary points")
 
 
 def h1_error(net: Network, p: Problem, n_quad: int, seed: int) -> H1ErrorReport:
     """MC estimate of ||u - u*|| in L2, H1-seminorm and H1 over (0,1)^d."""
     _check_input_dim(net, p)
-    n_quad = _as_int(n_quad, "n_quad", 2)  # the fewest points with a standard error
+    n_quad = _sample_shape(n_quad, p.d, "n_quad", 2)[0]  # the fewest points with an SE
     x = sample_domain(n_quad, p.d, seed)
 
     def integrand(xs, u, du):

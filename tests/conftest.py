@@ -31,7 +31,7 @@ from ritzlab.networks import (
     weighted_parameter_gradient,
 )
 from ritzlab.problems import Problem
-from ritzlab.sampling import _sqrt_with_se, mc_mean, sample_boundary, sample_domain
+from ritzlab.sampling import _sqrt_with_se, mc_mean, rng_stream, sample_boundary, sample_domain
 
 
 # Every property test draws a fixed example sequence and has no deadline, so
@@ -41,7 +41,7 @@ settings.load_profile("ritzlab")
 
 
 def rng_for(seed):
-    return np.random.Generator(np.random.Philox(key=[seed % 2**64, 0]))
+    return rng_stream(seed, 0)
 
 
 def random_relu2_net(d, hidden_dims, seed, scale=0.8):

@@ -1,0 +1,126 @@
+"""Golden outputs of the run commands `ritzlab train`, `study` and `decompose`.
+
+Each directory here holds one tiny config, config.yaml, next to every file
+that the command named by the directory's prefix writes for it.
+tests/test_golden.py reruns every config and compares the outputs field by
+field: strings, ints and bools must match exactly, floats within rtol 1e-12.
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+reruns every config, rewrites the output files and prints each field that
+moved, as `path: old -> new`.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import shutil
+import tempfile
+from pathlib import Path
+
+from ritzlab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent
+CASES = sorted(p.parent.name for p in GOLDEN.glob("*/config.yaml"))
+RTOL = 1e-12
+_ABSENT = "<absent>"
+_FILE = "<file>"
+
+
+def run_case(case: str, outdir) -> None:
+    """Run the case's command on its config, writing into outdir."""
+    command = case.split("_")[0]
+    if main([command, str(GOLDEN / case / "config.yaml"), "--out", str(outdir)]) != 0:
+        raise RuntimeError(f"ritzlab {command} failed on golden case {case}")
+
+
+def _token(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _leaves(value, path: str, out: dict) -> None:
+    if isinstance(value, dict) and value:
+        for key, v in value.items():
+            _leaves(v, f"{path}.{key}", out)
+    elif isinstance(value, list) and value:
+        for k, v in enumerate(value):
+            _leaves(v, f"{path}[{k}]", out)
+    else:
+        out[path] = value
+
+
+def _fields(path: Path) -> dict:
+    """A written file as {field path: value}: JSON by its keys and indices,
+    the CSV and network text files by line and comma- or space-split column."""
+    out: dict = {}
+    if path.suffix == ".json":
+        _leaves(json.loads(path.read_text()), path.name, out)
+        return out
+    sep = "," if path.suffix == ".csv" else None
+    for row, line in enumerate(path.read_text().splitlines(), 1):
+        for col, text in enumerate(line.split(sep), 1):
+            out[f"{path.name}:{row}:{col}"] = _token(text)
+    return out
+
+
+def _same(old, new) -> bool:
+    if type(old) is not type(new):
+        return False
+    if isinstance(old, float):
+        return math.isclose(old, new, rel_tol=RTOL, abs_tol=0.0) or (
+            math.isnan(old) and math.isnan(new))
+    return old == new
+
+
+def moved_fields(old_dir, new_dir) -> list:
+    """(path, old, new) for every output field that differs between the two
+    directories or that only one of them holds, and (file name, old, new) for a
+    file that only one of them holds; config.yaml is not an output."""
+    old_dir, new_dir = Path(old_dir), Path(new_dir)
+    names = sorted({p.name for d in (old_dir, new_dir) for p in d.iterdir()
+                    if p.is_file()} - {"config.yaml"})
+    moved = []
+    for name in names:
+        if not ((old_dir / name).exists() and (new_dir / name).exists()):
+            moved.append((name, *((_FILE if (d / name).exists() else _ABSENT)
+                                  for d in (old_dir, new_dir))))
+            continue
+        old, new = _fields(old_dir / name), _fields(new_dir / name)
+        for key in sorted(old.keys() | new.keys()):
+            a, b = old.get(key, _ABSENT), new.get(key, _ABSENT)
+            if a is _ABSENT or b is _ABSENT or not _same(a, b):
+                moved.append((key, a, b))
+    return moved
+
+
+def describe(case: str, moved: list) -> str:
+    return "\n".join(f"{case}/{key}: {a!r} -> {b!r}" for key, a, b in moved)
+
+
+def regenerate() -> list:
+    """Rerun every case, rewrite its golden outputs, and return the lines of
+    describe() for every field that moved."""
+    lines = []
+    for case in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            run_case(case, tmp)
+            moved = moved_fields(GOLDEN / case, tmp)
+            for old in (GOLDEN / case).iterdir():
+                if old.name != "config.yaml":
+                    old.unlink()
+            for new in Path(tmp).iterdir():
+                shutil.copyfile(new, GOLDEN / case / new.name)
+        if moved:
+            lines.append(describe(case, moved))
+    return lines
+
+
+if __name__ == "__main__":
+    report = regenerate()
+    print("\n".join(report) if report else "no field moved")

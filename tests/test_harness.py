@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -395,6 +396,28 @@ def test_calibrated_c_is_reported_not_hardcoded():
 
 
 # ----------------------------------------------------------------- CLI
+
+
+def test_cli_runs_each_command_through_one_public_harness_entry():
+    # train, study and decompose each call one run_* entry, and write_json_report
+    # owns the report format, so cli.py builds no run and writes no JSON itself
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [f"{alias.name}:{node.lineno}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module in ("harness", "ritzlab.harness")
+               for alias in node.names if alias.name.startswith("_")]
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used |= {node.attr} | ({f"{node.value.id}.{node.attr}"}
+                                   if isinstance(node.value, ast.Name) else set())
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            used |= {alias.name for alias in node.names}
+    banned = used & {"prescribe_architecture", "problem_by_name", "load_yaml", "json.dump",
+                     "json.dumps"}
+    assert not private, f"cli.py imports private harness names: {', '.join(private)}"
+    assert not banned, f"cli.py uses {', '.join(sorted(banned))}: go through the harness"
 
 
 def test_cli_bounds_exit_zero(capsys):

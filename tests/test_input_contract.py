@@ -26,7 +26,8 @@ from ritzlab.bounds import (
     predicted_rates,
 )
 from ritzlab.gadgets import fit_spline_coefficients, full_index_range, prescribe_architecture
-from ritzlab.harness import DecompositionConfig, StudyConfig, TrainRunConfig
+from ritzlab import ritz
+from ritzlab.harness import DecompositionConfig, StudyConfig, TrainRunConfig, calibrate_spline_rate
 from ritzlab.networks import (
     IDENTITY,
     RELU2,
@@ -48,6 +49,7 @@ from conftest import random_relu2_net
 
 NET = random_relu2_net(1, (3,), seed=0)
 COSINE = make_cosine_problem(1)
+NET_D3, COSINE_D3 = random_relu2_net(3, (3,), seed=0), make_cosine_problem(3)
 TINY = Architecture((1, 3, 1), (RELU2, IDENTITY))
 BOUND_ARGS = dict(depth=2, width=3, d=1, n=100_000, B=1.0, c3=1.0)
 
@@ -83,11 +85,12 @@ def _names_argument(err: ValueError, name: str) -> bool:
     (lambda: BoundInputs(**{**BOUND_ARGS, "B": True}), "B"),
     (lambda: BoundInputs(**{**BOUND_ARGS, "c3": True}), "c3"),
     (lambda: BoundInputs(**{**BOUND_ARGS, "nu": False}), "nu"),
+    (lambda: calibrate_spline_rate(levels=()), "levels"),
 ], ids=["rates-nan-nu", "pdim-float-depth", "inputs-float-depth", "inputs-bool-depth",
         "inputs-float-n", "cosine-float-d", "quadratic-bool-d", "boundary-float-m",
         "domain-bool-n", "gap-zero-reference-n", "seed-float-k", "dudley-huge-B",
         "covering-huge-B", "all-bounds-huge-B", "all-bounds-max-B", "prescribe-bool-nu",
-        "inputs-bool-B", "inputs-bool-c3", "inputs-bool-nu"])
+        "inputs-bool-B", "inputs-bool-c3", "inputs-bool-nu", "calibrate-empty-levels"])
 def test_bad_input_fails_naming_the_argument(call, name):
     with pytest.raises(ValueError) as info:
         call()
@@ -97,14 +100,20 @@ def test_bad_input_fails_naming_the_argument(call, name):
 @pytest.mark.parametrize("call, name", [
     (lambda: prescribe_architecture(10**6, 64, 0.0), "d"),
     (lambda: prescribe_architecture(1, 10**12, 0.0), "n"),
-    (lambda: h1_error(NET, COSINE, 10**13, 0), "n"),
-    (lambda: energy_excess(NET, COSINE, 10**13, 0), "n"),
+    (lambda: h1_error(NET, COSINE, 10**13, 0), "n_quad"),
+    (lambda: energy_excess(NET, COSINE, 10**13, 0), "n_quad"),
     (lambda: sample_boundary(10**13, 1, 0), "m"),
     (lambda: make_sample_set(4, 10**13, 1, 0), "n_boundary"),
+    (lambda: statistical_gap_estimate(NET_D3, COSINE_D3, 2**26, 2, 0), "n"),
+    (lambda: statistical_gap_estimate(NET_D3, COSINE_D3, 4, 2, 0, reference_n=2**28),
+     "reference_n"),
 ], ids=["prescribe-huge-d", "prescribe-huge-n", "h1-huge-n-quad", "excess-huge-n-quad",
-        "boundary-huge-m", "sample-set-huge-n-boundary"])
-def test_size_past_a_cap_fails_naming_the_argument(call, name):
-    # without the caps: widths of 4e6, or numpy's bare MemoryError
+        "boundary-huge-m", "sample-set-huge-n-boundary", "gap-huge-n", "gap-huge-reference-n"])
+def test_size_past_a_cap_fails_naming_the_argument(call, name, monkeypatch):
+    # without the caps: widths of 4e6, or numpy's bare MemoryError; and each cap
+    # fires at entry, before any loss pass (the gap estimate's reference pass)
+    monkeypatch.setattr(ritz, "empirical_loss",
+                        lambda *args: pytest.fail("a loss pass ran before the size cap"))
     with pytest.raises(ValueError) as info:
         call()
     assert _names_argument(info.value, name), str(info.value)
@@ -117,18 +126,29 @@ def test_prescription_cap_admits_large_d2_and_d3_nets():
     assert prescribe_architecture(3, 10**5, 0.0).width == 4116
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
-@pytest.mark.parametrize("entry", [
+POINT_ENTRIES = pytest.mark.parametrize("entry", [
     forward_batch,
     values_and_input_gradients,
     lambda net, x: weighted_parameter_gradient(net, x, np.ones(len(x))),
 ], ids=["forward_batch", "values_and_input_gradients", "weighted_parameter_gradient"])
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@POINT_ENTRIES
 def test_non_finite_point_fails_naming_x(entry, bad):
     # a NaN or inf coordinate would otherwise come back as a silent NaN
     x = np.full((3, 1), 0.5)
     x[1, 0] = bad
     with pytest.raises(ValueError) as info:
         entry(NET, x)
+    assert _names_argument(info.value, "x"), str(info.value)
+
+
+@POINT_ENTRIES
+def test_complex_point_fails_naming_x(entry):
+    # a cast to float would evaluate the real part, behind numpy's ComplexWarning alone
+    with pytest.raises(ValueError) as info:
+        entry(NET, np.array([[0.5], [0.25 + 3j]]))
     assert _names_argument(info.value, "x"), str(info.value)
 
 

@@ -23,6 +23,7 @@ from ritzlab.sampling import (
     h1_error,
     make_sample_set,
     mc_mean,
+    rng_stream,
     sample_boundary,
     sample_domain,
 )
@@ -149,6 +150,22 @@ def test_every_seeded_entry_rejects_a_negative_or_non_integer_seed(seed):
     for entry in entries:
         with pytest.raises(ValueError, match="seed"):
             entry()
+
+
+def test_rng_stream_keys_wrap_modulo_2_64_without_colliding():
+    # numpy casts a list key through float64 past 2**63 - 1, with a RuntimeWarning:
+    # each of these pairs then shared one stream, (0, -1) and (0, -2) seed 0's domain stream
+    pairs = [((0, -1), (0, -2)), ((0, -1), (0, 0)), ((2**63 + 5, 0), (2**63 + 6, 0)),
+             ((2**64 - 1, 0), (2**64 - 2, 0))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in pairs:
+            assert rng_stream(*a).random() != rng_stream(*b).random(), (a, b)
+        assert rng_stream(0, -1).random() == rng_stream(0, 2**64 - 1).random()
+        assert rng_stream(2**64 + 3, 1).random() == rng_stream(3, 1).random()
+        for seed, tag in [(0, 0), (5, 3), (2**63 - 1, 7), (123, 2**40)]:
+            listed = np.random.Generator(np.random.Philox(key=[seed, tag]))
+            assert rng_stream(seed, tag).random(4).tolist() == listed.random(4).tolist()
 
 
 def test_mc_mean_constants_exact():
