@@ -1,8 +1,11 @@
-"""Golden outputs of the run commands `ritzlab train`, `study` and `decompose`.
+"""Golden outputs of the `ritzlab` commands.
 
-Each directory here holds one tiny config, config.yaml, next to every file
-that the command named by the directory's prefix writes for it.
-tests/test_golden.py reruns every config and compares the outputs field by
+Each directory here holds one case next to every file that its command writes
+for it. A run-command case (`train`, `study`, `decompose`, named by the
+directory's prefix) holds a tiny config, config.yaml. A case of a command that
+takes no config file (`construct-verify`, `bounds`) holds args.txt instead: the
+command and its options, whose JSON report is written to <command>.json.
+tests/test_golden.py reruns every case and compares the outputs field by
 field: strings, ints and bools must match exactly, floats within rtol 1e-12.
 
     PYTHONPATH=src python tests/golden/regenerate.py
@@ -22,17 +25,23 @@ from pathlib import Path
 from ritzlab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent
-CASES = sorted(p.parent.name for p in GOLDEN.glob("*/config.yaml"))
+_INPUTS = ("config.yaml", "args.txt")
+CASES = sorted(p.parent.name for name in _INPUTS for p in GOLDEN.glob(f"*/{name}"))
 RTOL = 1e-12
 _ABSENT = "<absent>"
 _FILE = "<file>"
 
 
 def run_case(case: str, outdir) -> None:
-    """Run the case's command on its config, writing into outdir."""
-    command = case.split("_")[0]
-    if main([command, str(GOLDEN / case / "config.yaml"), "--out", str(outdir)]) != 0:
-        raise RuntimeError(f"ritzlab {command} failed on golden case {case}")
+    """Run the case's command on its config or args.txt, writing into outdir."""
+    args_file = GOLDEN / case / "args.txt"
+    if args_file.exists():
+        args = args_file.read_text().split()
+        args += ["--out", str(Path(outdir) / f"{args[0]}.json")]
+    else:
+        args = [case.split("_")[0], str(GOLDEN / case / "config.yaml"), "--out", str(outdir)]
+    if main(args) != 0:
+        raise RuntimeError(f"ritzlab {args[0]} failed on golden case {case}")
 
 
 def _token(text: str):
@@ -81,10 +90,10 @@ def _same(old, new) -> bool:
 def moved_fields(old_dir, new_dir) -> list:
     """(path, old, new) for every output field that differs between the two
     directories or that only one of them holds, and (file name, old, new) for a
-    file that only one of them holds; config.yaml is not an output."""
+    file that only one of them holds; config.yaml and args.txt are inputs."""
     old_dir, new_dir = Path(old_dir), Path(new_dir)
     names = sorted({p.name for d in (old_dir, new_dir) for p in d.iterdir()
-                    if p.is_file()} - {"config.yaml"})
+                    if p.is_file()} - set(_INPUTS))
     moved = []
     for name in names:
         if not ((old_dir / name).exists() and (new_dir / name).exists()):
@@ -112,7 +121,7 @@ def regenerate() -> list:
             run_case(case, tmp)
             moved = moved_fields(GOLDEN / case, tmp)
             for old in (GOLDEN / case).iterdir():
-                if old.name != "config.yaml":
+                if old.name not in _INPUTS:
                     old.unlink()
             for new in Path(tmp).iterdir():
                 shutil.copyfile(new, GOLDEN / case / new.name)

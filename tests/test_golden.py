@@ -1,18 +1,18 @@
-"""The files that `ritzlab train`, `study` and `decompose` write for the tiny
-configs under tests/golden match the committed ones, field by field."""
+"""The files that the `ritzlab` commands write for the tiny cases under
+tests/golden match the committed ones, field by field."""
 
 import pytest
 
 from golden.regenerate import CASES, GOLDEN, describe, moved_fields, run_case
 
 
-def test_golden_cases_cover_every_run_command_at_d1_and_d2():
-    assert CASES == sorted(f"{cmd}_d{d}" for cmd in ("decompose", "study", "train")
-                           for d in (1, 2))
+def test_golden_cases_cover_every_run_command_at_d1_to_d3_and_the_report_commands():
+    assert CASES == sorted([f"{cmd}_d{d}" for cmd in ("decompose", "study", "train")
+                            for d in (1, 2, 3)] + ["bounds", "construct-verify"])
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_run_command_outputs_match_golden(case, tmp_path):
+def test_command_outputs_match_golden(case, tmp_path):
     run_case(case, tmp_path)
     moved = moved_fields(GOLDEN / case, tmp_path)
     assert not moved, ("fields moved (rerun tests/golden/regenerate.py once the move "
