@@ -12,27 +12,24 @@ import math
 from dataclasses import dataclass
 
 from .networks import _as_int, _as_real
+from .training import Count, PositiveReal, Real, _check_field_types
 
 
 @dataclass(frozen=True)
 class BoundInputs:
     """Everything the bound calculators need for one network/sample setting."""
 
-    depth: int
-    width: int
-    d: int
-    n: int
-    B: float
-    c3: float
-    nu: float = 0.0
-    pdim_constant: float = 1.0
+    depth: Count
+    width: Count
+    d: Count
+    n: Count
+    B: Real = 1.0  # B = 0 is the sup bound of an identically zero net
+    c3: PositiveReal = 1.0
+    nu: Real = 0.0
+    pdim_constant: PositiveReal = 1.0
 
     def __post_init__(self):
-        for name in ("depth", "width", "d", "n"):
-            _as_int(getattr(self, name), name, 1)
-        # B = 0 is the sup bound of an identically zero net
-        for name in ("B", "c3", "nu", "pdim_constant"):
-            _as_real(getattr(self, name), name, strict=name in ("c3", "pdim_constant"))
+        _check_field_types(self)
 
 
 def _finite_in_B(bound: float, B: float) -> float:

@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import typing
 
 from .bounds import BoundInputs, all_bounds
 from .gadgets import SingularFitError
@@ -78,47 +79,39 @@ def _cmd_verify_gradnet(args) -> int:
 
 def _cmd_train(args) -> int:
     trained, history, summary = run_training(load_config(TrainRunConfig, args.config))
-    outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
-    netfile = os.path.join(outdir, "trained_network.txt")
+    os.makedirs(args.out, exist_ok=True)
+    netfile = os.path.join(args.out, "trained_network.txt")
     save_network(trained, netfile)
-    write_history_csv(history, os.path.join(outdir, "train_history.csv"))
-    write_json_report(summary, os.path.join(outdir, "train_summary.json"))
+    write_history_csv(history, os.path.join(args.out, "train_history.csv"))
+    write_json_report(summary, os.path.join(args.out, "train_summary.json"))
     print(f"wrote {netfile}")
     return 0
 
 
 def _cmd_study(args) -> int:
-    cfg = load_config(StudyConfig, args.config)
-    report = run_convergence_study(cfg)
-    outdir = args.out or cfg.output_dir or "."
-    os.makedirs(outdir, exist_ok=True)
-    write_json_report(report, os.path.join(outdir, "study_report.json"))
-    write_study_csv(report, os.path.join(outdir, "study_cells.csv"))
+    report = run_convergence_study(load_config(StudyConfig, args.config))
+    os.makedirs(args.out, exist_ok=True)
+    write_json_report(report, os.path.join(args.out, "study_report.json"))
+    write_study_csv(report, os.path.join(args.out, "study_cells.csv"))
     if report["fit"] is not None:
         print(
             f"fitted h1_err^2 slope {report['fit']['slope']:+.4f} "
             f"(se {report['fit']['slope_se']:.4f}); "
             f"predicted exponent {report['predicted']['h1_sq_rate_exponent']:+.4f}"
         )
-    print(f"wrote {os.path.join(outdir, 'study_report.json')}")
+    print(f"wrote {os.path.join(args.out, 'study_report.json')}")
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    cfg = load_config(DecompositionConfig, args.config)
-    report = run_error_decomposition(cfg)
-    outdir = args.out or cfg.output_dir or "."
-    os.makedirs(outdir, exist_ok=True)
-    write_json_report(report, os.path.join(outdir, "decomposition_report.json"))
-    print(f"wrote {os.path.join(outdir, 'decomposition_report.json')}")
+    report = run_error_decomposition(load_config(DecompositionConfig, args.config))
+    os.makedirs(args.out, exist_ok=True)
+    _emit(report, os.path.join(args.out, "decomposition_report.json"))
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    # every BoundInputs field is an option of the same name
-    inputs = BoundInputs(**{f.name: getattr(args, f.name)
-                            for f in dataclasses.fields(BoundInputs)})
+    inputs = BoundInputs(**{f.name: vars(args)[f.name] for f in dataclasses.fields(BoundInputs)})
     _emit(all_bounds(inputs, C_Bc3=args.c_bc3, eps=args.eps), args.out)
     return 0
 
@@ -145,18 +138,14 @@ def main(argv=None) -> int:
                            ("decompose", _cmd_decompose, "run an error-decomposition report")):
         pc = sub.add_parser(name, help=text)
         pc.add_argument("config")
-        pc.add_argument("--out", default=None)
+        pc.add_argument("--out", default=".")
         pc.set_defaults(fn=fn)
 
     pb = sub.add_parser("bounds", help="print all theory-bound values as JSON")
-    pb.add_argument("--depth", type=int, required=True)
-    pb.add_argument("--width", type=int, required=True)
-    pb.add_argument("--d", type=int, required=True)
-    pb.add_argument("--n", type=int, required=True)
-    pb.add_argument("--B", type=float, default=1.0)
-    pb.add_argument("--c3", type=float, default=1.0)
-    pb.add_argument("--nu", type=float, default=0.0)
-    pb.add_argument("--pdim-constant", dest="pdim_constant", type=float, default=1.0)
+    types = typing.get_type_hints(BoundInputs)  # int or float, the bounds left out
+    for f in dataclasses.fields(BoundInputs):  # --pdim-constant sets pdim_constant
+        pb.add_argument(f"--{f.name.replace('_', '-')}", type=types[f.name],
+                        required=f.default is dataclasses.MISSING, default=f.default)
     pb.add_argument("--c-bc3", dest="c_bc3", type=float, default=1.0)
     pb.add_argument("--eps", type=float, default=1.0)
     pb.add_argument("--out", default=None)

@@ -40,7 +40,6 @@ from .networks import (
     RELU2,
     Architecture,
     Network,
-    _as_int,
     _row_sums,
     forward_batch,
     values_and_input_gradients,
@@ -55,6 +54,10 @@ from .ritz import (
 from .sampling import RNG_ALGORITHM, h1_error, make_sample_set, rng_stream, sample_domain
 from .training import (
     ConfigError,
+    Count,
+    Count0,
+    Count2,
+    Real,
     TrainConfig,
     _check_field_types,
     init_network,
@@ -110,48 +113,45 @@ def config_to_dict(cfg) -> dict:
     return plain(dataclasses.asdict(cfg))
 
 
-@dataclass(frozen=True)
-class TrainRunConfig:
-    """One `ritzlab train` run: N = M = n samples at the prescribed architecture."""
-
-    problem: str
-    d: int
-    n: int
-    nu: float = 0.0
-    n_quad: int = 100_000
-    seed: int = 0
-    train: TrainConfig = field(default_factory=TrainConfig)
-
-    def __post_init__(self):
-        _check_field_types(self)
-        _as_int(self.n, "n", 1)
-        _as_int(self.n_quad, "n_quad", 2)
-
-
-@dataclass(frozen=True)
-class StudyConfig:
-    """Configuration of a convergence-rate study; N = M = n throughout."""
+@dataclass(frozen=True, kw_only=True)
+class _RunConfig:
+    """The fields that every run config shares."""
 
     problem: str = "cosine"
-    d: int = 1
-    n_values: tuple[int, ...] = (256, 1024, 4096)
-    nu: float = 0.0
-    repetitions: int = 3
-    n_quad: int = 100_000
+    d: Count = 1
+    nu: Real = 0.0
+    n_quad: Count2 = 100_000
+    seed: Count0 = 0
     train: TrainConfig = field(default_factory=TrainConfig)
-    seed: int = 0
-    output_dir: str | None = None
 
     def __post_init__(self):
         _check_field_types(self)
+
+
+@dataclass(frozen=True)
+class TrainRunConfig(_RunConfig):
+    """One `ritzlab train` run: N = M = n samples at the prescribed architecture."""
+
+    # field() with no default: a bare re-annotation would keep the base's default
+    problem: str = field()
+    d: Count = field()
+    n: Count
+
+
+@dataclass(frozen=True)
+class StudyConfig(_RunConfig):
+    """Configuration of a convergence-rate study; N = M = n throughout."""
+
+    n_values: tuple[Count, ...] = (256, 1024, 4096)
+    repetitions: Count = 3
+
+    def __post_init__(self):
+        super().__post_init__()
         ns = self.n_values
         if not ns:
-            raise ValueError("n_values must hold at least one n")
+            raise ConfigError("n_values must hold at least one n")
         if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("n_values must be strictly increasing")
-        _as_int(ns[0], "n_values", 1)  # the least of them
-        _as_int(self.n_quad, "n_quad", 2)
-        _as_int(self.repetitions, "repetitions", 1)
+            raise ConfigError("n_values must be strictly increasing")
 
 
 def fit_rate(points):
@@ -324,27 +324,14 @@ def _architecture_block(arch: Architecture) -> dict:
 
 
 @dataclass(frozen=True)
-class DecompositionConfig:
+class DecompositionConfig(_RunConfig):
     """One-cell error decomposition: proxies for the approximation,
     statistical, and optimization error terms at a single (n, architecture)."""
 
-    problem: str = "cosine"
-    d: int = 1
-    n: int = 1024
-    nu: float = 0.0
-    spline_level: int = 3
-    gap_reps: int = 8
-    restarts: int = 2
-    n_quad: int = 100_000
-    train: TrainConfig = field(default_factory=TrainConfig)
-    seed: int = 0
-    output_dir: str | None = None
-
-    def __post_init__(self):
-        _check_field_types(self)
-        for name, low in (("n", 1), ("n_quad", 2), ("spline_level", 1), ("gap_reps", 2),
-                          ("restarts", 1)):
-            _as_int(getattr(self, name), name, low)
+    n: Count = 1024
+    spline_level: Count = 3
+    gap_reps: Count2 = 8
+    restarts: Count = 2
 
 
 def run_error_decomposition(cfg: DecompositionConfig) -> dict:

@@ -77,13 +77,13 @@ def _as_int(n, what: str, low: int | None = None, error: type = ValueError) -> i
     return operator.index(n)
 
 
-def _as_real(x, what: str, low: float = 0.0, strict: bool = False):
+def _as_real(x, what: str, low: float = 0.0, strict: bool = False, error: type = ValueError):
     """x unchanged when it is a finite real >= low (> low when strict), else
-    ValueError naming `what`; a bool is not a real here, as it is not an int
-    for _as_int.  The one check for every finite-real range."""
+    error naming `what`; a bool is not a real here, as it is not an int for
+    _as_int.  The one check for every finite-real range."""
     if isinstance(x, bool) or not (isinstance(x, numbers.Real) and math.isfinite(x)
                                    and (x > low if strict else x >= low)):
-        raise ValueError(f"{what} must be finite and {'>' if strict else '>='} {low:g}, got {x!r}")
+        raise error(f"{what} must be finite and {'>' if strict else '>='} {low:g}, got {x!r}")
     return x
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import types
 import typing
 from dataclasses import dataclass, field
 
@@ -31,29 +30,44 @@ class TrainingDivergedError(RuntimeError):
 
 class ConfigError(ValueError):
     """A config is not a mapping, has an unknown key, lacks a required key, or
-    holds a value of the wrong type."""
+    holds a value of the wrong type or out of its field's range."""
 
 
-def _fits(value, hint) -> bool:
+# Config field types that carry their lower bound, which _fits holds a value
+# to: the arguments of _as_int or _as_real after the name.  They are constants,
+# since typing caches every Annotated alias it builds for the process.
+Count = typing.Annotated[int, 1]
+Count0 = typing.Annotated[int, 0]
+Count2 = typing.Annotated[int, 2]
+Real = typing.Annotated[float, 0.0, False]  # finite, >= 0
+PositiveReal = typing.Annotated[float, 0.0, True]  # finite, > 0
+
+
+def _fits(value, hint, what: str) -> bool:
     """Whether a value fits a config field's type annotation.
 
-    A bool is not an int, and an int is accepted for a float.
+    A bool is not an int, and an int is accepted for a float.  A value that
+    fits the type of a bounded (Annotated) hint is then held to its bound,
+    which raises ConfigError naming `what`.
     """
     origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Annotated:
+        fits = _fits(value, args[0], what)
+        if fits:
+            (_as_int if args[0] is int else _as_real)(value, what, *args[1:], error=ConfigError)
+        return fits
     if origin is tuple:
         if not isinstance(value, tuple):
             return False
         items = args[:1] * len(value) if args[1:] == (Ellipsis,) else args
-        return len(value) == len(items) and all(map(_fits, value, items))
-    if origin is types.UnionType:
-        return any(_fits(value, h) for h in args)
+        return len(value) == len(items) and all(_fits(v, h, what) for v, h in zip(value, items))
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)
 
 
 # The annotations are strings (postponed evaluation); resolve them once per class.
-_field_hints = functools.cache(typing.get_type_hints)
+_field_hints = functools.cache(lambda cls: typing.get_type_hints(cls, include_extras=True))
 
 
 def _check_field_types(cfg) -> None:
@@ -69,38 +83,34 @@ def _check_field_types(cfg) -> None:
         if isinstance(value, list) and typing.get_origin(hint) is tuple:
             value = tuple(value)
             object.__setattr__(cfg, f.name, value)
-        if not _fits(value, hint):
-            raise ConfigError(f"{type(cfg).__name__}.{f.name} must be {f.type}, got {value!r}")
+        if not _fits(value, hint, f.name):
+            plain = typing.get_type_hints(type(cfg))[f.name]  # the type, bounds left out
+            plain = plain.__name__ if isinstance(plain, type) else plain
+            raise ConfigError(f"{type(cfg).__name__}.{f.name} must be {plain}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     optimizer: str = "adam"
-    learning_rate: float = 1e-3
+    learning_rate: Real = 1e-3
     lr_decay: float = 1.0
-    iterations: int = 5000
-    batch_domain: int = 256
-    batch_boundary: int = 256
-    seed: int = 0
+    iterations: Count0 = 5000
+    batch_domain: Count = 256
+    batch_boundary: Count = 256
+    seed: Count0 = 0
     adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
-    init_scale: float = 1.0
-    eval_every: int = 50
+    adam_eps: PositiveReal = 1e-8
+    init_scale: Real = 1.0
+    eval_every: Count = 50
 
     def __post_init__(self):
         _check_field_types(self)
         if self.optimizer not in ("sgd", "adam"):
-            raise ValueError("optimizer must be 'sgd' or 'adam'")
+            raise ConfigError("optimizer must be 'sgd' or 'adam'")
         if not 0 < self.lr_decay <= 1:
-            raise ValueError("lr_decay must be in (0, 1]")
+            raise ConfigError("lr_decay must be in (0, 1]")
         if not all(0 <= b < 1 for b in self.adam_betas):
-            raise ValueError("adam_betas must be two finite values in [0, 1)")
-        for name, low in (("iterations", 0), ("batch_domain", 1), ("batch_boundary", 1),
-                          ("eval_every", 1), ("seed", 0)):
-            _as_int(getattr(self, name), name, low)
-        _as_real(self.learning_rate, "learning_rate")
-        _as_real(self.adam_eps, "adam_eps", strict=True)
-        _as_real(self.init_scale, "init_scale")
+            raise ConfigError("adam_betas must be two finite values in [0, 1)")
 
 
 class Checkpoint(typing.NamedTuple):

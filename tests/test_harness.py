@@ -13,6 +13,7 @@ import yaml
 
 import ritzlab.cli as cli
 import ritzlab.harness as harness
+from ritzlab.bounds import BoundInputs
 from ritzlab.gadgets import build_square_gadget, prescribe_architecture
 from ritzlab.harness import (
     ConfigError,
@@ -156,6 +157,8 @@ MINIMAL = {
     DecompositionConfig: {},
     TrainRunConfig: {"problem": "cosine", "d": 1, "n": 64},
 }
+# the required fields of every config class
+REQUIRED = {**MINIMAL, BoundInputs: {"depth": 2, "width": 3, "d": 1, "n": 100}}
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
@@ -189,7 +192,7 @@ def test_config_errors_name_the_key(tmp_path, cls, case, key):
     (StudyConfig, {"repetitions": 2.5}, "repetitions"),
     (StudyConfig, {"n_values": [256, True]}, "n_values"),
     (DecompositionConfig, {"restarts": True}, "restarts"),
-    (DecompositionConfig, {"output_dir": 3}, "output_dir"),
+    (DecompositionConfig, {"nu": "0.5"}, "nu"),
     (TrainRunConfig, {**MINIMAL[TrainRunConfig], "train": {"adam_betas": [0.9]}}, "adam_betas"),
 ])
 def test_config_values_must_fit_their_types(tmp_path, cls, raw, key):
@@ -199,9 +202,35 @@ def test_config_values_must_fit_their_types(tmp_path, cls, raw, key):
         load_config(cls, path)
 
 
-def test_config_accepts_int_for_float_and_null_for_optional():
-    cfg = config_from_dict(StudyConfig, {"nu": 1, "output_dir": None, "train": {"learning_rate": 1}})
-    assert cfg.nu == 1 and cfg.output_dir is None and cfg.train.learning_rate == 1
+def test_config_accepts_int_for_float():
+    cfg = config_from_dict(StudyConfig, {"nu": 1, "train": {"learning_rate": 1}})
+    assert cfg.nu == 1 and cfg.train.learning_rate == 1
+
+
+@pytest.mark.parametrize("cls,bad", [
+    (StudyConfig, {"d": 0}),
+    (StudyConfig, {"nu": math.nan}),
+    (DecompositionConfig, {"nu": -1.0}),
+    (TrainRunConfig, {"d": 0}),
+    (TrainRunConfig, {"n_quad": 1}),
+    (DecompositionConfig, {"gap_reps": 1}),
+    (StudyConfig, {"n_values": (0, 4)}),
+    (StudyConfig, {"n_values": (8, 4)}),
+    (StudyConfig, {"n_values": ()}),
+    (TrainConfig, {"iterations": -1}),
+    (TrainConfig, {"optimizer": "lbfgs"}),
+    (TrainConfig, {"lr_decay": 0.0}),
+    (TrainConfig, {"adam_betas": (0.9, 1.0)}),
+    (TrainConfig, {"adam_eps": 0.0}),
+    (BoundInputs, {"depth": 0}),
+    (BoundInputs, {"B": -1.0}),
+    (BoundInputs, {"c3": 0.0}),
+])
+def test_config_range_errors_are_config_errors_naming_the_field(cls, bad):
+    # every rule of a config field fails at construction with ConfigError; d and
+    # nu were accepted here and failed only once the run started
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        cls(**{**REQUIRED.get(cls, {}), **bad})
 
 
 @pytest.mark.parametrize("key", ["problem", "d", "n"])

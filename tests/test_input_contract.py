@@ -245,10 +245,12 @@ ENTRIES = {
                                       "learning_rate": _real(), "adam_eps": _real(True),
                                       "init_scale": _real()}),
     "TrainRunConfig": (TrainRunConfig, {"problem": "cosine", "d": 1, "n": 64},
-                       _counts(n=1, n_quad=2)),
-    "StudyConfig": (StudyConfig, {}, _counts(n_quad=2, repetitions=1)),
+                       {**_counts(d=1, n=1, n_quad=2, seed=0), "nu": _real()}),
+    "StudyConfig": (StudyConfig, {}, {**_counts(d=1, n_quad=2, repetitions=1, seed=0),
+                                      "nu": _real()}),
     "DecompositionConfig": (DecompositionConfig, {},
-                            _counts(n=1, n_quad=2, spline_level=1, gap_reps=2, restarts=1)),
+                            {**_counts(d=1, n=1, n_quad=2, spline_level=1, gap_reps=2,
+                                       restarts=1, seed=0), "nu": _real()}),
 }
 # arguments whose messages use another name
 _MESSAGE_NAME = {"level": "spline level", "hidden": "layer dim"}
