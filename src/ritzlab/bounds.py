@@ -32,10 +32,20 @@ class BoundInputs:
         _check_field_types(self)
 
 
-def _finite_in_B(bound: float, B: float) -> float:
-    if not math.isfinite(bound):
-        raise ValueError(f"B {B!r} is too large: the bound overflows to {bound!r}")
-    return bound
+def _finite(what: str, compute, **inputs) -> float:
+    """compute(), unless it overflows the float range (an OverflowError, an
+    infinite value, or the math domain error of a log whose argument's
+    denominator overflowed): then a ValueError naming the one of inputs, all
+    > 0, furthest from 1 on a log scale, which drove the value out of range."""
+    try:
+        value = compute()
+    except (OverflowError, ValueError):
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    name, x = max(inputs.items(), key=lambda item: abs(math.log(item[1])))
+    raise ValueError(f"{name} {x!r} is too {'small' if x < 1 else 'large'}: "
+                     f"{what} overflows the float range")
 
 
 def pdim_bound(depth: int, width: int, pdim_constant: float = 1.0) -> float:
@@ -43,7 +53,8 @@ def pdim_bound(depth: int, width: int, pdim_constant: float = 1.0) -> float:
     ReLU/ReLU^2 networks."""
     depth, width = _as_int(depth, "depth", 1), _as_int(width, "width", 1)
     _as_real(pdim_constant, "pdim_constant", strict=True)
-    return pdim_constant * depth**2 * width**2 * (depth + math.log(width))
+    return _finite("pdim_bound", lambda: pdim_constant * depth**2 * width**2 * (
+        depth + math.log(width)), depth=depth, width=width, pdim_constant=pdim_constant)
 
 
 def log_covering_bound(eps: float, n: int, B: float, pdim: float) -> float:
@@ -57,7 +68,8 @@ def log_covering_bound(eps: float, n: int, B: float, pdim: float) -> float:
     _as_real(B, "B", strict=True)
     if n < pdim:
         raise ValueError(f"n must be >= pdim for this bound, got n={n}, pdim={pdim}")
-    return _finite_in_B(pdim * math.log(math.e * n * B / (eps * pdim)), B)
+    return _finite("log_covering_bound", lambda: pdim * math.log(math.e * n * B / (eps * pdim)),
+                   eps=eps, n=n, B=B, pdim=pdim)
 
 
 def dudley_rademacher_bound(n: int, B: float, pdim: float) -> float:
@@ -66,8 +78,8 @@ def dudley_rademacher_bound(n: int, B: float, pdim: float) -> float:
     _as_real(B, "B", strict=True)
     if n <= pdim:
         raise ValueError(f"n must be > pdim for this bound, got n={n}, pdim={pdim}")
-    return _finite_in_B(28.0 * math.sqrt(1.5) * B * math.sqrt(pdim / n) * math.sqrt(
-        math.log(math.e * n / pdim)), B)
+    return _finite("dudley_rademacher_bound", lambda: 28.0 * math.sqrt(1.5) * B * math.sqrt(
+        pdim / n) * math.sqrt(math.log(math.e * n / pdim)), n=n, B=B)
 
 
 def statistical_error_bound(inputs: BoundInputs, C_Bc3: float = 1.0) -> float:
@@ -76,22 +88,24 @@ def statistical_error_bound(inputs: BoundInputs, C_Bc3: float = 1.0) -> float:
     C * [ d (D+3)(D+2) W sqrt((D + 3 + ln(d (D+2) W)) / n) ]^(1 - nu).
     """
     D, W, d, n = inputs.depth, inputs.width, inputs.d, inputs.n
-    inner = d * (D + 3) * (D + 2) * W * math.sqrt(
-        (D + 3 + math.log(d * (D + 2) * W)) / n
-    )
-    return C_Bc3 * inner ** (1.0 - inputs.nu)
+    _as_real(C_Bc3, "C_Bc3", strict=True)
+    inner = _finite("statistical_error_bound", lambda: d * (D + 3) * (D + 2) * W * math.sqrt(
+        (D + 3 + math.log(d * (D + 2) * W)) / n), depth=D, width=W, d=d, n=n)
+    # a power below 1 overflows only for inner < 1 and nu > 1
+    powered = _finite("statistical_error_bound", lambda: inner ** (1.0 - inputs.nu), nu=inputs.nu)
+    return _finite("statistical_error_bound", lambda: C_Bc3 * powered,
+                   C_Bc3=C_Bc3, depth=D, width=W, d=d)
 
 
 def predicted_rates(d: int, nu: float):
     """Exponents of n for the squared-H1 error and the H1 error."""
     d, nu = _as_int(d, "d", 1), _as_real(nu, "nu")
-    h1_sq = -1.0 / (d + 2 + nu)
+    h1_sq = _finite("predicted_rates", lambda: -1.0 / (d + 2 + nu), d=d)
     return h1_sq, h1_sq / 2.0
 
 
 def all_bounds(inputs: BoundInputs, C_Bc3: float = 1.0, eps: float = 1.0) -> dict:
     """One dictionary with every bound value for a given input setting."""
-    _as_real(C_Bc3, "C_Bc3", strict=True)
     _as_real(eps, "eps", strict=True)
     pdim = pdim_bound(inputs.depth, inputs.width, inputs.pdim_constant)
     out = {

@@ -36,8 +36,8 @@ from .harness import (
     write_json_report,
     write_study_csv,
 )
-from .networks import _as_int, load_network, save_network
-from .sampling import rng_stream
+from .networks import load_network, save_network
+from .sampling import _sample_shape, rng_stream
 from .training import TrainingDivergedError
 
 
@@ -54,10 +54,9 @@ def _cmd_construct_verify(args) -> int:
 
 
 def _cmd_verify_gradnet(args) -> int:
-    _as_int(args.probes, "--probes", 1)
     net = load_network(args.netfile)
-    rng = rng_stream(args.seed, 3)
-    pts = rng.uniform(-1.5, 1.5, size=(args.probes, net.architecture.input_dim))
+    shape = _sample_shape(args.probes, net.architecture.input_dim, "--probes")
+    pts = rng_stream(args.seed, 3).uniform(-1.5, 1.5, size=shape)
     rel, sizes = gradient_norm_check(net, pts)
     report = {
         "kind": "gradient_norm_verification",

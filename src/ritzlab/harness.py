@@ -569,10 +569,11 @@ def calibrate_spline_rate(levels=(2, 3, 4, 5), n_quad: int = 50_000, seed: int =
 
 def write_json_report(report: dict, path) -> None:
     """Deterministic JSON: sorted keys, fixed indentation, trailing newline; to
-    stdout when path is None (or empty)."""
+    stdout when path is None (or empty).  The text is built before the file
+    opens, so a report that JSON rejects (a NaN or an infinity) writes nothing."""
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 _STUDY_CSV_COLUMNS = ("n", "rep", "h1_err", "h1_err_se", "l2_err", "excess", "loss_total")

@@ -233,6 +233,18 @@ def test_config_range_errors_are_config_errors_naming_the_field(cls, bad):
         cls(**{**REQUIRED.get(cls, {}), **bad})
 
 
+def test_config_post_inits_leave_bounds_to_the_annotations():
+    # a lower bound lives on the field's annotation, where _check_field_types
+    # applies it; a __post_init__ keeps only the rules a bound cannot express
+    src = Path(harness.__file__).parent
+    found = [f"{name}:{node.lineno}" for name in ("training.py", "harness.py", "bounds.py")
+             for cls in ast.walk(ast.parse((src / name).read_text()))
+             if isinstance(cls, ast.FunctionDef) and cls.name == "__post_init__"
+             for node in ast.walk(cls) if isinstance(node, ast.Name)
+             and node.id in ("_as_int", "_as_real")]
+    assert not found, f"a __post_init__ checks a range by hand at {', '.join(found)}"
+
+
 @pytest.mark.parametrize("key", ["problem", "d", "n"])
 def test_train_run_config_requires_problem_d_and_n(tmp_path, key):
     raw = dict(MINIMAL[TrainRunConfig])
@@ -502,6 +514,25 @@ def test_cli_bounds_rejects_non_finite_inputs(flag, value, name, tmp_path, capsy
     assert capsys.readouterr().out == ""
     with pytest.raises(ValueError):
         write_json_report({name: float(value)}, tmp_path / "report.json")
+
+
+def test_rejected_report_writes_nothing(tmp_path, capsys):
+    # the text is built before the file opens: no half-written report, no
+    # overwritten old one, nothing on stdout
+    bad = {"a": 1.0, "b": math.inf}
+    with pytest.raises(ValueError):
+        write_json_report(bad, tmp_path / "new.json")
+    assert not (tmp_path / "new.json").exists()
+    old = tmp_path / "old.json"
+    write_json_report({"a": 1.0}, old)
+    before = old.read_bytes()
+    with pytest.raises(ValueError):
+        write_json_report(bad, old)
+    assert old.read_bytes() == before
+    capsys.readouterr()
+    with pytest.raises(ValueError):
+        write_json_report(bad, None)
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_study_and_decompose(tmp_path, capsys):

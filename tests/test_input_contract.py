@@ -11,12 +11,14 @@ import functools
 import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ritzlab import cli
 from ritzlab.bounds import (
     BoundInputs,
     all_bounds,
@@ -52,10 +54,17 @@ COSINE = make_cosine_problem(1)
 NET_D3, COSINE_D3 = random_relu2_net(3, (3,), seed=0), make_cosine_problem(3)
 TINY = Architecture((1, 3, 1), (RELU2, IDENTITY))
 BOUND_ARGS = dict(depth=2, width=3, d=1, n=100_000, B=1.0, c3=1.0)
+GOLDEN_NET = Path(__file__).parent / "golden" / "train_d1" / "trained_network.txt"
 
 
 def _bounds(**kw):
     return all_bounds(BoundInputs(**{**BOUND_ARGS, **kw}))
+
+
+def _cli_bounds(flag, value):
+    """`ritzlab bounds` on BOUND_ARGS, with flag set to value."""
+    args = {**{f"--{key}": v for key, v in BOUND_ARGS.items()}, flag: value}
+    return cli.main(["bounds", *(str(t) for item in args.items() for t in item)])
 
 
 def _names_argument(err: ValueError, name: str) -> bool:
@@ -86,11 +95,21 @@ def _names_argument(err: ValueError, name: str) -> bool:
     (lambda: BoundInputs(**{**BOUND_ARGS, "c3": True}), "c3"),
     (lambda: BoundInputs(**{**BOUND_ARGS, "nu": False}), "nu"),
     (lambda: calibrate_spline_rate(levels=()), "levels"),
+    # each overflow of `ritzlab bounds` names the input that drove it
+    (lambda: _cli_bounds("--width", str(10**200)), "width"),
+    (lambda: _cli_bounds("--n", str(10**400)), "n"),
+    (lambda: _cli_bounds("--eps", "1e-320"), "eps"),
+    (lambda: cli.main(["bounds", "--c-bc3", "1e307", "--depth", "20", "--width", "3000",
+                       "--d", "3", "--n", "1"]), "C_Bc3"),
+    (lambda: _bounds(nu=1e3, n=10**12), "nu"),
+    (lambda: predicted_rates(10**400, 0.0), "d"),
 ], ids=["rates-nan-nu", "pdim-float-depth", "inputs-float-depth", "inputs-bool-depth",
         "inputs-float-n", "cosine-float-d", "quadratic-bool-d", "boundary-float-m",
         "domain-bool-n", "gap-zero-reference-n", "seed-float-k", "dudley-huge-B",
         "covering-huge-B", "all-bounds-huge-B", "all-bounds-max-B", "prescribe-bool-nu",
-        "inputs-bool-B", "inputs-bool-c3", "inputs-bool-nu", "calibrate-empty-levels"])
+        "inputs-bool-B", "inputs-bool-c3", "inputs-bool-nu", "calibrate-empty-levels",
+        "cli-bounds-huge-width", "cli-bounds-huge-n", "cli-bounds-tiny-eps",
+        "cli-bounds-huge-c-bc3", "all-bounds-huge-nu", "rates-huge-d"])
 def test_bad_input_fails_naming_the_argument(call, name):
     with pytest.raises(ValueError) as info:
         call()
@@ -107,8 +126,10 @@ def test_bad_input_fails_naming_the_argument(call, name):
     (lambda: statistical_gap_estimate(NET_D3, COSINE_D3, 2**26, 2, 0), "n"),
     (lambda: statistical_gap_estimate(NET_D3, COSINE_D3, 4, 2, 0, reference_n=2**28),
      "reference_n"),
+    (lambda: cli.main(["verify-gradnet", str(GOLDEN_NET), "--probes", str(10**12)]), "--probes"),
 ], ids=["prescribe-huge-d", "prescribe-huge-n", "h1-huge-n-quad", "excess-huge-n-quad",
-        "boundary-huge-m", "sample-set-huge-n-boundary", "gap-huge-n", "gap-huge-reference-n"])
+        "boundary-huge-m", "sample-set-huge-n-boundary", "gap-huge-n", "gap-huge-reference-n",
+        "verify-gradnet-huge-probes"])
 def test_size_past_a_cap_fails_naming_the_argument(call, name, monkeypatch):
     # without the caps: widths of 4e6, or numpy's bare MemoryError; and each cap
     # fires at entry, before any loss pass (the gap estimate's reference pass)
