@@ -51,7 +51,8 @@ from .ritz import (
     energy_excess,
     statistical_gap_estimate,
 )
-from .sampling import RNG_ALGORITHM, h1_error, make_sample_set, rng_stream, sample_domain
+from .sampling import (RNG_ALGORITHM, _sample_shape, h1_error, make_sample_set, rng_stream,
+                       sample_domain)
 from .training import (
     ConfigError,
     Count,
@@ -126,6 +127,17 @@ class _RunConfig:
 
     def __post_init__(self):
         _check_field_types(self)
+        # what a run would refuse once begun is refused here, by the run's own checks
+        what, ns = ("n_values", self.n_values) if isinstance(self, StudyConfig) else ("n", (self.n,))
+        try:
+            problem_by_name(self.problem, self.d)
+            _sample_shape(self.n_quad, self.d, "n_quad")
+            for n in ns:
+                _sample_shape(n, self.d, what)
+                prescribe_architecture(self.d, n, self.nu)
+        except ValueError as err:
+            name, _, rest = str(err).partition(" ")  # prescribe_architecture names d or n
+            raise ConfigError(f"{what if name == 'n' else name} {rest}") from None
 
 
 @dataclass(frozen=True)
@@ -177,7 +189,8 @@ def fit_rate(points):
 
 
 def _measure_output_bound(net, d: int, seed: int, n_probe: int = 10_000) -> float:
-    """Post-hoc sup bound over probe points: max(|u|, ||grad u||^2)."""
+    """max(|u|, ||grad u||^2) at n_probe sampled points: a sampled lower value of its
+    sup, not a bound; the study passes its median to statistical_error_bound as B."""
     x = sample_domain(n_probe, d, seed)
     vals, grads = values_and_input_gradients(net, x)
     return float(max(np.max(np.abs(vals)), np.max(_row_sums(grads**2))))
@@ -330,7 +343,6 @@ class DecompositionConfig(_RunConfig):
 
     n: Count = 1024
     spline_level: Count = 3
-    gap_reps: Count2 = 8
     restarts: Count = 2
 
 
@@ -363,7 +375,7 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
     e_app = 0.5 * w_top * spline_err.h1_err**2
     e_app_se = w_top * spline_err.h1_err * spline_err.h1_err_se
 
-    gap = statistical_gap_estimate(trained, p, cfg.n, cfg.gap_reps, derived_seed(cell_seed, 7))
+    gap = statistical_gap_estimate(trained, p, cfg.n, cfg.n_quad, derived_seed(cell_seed, 7))
     e_sta = 2.0 * gap.mean_abs_gap
 
     # Restart k trains from seed cell_seed + k on the cell's samples; restart 0
@@ -399,6 +411,7 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
         "e_sta_proxy": e_sta,
         "e_sta_gap_per_term": gap._asdict(),
         "e_opt_proxy": e_opt,
+        "e_opt_proxy_note": "one-sided best-of-restarts proxy with no standard error",
         "decomposition_lhs": lhs,
         "decomposition_rhs_proxies": proxies,
         "decomposition_rhs_bound": 2.0 / c_low * proxies,

@@ -142,5 +142,5 @@ def problem_by_name(name: str, d: int) -> Problem:
     try:
         factory = _FACTORIES[name]
     except KeyError:
-        raise ValueError(f"unknown problem {name!r}; choose from {sorted(_FACTORIES)}")
+        raise ValueError(f"problem {name!r} is unknown; choose from {sorted(_FACTORIES)}")
     return factory(d)

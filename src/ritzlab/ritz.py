@@ -31,17 +31,14 @@ from .sampling import (
     SampleSet,
     _check_input_dim,
     _sample_shape,
-    make_sample_set,
     mc_mean,
     sample_boundary,
     sample_domain,
 )
 
-_REFERENCE_SAMPLES = 1_000_000
-
 
 def derived_seed(seed: int, k: int) -> int:
-    """Stable arithmetic child seeds for replications and reference draws."""
+    """Stable arithmetic child seeds for replications and independent draws."""
     return (_as_int(seed, "seed", 0) * 1_000_003 + _as_int(k, "k", 0)) % 2**63
 
 
@@ -170,11 +167,9 @@ def loss_and_parameter_gradient(net: Network, p: Problem, samples: SampleSet):
 
 
 class StatisticalGapReport(NamedTuple):
-    """Mean absolute loss gap of a fixed net at sample size n, per term too.
-
-    The *_term fields are the mean absolute gaps of the LossReport fields
-    of the same names.
-    """
+    """Mean absolute loss gap E|L_n(u) - L(u)| of a fixed net at N = M = n
+    samples, and that of each LossReport term under the same *_term name,
+    estimated from n_quad points by the named method."""
 
     mean_abs_gap: float
     grad_term: float
@@ -183,36 +178,43 @@ class StatisticalGapReport(NamedTuple):
     boundary_term: float
     mean_abs_gap_se: float
     n: int
-    reps: int
-    reference_n: int
+    n_quad: int
+    method: str
 
 
-def statistical_gap_estimate(
-    net: Network,
-    p: Problem,
-    n: int,
-    reps: int,
-    seed: int,
-    reference_n: int = _REFERENCE_SAMPLES,
-) -> StatisticalGapReport:
-    """|empirical - reference| loss gap for a FIXED network.
+def _central_moments(a: np.ndarray) -> tuple:
+    """(variance with ddof = 1, third and fourth central moments) of a row."""
+    dev = a - np.mean(a)
+    sq = dev * dev  # products, not float powers, which are several times slower
+    return float(np.sum(sq)) / (a.size - 1), float(np.mean(sq * dev)), float(np.mean(sq * sq))
 
-    The reference is a reference_n-sample estimate standing in for the
-    population loss; reps independent n-sample sets are drawn and the mean
-    absolute gap is reported overall and per loss term.  This estimates the
-    fixed-net statistical fluctuation, not the supremum over a network class.
+
+def statistical_gap_estimate(net: Network, p: Problem, n: int, n_quad: int,
+                             seed: int) -> StatisticalGapReport:
+    """E|L_n(u) - L(u)| of a FIXED net at N = M = n, overall and per LossReport term.
+
+    L_n - L is a sum of two independent means over n points, of h = |grad u|^2 / 2
+    + w u^2 / 2 - f u on sample_domain(n_quad, d, seed) (one _pointwise pass) and of
+    b = 2d u g on sample_boundary(n_quad, d, seed), so its mean size is the CLT's
+    half-normal mean sqrt(2/pi) sqrt((Var h + Var b) / n) (Owen, ch. 2).  The SE is
+    the hypot of the delta-method SE and the leading Edgeworth bias (gamma^2 -
+    kappa) / 24 of the gap's skewness and excess kurtosis.
     """
     _check_input_dim(net, p)
-    # both sizes are capped before the reference pass runs
-    n, reps = _sample_shape(n, p.d, "n")[0], _as_int(reps, "reps", 2)
-    reference_n = _sample_shape(reference_n, p.d, "reference_n")[0]
-    ref = empirical_loss(net, p, make_sample_set(reference_n, reference_n, p.d,
-                                                 derived_seed(seed, 0)))
-    gaps = np.zeros((reps, len(ref)))
-    for r in range(reps):
-        rep = empirical_loss(net, p, make_sample_set(n, n, p.d, derived_seed(seed, r + 1)))
-        gaps[r] = np.abs(np.subtract(rep, ref))
-    means = gaps.mean(axis=0)
-    se = mc_mean(gaps[:, 0]).std_error
-    return StatisticalGapReport(*map(float, means), mean_abs_gap_se=se,
-                                n=n, reps=reps, reference_n=reference_n)
+    n = _sample_shape(n, p.d, "n")[0]
+    n_quad = _sample_shape(n_quad, p.d, "n_quad", 2)[0]
+    grad, mass, forcing = _pointwise(net, sample_domain(n_quad, p.d, seed),
+                                     lambda xs, u, du: _domain_pieces(u, du, p.w(xs), p.f(xs)), 3)
+    y = sample_boundary(n_quad, p.d, seed)
+    g_vals = p.g(y)
+    bnd = 2.0 * p.d * _boundary_values(net, y, g_vals) * g_vals
+    (v_h, m3_h, m4_h), (v_b, m3_b, m4_b) = map(_central_moments, (grad + mass - forcing, bnd))
+    v, k3 = v_h + v_b, m3_h - m3_b
+    rel_se = 0.0 if v == 0.0 else math.hypot(  # products: a float power raises on overflow
+        math.sqrt(max(m4_h - v_h * v_h + m4_b - v_b * v_b, 0.0) / n_quad) / (2.0 * v),
+        (k3 * k3 / v - m4_h - m4_b + 3.0 * (v_h * v_h + v_b * v_b)) / (24.0 * n * v * v))
+    gap = math.sqrt(2.0 / math.pi * v / n)
+    terms = [math.sqrt(2.0 / math.pi * float(np.var(a, ddof=1)) / n)
+             for a in (grad, mass, forcing, bnd)]
+    return StatisticalGapReport(gap, *terms, gap * rel_se, n, n_quad, "half-normal mean of "
+                                "the CLT gap, variances from one n_quad-point pass")

@@ -31,7 +31,9 @@ from ritzlab.networks import (
     weighted_parameter_gradient,
 )
 from ritzlab.problems import Problem
-from ritzlab.sampling import _sqrt_with_se, mc_mean, rng_stream, sample_boundary, sample_domain
+from ritzlab.ritz import derived_seed, empirical_loss
+from ritzlab.sampling import (MCEstimate, _sqrt_with_se, make_sample_set, mc_mean, rng_stream,
+                              sample_boundary, sample_domain)
 
 
 # Every property test draws a fixed example sequence and has no deadline, so
@@ -332,6 +334,18 @@ def whole_array_estimators(net: Network, p: Problem, n_quad: int, seed: int) -> 
     return [*h1, dom.value - bnd.value - p.analytic_energy,
             math.hypot(dom.std_error, bnd.std_error), *mc_mean(quad),
             math.hypot(paired.std_error, bnd.std_error)]
+
+
+def replicate_gap(net: Network, p: Problem, n: int, reps: int, seed: int,
+                  reference_n: int = 1_000_000) -> MCEstimate:
+    """The fixed-net loss gap by replication, the oracle of statistical_gap_estimate:
+    mc_mean of |L_n(u) - L_ref(u)| over reps fresh N = M = n sample sets from
+    derived_seed(seed, r + 1), where L_ref, the empirical loss on a reference_n-point
+    set from derived_seed(seed, 0), stands in for the population loss."""
+    ref = empirical_loss(net, p, make_sample_set(reference_n, reference_n, p.d,
+                                                 derived_seed(seed, 0))).total
+    return mc_mean([abs(empirical_loss(net, p, make_sample_set(n, n, p.d, derived_seed(seed, r)))
+                        .total - ref) for r in range(1, reps + 1)])
 
 
 class ProblemDefinitionError(RuntimeError):

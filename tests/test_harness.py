@@ -213,7 +213,7 @@ def test_config_accepts_int_for_float():
     (DecompositionConfig, {"nu": -1.0}),
     (TrainRunConfig, {"d": 0}),
     (TrainRunConfig, {"n_quad": 1}),
-    (DecompositionConfig, {"gap_reps": 1}),
+    (DecompositionConfig, {"n_quad": 2**27 + 1}),
     (StudyConfig, {"n_values": (0, 4)}),
     (StudyConfig, {"n_values": (8, 4)}),
     (StudyConfig, {"n_values": ()}),
@@ -225,12 +225,34 @@ def test_config_accepts_int_for_float():
     (BoundInputs, {"depth": 0}),
     (BoundInputs, {"B": -1.0}),
     (BoundInputs, {"c3": 0.0}),
+    (StudyConfig, {"problem": "sine"}),
+    (StudyConfig, {"n_quad": 2**26 + 1, "d": 2}),
+    (TrainRunConfig, {"n": 2**27 + 1}),
+    (DecompositionConfig, {"n": 10**6, "d": 3}),
+    (StudyConfig, {"n_values": (256, 2**27 + 1)}),
+    (StudyConfig, {"n_values": (256, 10**7), "d": 2}),
 ])
 def test_config_range_errors_are_config_errors_naming_the_field(cls, bad):
     # every rule of a config field fails at construction with ConfigError; d and
     # nu were accepted here and failed only once the run started
     with pytest.raises(ConfigError, match=next(iter(bad))):
         cls(**{**REQUIRED.get(cls, {}), **bad})
+
+
+def test_unknown_problem_is_refused_before_any_cell_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "train", lambda *args: pytest.fail("a cell trained"))
+    path = tmp_path / "study.yaml"
+    path.write_text(yaml.safe_dump({"problem": "sine"}))
+    with pytest.raises(ConfigError, match="problem"):
+        run_convergence_study(load_config(StudyConfig, path))
+
+
+@pytest.mark.slow
+def test_shipped_decomposition_is_conclusive_and_satisfied():
+    report = run_error_decomposition(
+        load_config(DecompositionConfig, CONFIGS / "decompose_cosine_d1.yaml"))
+    assert report["decomposition_check_conclusive"] is True
+    assert report["decomposition_check_satisfied"] is True
 
 
 def test_config_post_inits_leave_bounds_to_the_annotations():
@@ -256,7 +278,7 @@ def test_train_run_config_requires_problem_d_and_n(tmp_path, key):
 
 
 @pytest.mark.parametrize("cls,bad", [
-    (DecompositionConfig, {"gap_reps": 1}),
+    (DecompositionConfig, {"nu": -1.0}),
     (DecompositionConfig, {"n": 0}),
     (DecompositionConfig, {"n_quad": 1}),
     (DecompositionConfig, {"spline_level": 0}),
@@ -275,7 +297,7 @@ def test_configs_reject_bad_values_at_construction(cls, bad):
     (TrainRunConfig, {"n_quad": True}),
     (StudyConfig, {"repetitions": 2.5}),
     (StudyConfig, {"n_values": (256, 1024.0)}),
-    (DecompositionConfig, {"gap_reps": 8.0}),
+    (DecompositionConfig, {"spline_level": 2.0}),
     (DecompositionConfig, {"restarts": True}),
 ])
 def test_python_built_configs_reject_non_int_counts(cls, bad):
@@ -309,7 +331,7 @@ def test_decomposition_exactly_representable_target():
     # quadratic u* lies in the order-3 spline span, so the approximation
     # proxy collapses to rounding level
     cfg = DecompositionConfig(problem="quadratic", d=1, n=64, spline_level=2,
-                              gap_reps=3, restarts=1, n_quad=5000,
+                              restarts=1, n_quad=5000,
                               train=tiny_train(40), seed=7)
     report = run_error_decomposition(cfg)
     assert report["e_app_proxy"] <= 1e-8
@@ -323,7 +345,7 @@ def test_decomposition_exactly_representable_target():
 def test_decomposition_single_restart_has_zero_optimization_proxy():
     # the only restart would rerun the trained net, so none is trained
     cfg = DecompositionConfig(problem="cosine", d=1, n=64, spline_level=2,
-                              gap_reps=3, restarts=1, n_quad=4000,
+                              restarts=1, n_quad=4000,
                               train=tiny_train(30), seed=8)
     assert run_error_decomposition(cfg)["e_opt_proxy"] == 0.0
     with pytest.raises(ValueError, match="restarts"):
@@ -333,8 +355,8 @@ def test_decomposition_single_restart_has_zero_optimization_proxy():
 def test_decomposition_optimization_proxy_is_best_of_restarts():
     # restart k trains from seed cell_seed + k on the cell's samples; restart 0 is the cell
     train_cfg = TrainConfig(iterations=60, batch_domain=32, batch_boundary=32, eval_every=10)
-    cfg = DecompositionConfig(problem="cosine", d=1, n=128, spline_level=2, gap_reps=2,
-                              restarts=3, n_quad=5000, train=train_cfg, seed=0)
+    cfg = DecompositionConfig(problem="cosine", d=1, n=128, spline_level=2, restarts=3,
+                              n_quad=5000, train=train_cfg, seed=0)
     report = run_error_decomposition(cfg)
 
     p = make_cosine_problem(1)
@@ -364,14 +386,14 @@ def test_decomposition_rejects_oversized_spline_fit_before_training(monkeypatch)
 
 def test_decomposition_deterministic():
     cfg = DecompositionConfig(problem="cosine", d=1, n=64, spline_level=2,
-                              gap_reps=3, restarts=1, n_quad=4000,
+                              restarts=1, n_quad=4000,
                               train=tiny_train(30), seed=8)
     assert run_error_decomposition(cfg) == run_error_decomposition(cfg)
 
 
 def test_decomposition_slack_combines_every_proxy_standard_error():
     cfg = DecompositionConfig(problem="cosine", d=1, n=64, spline_level=2,
-                              gap_reps=3, restarts=1, n_quad=4000,
+                              restarts=1, n_quad=4000,
                               train=tiny_train(30), seed=8)
     report = run_error_decomposition(cfg)
     lhs_se = min(report["problem"]["c1"], 1.0) * report["h1_err"] * report["h1_err_se"]
@@ -384,13 +406,10 @@ def test_decomposition_slack_combines_every_proxy_standard_error():
         report["decomposition_lhs"] <= report["decomposition_rhs_proxies"] + slack)
 
 
-@pytest.mark.parametrize("n, gap_reps, iterations, conclusive",
-                         [(64, 3, 30, False), (256, 16, 300, True)])
-def test_decomposition_check_is_conclusive_only_when_it_can_fail(n, gap_reps, iterations,
-                                                                 conclusive):
+@pytest.mark.parametrize("n, iterations, conclusive", [(64, 30, False), (256, 300, True)])
+def test_decomposition_check_is_conclusive_only_when_it_can_fail(n, iterations, conclusive):
     # a slack of at least the proxies lets any lhs >= 0 pass the check
-    cfg = DecompositionConfig(problem="cosine", d=1, n=n, spline_level=2,
-                              gap_reps=gap_reps, restarts=1, n_quad=4000,
+    cfg = DecompositionConfig(problem="cosine", d=1, n=n, spline_level=2, restarts=1, n_quad=4000,
                               train=tiny_train(iterations), seed=8)
     report = run_error_decomposition(cfg)
     flag = report["decomposition_check_conclusive"]
@@ -552,7 +571,7 @@ def test_cli_study_and_decompose(tmp_path, capsys):
 
     dec_cfg = {
         "problem": "quadratic", "d": 1, "n": 32, "spline_level": 2,
-        "gap_reps": 2, "restarts": 1, "n_quad": 3000, "seed": 2,
+        "restarts": 1, "n_quad": 3000, "seed": 2,
         "train": {"iterations": 20, "batch_domain": 32, "batch_boundary": 32,
                   "eval_every": 10},
     }
@@ -639,7 +658,7 @@ def test_cli_study_of_identically_zero_nets_writes_report(tmp_path, capsys):
 # The README's names of the loss split and of the per-term statistical gap.
 README_LOSS_KEYS = {"total", "grad_term", "mass_term", "forcing_term", "boundary_term"}
 README_GAP_KEYS = README_LOSS_KEYS - {"total"} | {
-    "mean_abs_gap", "mean_abs_gap_se", "n", "reps", "reference_n"}
+    "mean_abs_gap", "mean_abs_gap_se", "n", "n_quad", "method"}
 
 
 def test_record_built_report_blocks_carry_the_record_fields(tmp_path, capsys):
@@ -657,7 +676,7 @@ def test_record_built_report_blocks_carry_the_record_fields(tmp_path, capsys):
     assert set(summary["loss"]) == set(LossReport._fields)
 
     dec = run_error_decomposition(DecompositionConfig(
-        problem="quadratic", d=1, n=32, spline_level=2, gap_reps=2, restarts=1,
+        problem="quadratic", d=1, n=32, spline_level=2, restarts=1,
         n_quad=2000, train=tiny_train(10), seed=6))
     assert set(dec["e_sta_gap_per_term"]) == set(StatisticalGapReport._fields) == README_GAP_KEYS
 
@@ -748,8 +767,8 @@ def test_cli_train_does_not_depend_on_the_blas_thread_count(tmp_path):
 def test_cli_decompose_does_not_depend_on_the_usable_core_count(tmp_path):
     # both estimators on the trained net and on the spline net, with BLAS on
     # one CPU when pinned to it before ritzlab is imported, else on two
-    cfg = {"problem": "quadratic", "d": 2, "n": 64, "spline_level": 2, "gap_reps": 2,
-           "restarts": 1, "n_quad": 3001, "seed": 4,
+    cfg = {"problem": "quadratic", "d": 2, "n": 64, "spline_level": 2, "restarts": 1,
+           "n_quad": 3001, "seed": 4,
            "train": {"iterations": 20, "batch_domain": 64, "batch_boundary": 64,
                      "eval_every": 10}}
     path = tmp_path / "dec.yaml"

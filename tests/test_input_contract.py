@@ -84,7 +84,7 @@ def _names_argument(err: ValueError, name: str) -> bool:
     (lambda: make_quadratic_problem(True), "d"),
     (lambda: sample_boundary(2.0, 1, 0), "m"),
     (lambda: sample_domain(True, 1, 0), "n"),
-    (lambda: statistical_gap_estimate(NET, COSINE, 4, 2, 0, reference_n=0), "reference_n"),
+    (lambda: statistical_gap_estimate(NET, COSINE, 4, 1, 0), "n_quad"),
     (lambda: derived_seed(0, 1.5), "k"),
     (lambda: dudley_rademacher_bound(1000, 1e307, 10), "B"),
     (lambda: log_covering_bound(1.0, 1000, 1e307, 10), "B"),
@@ -105,7 +105,7 @@ def _names_argument(err: ValueError, name: str) -> bool:
     (lambda: predicted_rates(10**400, 0.0), "d"),
 ], ids=["rates-nan-nu", "pdim-float-depth", "inputs-float-depth", "inputs-bool-depth",
         "inputs-float-n", "cosine-float-d", "quadratic-bool-d", "boundary-float-m",
-        "domain-bool-n", "gap-zero-reference-n", "seed-float-k", "dudley-huge-B",
+        "domain-bool-n", "gap-one-n-quad", "seed-float-k", "dudley-huge-B",
         "covering-huge-B", "all-bounds-huge-B", "all-bounds-max-B", "prescribe-bool-nu",
         "inputs-bool-B", "inputs-bool-c3", "inputs-bool-nu", "calibrate-empty-levels",
         "cli-bounds-huge-width", "cli-bounds-huge-n", "cli-bounds-tiny-eps",
@@ -124,17 +124,16 @@ def test_bad_input_fails_naming_the_argument(call, name):
     (lambda: sample_boundary(10**13, 1, 0), "m"),
     (lambda: make_sample_set(4, 10**13, 1, 0), "n_boundary"),
     (lambda: statistical_gap_estimate(NET_D3, COSINE_D3, 2**26, 2, 0), "n"),
-    (lambda: statistical_gap_estimate(NET_D3, COSINE_D3, 4, 2, 0, reference_n=2**28),
-     "reference_n"),
+    (lambda: statistical_gap_estimate(NET_D3, COSINE_D3, 4, 2**26, 0), "n_quad"),
     (lambda: cli.main(["verify-gradnet", str(GOLDEN_NET), "--probes", str(10**12)]), "--probes"),
 ], ids=["prescribe-huge-d", "prescribe-huge-n", "h1-huge-n-quad", "excess-huge-n-quad",
-        "boundary-huge-m", "sample-set-huge-n-boundary", "gap-huge-n", "gap-huge-reference-n",
+        "boundary-huge-m", "sample-set-huge-n-boundary", "gap-huge-n", "gap-huge-n-quad",
         "verify-gradnet-huge-probes"])
 def test_size_past_a_cap_fails_naming_the_argument(call, name, monkeypatch):
     # without the caps: widths of 4e6, or numpy's bare MemoryError; and each cap
-    # fires at entry, before any loss pass (the gap estimate's reference pass)
-    monkeypatch.setattr(ritz, "empirical_loss",
-                        lambda *args: pytest.fail("a loss pass ran before the size cap"))
+    # fires at entry, before any domain pass of a loss estimator
+    monkeypatch.setattr(ritz, "_pointwise",
+                        lambda *args: pytest.fail("a domain pass ran before the size cap"))
     with pytest.raises(ValueError) as info:
         call()
     assert _names_argument(info.value, name), str(info.value)
@@ -253,8 +252,8 @@ ENTRIES = {
     "energy_excess": (functools.partial(energy_excess, NET, COSINE), _ESTIMATOR_ARGS,
                       _counts(n_quad=2, seed=0)),
     "statistical_gap_estimate": (functools.partial(statistical_gap_estimate, NET, COSINE),
-                                 {"n": 4, "reps": 2, "seed": 0, "reference_n": 8},
-                                 _counts(n=1, reps=2, seed=0, reference_n=1)),
+                                 {"n": 4, "n_quad": 8, "seed": 0},
+                                 _counts(n=1, n_quad=2, seed=0)),
     "init_network": (lambda **kw: init_network(TINY, **kw).flatten_parameters(),
                      {"init_scale": 1.0, "seed": 0}, {"init_scale": _real(), "seed": _count(0)}),
     "full_index_range": (lambda level: full_index_range(level), {}, _counts(level=1)),
@@ -270,8 +269,8 @@ ENTRIES = {
     "StudyConfig": (StudyConfig, {}, {**_counts(d=1, n_quad=2, repetitions=1, seed=0),
                                       "nu": _real()}),
     "DecompositionConfig": (DecompositionConfig, {},
-                            {**_counts(d=1, n=1, n_quad=2, spline_level=1, gap_reps=2,
-                                       restarts=1, seed=0), "nu": _real()}),
+                            {**_counts(d=1, n=1, n_quad=2, spline_level=1, restarts=1, seed=0),
+                             "nu": _real()}),
 }
 # arguments whose messages use another name
 _MESSAGE_NAME = {"level": "spline level", "hidden": "layer dim"}

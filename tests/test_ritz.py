@@ -42,6 +42,7 @@ from conftest import (
     forward_with_input_gradient,
     random_relu2_net,
     replayed_parameter_gradient,
+    replicate_gap,
     rng_for,
     sum_of_squares_net,
     tape_values_and_input_gradients,
@@ -80,14 +81,14 @@ def reference_loss(net, p, samples):
 @pytest.mark.parametrize("estimate", [
     lambda net, p: h1_error(net, p, 2_000_000, 0),
     lambda net, p: energy_excess(net, p, 2_000_000, 0),
-    lambda net, p: statistical_gap_estimate(net, p, 4, 2, 0),
+    lambda net, p: statistical_gap_estimate(net, p, 4, 2_000_000, 0),
 ], ids=["h1_error", "energy_excess", "statistical_gap_estimate"])
 def test_dimension_mismatch_fails_before_sampling(monkeypatch, estimate):
     def no_sampling(*args):
         raise AssertionError("sampled before checking the dimensions")
 
     for module in ("ritzlab.sampling", "ritzlab.ritz"):
-        for name in ("sample_domain", "sample_boundary", "make_sample_set"):
+        for name in ("sample_domain", "sample_boundary"):
             monkeypatch.setattr(f"{module}.{name}", no_sampling)
     with pytest.raises(ValueError, match="^input dimension does not match the problem$"):
         estimate(random_relu2_net(2, (3,), seed=0), make_cosine_problem(1))
@@ -540,47 +541,68 @@ def test_population_loss_is_nan_when_the_net_overflows_only_on_the_boundary():
 
 
 def test_gap_zero_net_is_zero():
-    p = make_cosine_problem(2)
-    rep = statistical_gap_estimate(zero_net(2), p, 256, reps=3, seed=31,
-                                   reference_n=10_000)
-    assert rep.mean_abs_gap == 0.0
+    rep = statistical_gap_estimate(zero_net(2), make_cosine_problem(2), 256, 10_000, seed=31)
+    assert rep.mean_abs_gap == rep.mean_abs_gap_se == 0.0
 
 
 def test_gap_shrinks_with_n():
+    # one variance pass per seed: n only divides the variances
     p = make_quadratic_problem(1)
     net = random_relu2_net(1, (4,), seed=32)
-    small = statistical_gap_estimate(net, p, 64, reps=20, seed=33, reference_n=200_000)
-    large = statistical_gap_estimate(net, p, 4096, reps=20, seed=33, reference_n=200_000)
-    assert large.mean_abs_gap < small.mean_abs_gap
+    small = statistical_gap_estimate(net, p, 64, 20_000, seed=33)
+    large = statistical_gap_estimate(net, p, 4096, 20_000, seed=33)
+    assert large.mean_abs_gap == pytest.approx(small.mean_abs_gap / 8, rel=1e-12)
 
 
 def test_gap_triangle_inequality_per_term():
     p = make_quadratic_problem(2)
     net = random_relu2_net(2, (4,), seed=34)
-    rep = statistical_gap_estimate(net, p, 128, reps=5, seed=35, reference_n=50_000)
+    rep = statistical_gap_estimate(net, p, 128, 5000, seed=35)
     term_sum = rep.grad_term + rep.mass_term + rep.forcing_term + rep.boundary_term
     assert rep.mean_abs_gap <= term_sum + 1e-12
 
 
-@pytest.mark.parametrize("n, reps, match", [
+@pytest.mark.parametrize("n, n_quad, match", [
     (0, 4, "n must be >= 1"),
     (1.5, 4, "n 1.5 is not an integer"),
     (True, 4, "n True is not an integer"),
-    (64, 2.0, "reps 2.0 is not an integer"),
-    (64, 1, "reps must be >= 2"),
+    (64, 2.0, "n_quad 2.0 is not an integer"),
+    (64, 1, "n_quad must be >= 2"),
 ])
-def test_gap_rejects_bad_counts_naming_the_argument(n, reps, match):
+def test_gap_rejects_bad_counts_naming_the_argument(n, n_quad, match):
     with pytest.raises(ValueError, match=match):
-        statistical_gap_estimate(zero_net(1), make_cosine_problem(1), n, reps, seed=0,
-                                 reference_n=100)
+        statistical_gap_estimate(zero_net(1), make_cosine_problem(1), n, n_quad, seed=0)
 
 
 def test_gap_deterministic():
     p = make_cosine_problem(1)
     net = random_relu2_net(1, (3,), seed=36)
-    a = statistical_gap_estimate(net, p, 128, reps=4, seed=37, reference_n=20_000)
-    b = statistical_gap_estimate(net, p, 128, reps=4, seed=37, reference_n=20_000)
-    assert a == b
+    assert (statistical_gap_estimate(net, p, 128, 2000, seed=37)
+            == statistical_gap_estimate(net, p, 128, 2000, seed=37))
+
+
+def _trained_cosine_net():
+    p = make_cosine_problem(1)
+    net0 = random_relu2_net(1, (16, 16), seed=38)
+    return train(net0, p, make_sample_set(256, 256, 1, 39),
+                 TrainConfig(iterations=300, eval_every=50))[0]
+
+
+@pytest.mark.parametrize("label, d, n, reps", [
+    ("random", 1, 64, 400), ("random", 2, 64, 400), ("random", 3, 64, 400),
+    ("random", 3, 256, 400), ("trained", 1, 64, 400),
+    # n = 2: the half-normal mean is 8% high here, 14 delta-method SEs; its
+    # Edgeworth term, in the reported SE, covers that
+    ("random", 3, 2, 10_000),
+])
+def test_gap_matches_the_replicate_oracle(label, d, n, reps):
+    p = make_cosine_problem(d)
+    net = (_trained_cosine_net() if label == "trained"
+           else random_relu2_net(d, (8, 6), seed=9700 + d, scale=0.7))
+    rep = statistical_gap_estimate(net, p, n, 100_000, seed=40)
+    oracle = replicate_gap(net, p, n, reps, seed=41, reference_n=200_000)
+    z = (rep.mean_abs_gap - oracle.value) / math.hypot(rep.mean_abs_gap_se, oracle.std_error)
+    assert abs(z) <= 3.0, (rep.mean_abs_gap, oracle, z)
 
 
 def _cosine_target(q):

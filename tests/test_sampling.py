@@ -271,7 +271,7 @@ def test_reported_standard_errors_match_realized_spread(label):
         fields.remove((1, "excess"))  # exactly 0 with SE 0 on the zero net, as is the gap
     else:
         estimators.append(
-            lambda s: statistical_gap_estimate(net, p, 64, 20, s, reference_n=50_000))
+            lambda s: statistical_gap_estimate(net, p, 64, 4000, s))
         fields.append((2, "mean_abs_gap"))
     reports = [[estimate(s) for estimate in estimators] for s in range(40)]
     for which, name in fields:

@@ -351,7 +351,7 @@ def test_history_summary_has_no_wall_time():
 
 def _quick_decomposition(restarts, seed):
     return DecompositionConfig(
-        problem="quadratic", d=1, n=64, spline_level=2, gap_reps=2, restarts=restarts,
+        problem="quadratic", d=1, n=64, spline_level=2, restarts=restarts,
         n_quad=2000, seed=seed,
         train=TrainConfig(iterations=30, batch_domain=32, batch_boundary=32, eval_every=10))
 
