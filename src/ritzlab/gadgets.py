@@ -299,6 +299,19 @@ def build_spline_combination(comb: SplineCombination) -> Network:
     return built
 
 
+def _collocation_size(level: int, dim: int) -> tuple:
+    """(points, basis functions) per axis of the level-`level` fit at d = dim, both
+    ints >= 1, else a ValueError when one axis solve, points^dim x basis functions,
+    is past 5e7: levels up to 11, 7 and 4 at d = 1, 2 and 3."""
+    # past level 25 the basis functions alone pass the cap, and 2**level is not formed
+    n_axis, n_uni = ((_POINTS_PER_INTERVAL * 2**level + 1, 2**level + 2) if level <= 25
+                     else (math.inf, math.inf))
+    if n_axis**dim * n_uni > 5e7:
+        raise ValueError(f"collocation system too large: {n_axis**dim} points x {n_uni} "
+                         "basis functions per axis")
+    return n_axis, n_uni
+
+
 def fit_spline_coefficients(target, level: int, dim: int) -> SplineCombination:
     """Least-squares fit of the full tensor-product basis on a uniform
     collocation grid (_POINTS_PER_INTERVAL points per knot interval per axis).
@@ -306,17 +319,13 @@ def fit_spline_coefficients(target, level: int, dim: int) -> SplineCombination:
     The collocation matrix is the d-fold Kronecker power of the one-axis
     matrix A, so the fit is one least-squares solve by A along each axis of
     the target grid (Van Loan, J. Comput. Appl. Math. 2000), of full rank
-    exactly when A is.  The cap bounds one such solve: levels up to 11, 7 and
-    4 at d = 1, 2 and 3.  target maps an (n, d) array to n finite values.
+    exactly when A is.  The cap (_collocation_size) bounds one such solve.
+    target maps an (n, d) array to n finite values.
     """
     level = _as_int(level, "spline level", 1, InvalidSplineIndexError)
     dim = _as_int(dim, "dim", 1)
-    n_axis = _POINTS_PER_INTERVAL * 2**level + 1
-    n_uni = 2**level + 2
+    n_axis, n_uni = _collocation_size(level, dim)
     n_grid = n_axis**dim
-    if n_grid * n_uni > 5e7:
-        raise ValueError(f"collocation system too large: {n_grid} points x {n_uni} "
-                         "basis functions per axis")
     axis_pts = np.linspace(0.0, 1.0, n_axis)
     uni = np.stack([bspline_value(level, i, axis_pts) for i in full_index_range(level)],
                    axis=1)  # (n_axis, 2^l + 2)

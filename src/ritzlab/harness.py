@@ -23,6 +23,7 @@ import yaml
 from .bounds import BoundInputs, pdim_bound, predicted_rates, statistical_error_bound
 from .gadgets import (
     SplineIndex,
+    _collocation_size,
     build_gradient_norm_network,
     build_multivariate_bspline,
     build_product_gadget,
@@ -345,6 +346,13 @@ class DecompositionConfig(_RunConfig):
     spline_level: Count = 3
     restarts: Count = 2
 
+    def __post_init__(self):
+        super().__post_init__()
+        try:
+            _collocation_size(self.spline_level, self.d)
+        except ValueError as err:
+            raise ConfigError(f"spline_level {self.spline_level}: {err}") from None
+
 
 def run_error_decomposition(cfg: DecompositionConfig) -> dict:
     """Report the three error-component proxies at one (n, architecture).
@@ -362,7 +370,6 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
 
     arch = prescribe_architecture(cfg.d, cfg.n, cfg.nu)
     cell_seed = derived_seed(cfg.seed, 0)
-    # fit first: an oversized collocation system fails before any training
     comb = fit_spline_coefficients(lambda q: p.u_star(q), cfg.spline_level, cfg.d)
     spline_net = build_spline_combination(comb)
     tcfg = _cell_config(cfg.train, cfg.n, cell_seed)
@@ -392,6 +399,7 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
     lhs_se = c_low * err.h1_err * err.h1_err_se
     proxies = e_app + e_sta + e_opt
     slack = 5.0 * math.hypot(lhs_se, e_app_se, 2.0 * gap.mean_abs_gap_se)
+    satisfied = bool(lhs <= proxies + slack)
     return {
         "kind": "error_decomposition",
         "config": config_to_dict(cfg),
@@ -415,9 +423,9 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
         "decomposition_lhs": lhs,
         "decomposition_rhs_proxies": proxies,
         "decomposition_rhs_bound": 2.0 / c_low * proxies,
-        "decomposition_check_satisfied": bool(lhs <= proxies + slack),
+        "decomposition_check_satisfied": satisfied,
         "decomposition_check_slack": slack,
-        "decomposition_check_conclusive": bool(slack < proxies),
+        "decomposition_check_conclusive": satisfied and bool(slack < proxies),
         "train_summary": history.summary(),
     }
 

@@ -8,11 +8,11 @@ recursions; no general-purpose autodiff is involved.
 Every pass is one block loop, _block_pass: it records each _CHUNK_ROWS-row
 block's tape once, in block order on the calling thread, into a workspace
 kept per thread, layer dims and block row count (_Workspace), so a short
-last block fills one of its own size.  Input gradients at d >= 2 come from
-one reverse sweep over a tape of values and derivatives (_adjoint, seeded
-with 1, so started at the output row W_L), which costs about one value
-sweep at any d; only a tape that _adjoint replays with gradient weights,
-and every d = 1 tape, carries the forward-mode input-Jacobian stacks.
+last block fills one of its own size.  Input gradients come from one
+reverse sweep over a tape of values and derivatives (_adjoint, seeded with
+1, so started at the output row W_L), which costs about one value sweep at
+any d; only a tape that _adjoint replays with gradient weights carries the
+forward-mode input-Jacobian stacks.
 Every domain integral runs through one span loop, _pointwise, one _block_pass
 per span of whole blocks.  Activations have one in-place implementation
 (_activate); mixed layers apply each tag's formula to its units through
@@ -437,9 +437,9 @@ def _block_pass(net: Network, x: np.ndarray, input_gradients: bool = False, seed
     block order on the calling thread, each in this thread's workspace for
     its row count (_workspace), released (release_input) as the block ends.
 
-    Input gradients come from the tape's Jacobian stacks when d = 1 or when
-    seeds is given (its gradient weights replay them), else from the reverse
-    sweep of _adjoint seeded with 1.  Values (all columns) and input gradients
+    Input gradients come from the tape's Jacobian stacks when seeds is given
+    (its gradient weights replay them), else from the reverse sweep of
+    _adjoint seeded with 1.  Values (all columns) and input gradients
     are copied out of each block's workspace; seeds(lo, hi, values, gradients)
     -> (value weights, gradient weights or None) then seeds _adjoint's replay
     of the tape, and may not run a pass.  Returns (values (B, N_L), input
@@ -456,7 +456,7 @@ def _block_pass(net: Network, x: np.ndarray, input_gradients: bool = False, seed
         grad = np.zeros(net.n_parameters)
         grad_w, grad_b = _layer_views(arch, grad)
     derivatives = input_gradients or seeds is not None
-    jacobians = input_gradients and (arch.input_dim == 1 or seeds is not None)
+    jacobians = input_gradients and seeds is not None
     # a tile adds as one flat loop, a broadcast row as one loop per row; one block keeps the row
     biases = [np.tile(b, (_CHUNK_ROWS, 1)) if n > _CHUNK_ROWS else b[None] for b in net.biases]
     for lo in range(0, n, _CHUNK_ROWS):

@@ -146,9 +146,8 @@ def loss_and_parameter_gradient(net: Network, p: Problem, samples: SampleSet):
     d(loss)/d(grad u) = grad u / n.  The boundary adjoint runs only when some
     g(Y_j) is nonzero, since it adds nothing otherwise; boundary values come
     from _boundary_values.  The gradient is bitwise a _block_pass replay seeded
-    so plus the boundary weighted_parameter_gradient.  The loss is bitwise
-    empirical_loss at d = 1; at d >= 2 empirical_loss reads grad u by the
-    reverse sweep, so the two agree to rounding.
+    so plus the boundary weighted_parameter_gradient.  empirical_loss reads
+    grad u by the reverse sweep, so the two losses agree to rounding.
     """
     _check_input_dim(net, p, samples)
     x, y = samples.domain_points, samples.boundary_points

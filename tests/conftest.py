@@ -144,8 +144,8 @@ def replayed_parameter_gradient(net: Network, x, v, m) -> np.ndarray:
 
 def tape_values_and_input_gradients(net: Network, x):
     """(values, grad u) read off the forward-mode Jacobian tape, which the
-    library records only for passes that replay it with gradient weights (and
-    at d = 1): a zero-weight parameter-gradient pass returns them."""
+    library records only for passes that replay it with gradient weights: a
+    zero-weight parameter-gradient pass returns them."""
     x = _as_batch(net, x)
     vals, grads, _ = _block_pass(net, x, input_gradients=True,
                                  seeds=lambda lo, hi, _v, _g: (np.zeros(hi - lo), None))

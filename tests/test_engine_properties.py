@@ -1,12 +1,13 @@
 """Property test of the network engine on drawn nets and batches.
 
-Each drawn net exercises some of the engine's special paths: the d = 1
-unit-major tape, the one-input outer product, the layer-1 view P_1 = W_1,
-256-row block edges, mixed-activation masks and the d >= 2 reverse sweep for
-grad u.  Every pass is checked bitwise against the batch-major oracles of
-conftest, and grad u against central differences.  Explicit examples put the
-row count on each side of the first block edge and of the first 4096-point
-span edge at every d, whatever the derandomized draws reach.
+Each drawn net exercises some of the engine's special paths: the point-major
+d = 1 Jacobian stacks of a replayed tape, the one-input outer product, the
+layer-1 view P_1 = W_1, 256-row block edges, mixed-activation masks and the
+reverse sweep for grad u at every d.  Every pass is checked bitwise against
+the batch-major oracles of conftest, and grad u against central differences.
+Explicit examples put the row count on each side of the first block edge and
+of the first 4096-point span edge at every d, whatever the derandomized draws
+reach.
 """
 
 import numpy as np
@@ -85,18 +86,18 @@ def test_engine_passes_match_oracles_and_differences(case, n_blocks, offset):
            replayed_parameter_gradient(net, x, v, m),
            loss_and_parameter_gradient(net, p, samples)[1], list(empirical_loss(net, p, samples))]
 
-    oracle = batch_major_jacobian_gradients if d == 1 else batch_major_reverse_gradients
-    vals, grads = oracle(net, x)
+    vals, grads = batch_major_reverse_gradients(net, x)
     xs, y = samples.domain_points, samples.boundary_points
     s_vals, s_grads = batch_major_jacobian_gradients(net, xs)  # the fused pass's tape
     loss_grad = batch_major_parameter_gradient(net, xs, (p.w(xs) * s_vals - p.f(xs)) / n,
                                                s_grads / n)
     loss_grad += batch_major_parameter_gradient(
         net, y, -(2.0 * d / len(y)) * p.g(y))
-    o_vals, o_grads = oracle(net, xs)  # the span loss reads grad u as the passes do
+    # the span loss reads grad u as the passes do
+    o_vals, o_grads = batch_major_reverse_gradients(net, xs)
     tg, tm, tf = (float(np.mean(piece)) for piece in (
         0.5 * np.sum(o_grads**2, axis=1), 0.5 * p.w(xs) * o_vals**2, o_vals * p.f(xs)))
-    tb = 2.0 * d * float(np.mean(oracle(net, y)[0] * p.g(y)))
+    tb = 2.0 * d * float(np.mean(batch_major_reverse_gradients(net, y)[0] * p.g(y)))
     want = [vals, vals, grads, batch_major_parameter_gradient(net, x, v),
             batch_major_parameter_gradient(net, x, v, m), loss_grad,
             [tg + tm - tf - tb, tg, tm, tf, tb]]

@@ -231,6 +231,7 @@ def test_config_accepts_int_for_float():
     (DecompositionConfig, {"n": 10**6, "d": 3}),
     (StudyConfig, {"n_values": (256, 2**27 + 1)}),
     (StudyConfig, {"n_values": (256, 10**7), "d": 2}),
+    (DecompositionConfig, {"spline_level": 8, "d": 2}),
 ])
 def test_config_range_errors_are_config_errors_naming_the_field(cls, bad):
     # every rule of a config field fails at construction with ConfigError; d and
@@ -375,12 +376,13 @@ def test_decomposition_optimization_proxy_is_best_of_restarts():
 
 
 def test_decomposition_rejects_oversized_spline_fit_before_training(monkeypatch):
-    # level 12 at d = 1: 16 385 points x 4 098 basis functions, over the limit
+    # level 12 at d = 1: 16 385 points x 4 098 basis functions, over the limit;
+    # the config refuses it when it is built, so no run starts
     def no_training(*args, **kwargs):
         raise AssertionError("trained before the spline fit was checked")
 
     monkeypatch.setattr(harness, "_train_cell", no_training)
-    with pytest.raises(ValueError, match="collocation system too large"):
+    with pytest.raises(ConfigError, match="spline_level 12: collocation system too large"):
         run_error_decomposition(DecompositionConfig(spline_level=12, train=tiny_train(10)))
 
 
@@ -406,15 +408,22 @@ def test_decomposition_slack_combines_every_proxy_standard_error():
         report["decomposition_lhs"] <= report["decomposition_rhs_proxies"] + slack)
 
 
-@pytest.mark.parametrize("n, iterations, conclusive", [(64, 30, False), (256, 300, True)])
-def test_decomposition_check_is_conclusive_only_when_it_can_fail(n, iterations, conclusive):
-    # a slack of at least the proxies lets any lhs >= 0 pass the check
+@pytest.mark.parametrize("n, iterations, satisfied, conclusive", [
+    (64, 30, False, False), (256, 300, False, False), (256, 1000, True, True)])
+def test_decomposition_check_is_conclusive_only_when_it_can_fail(n, iterations, satisfied,
+                                                                 conclusive):
+    # a slack of at least the proxies lets any lhs >= 0 pass the check; and
+    # e_sta_proxy (one fixed net's gap) and e_opt_proxy (best of restarts) are
+    # lower values of their terms, so a failed check (256 points, 300 steps:
+    # slack 0.04 < proxies 0.73 < lhs 0.87) shows no failed inequality
     cfg = DecompositionConfig(problem="cosine", d=1, n=n, spline_level=2, restarts=1, n_quad=4000,
                               train=tiny_train(iterations), seed=8)
     report = run_error_decomposition(cfg)
     flag = report["decomposition_check_conclusive"]
     assert type(flag) is bool and flag is conclusive
-    assert flag == (report["decomposition_check_slack"] < report["decomposition_rhs_proxies"])
+    assert report["decomposition_check_satisfied"] is satisfied
+    assert flag == (satisfied
+                    and report["decomposition_check_slack"] < report["decomposition_rhs_proxies"])
 
 
 def test_decomposition_requires_analytic_energy():

@@ -291,10 +291,9 @@ def test_unit_major_tape_bitwise_equals_batch_major(monkeypatch, kind, d):
     tape_vals, tape_grads = tape_values_and_input_gradients(net, x)
     assert np.array_equal(tape_vals, jac_vals)
     assert np.array_equal(tape_grads, jac_grads)
-    # grad u is read off the Jacobian tape at d = 1, else by the reverse sweep
+    # grad u is read by the reverse sweep at every d
     vals, grads = values_and_input_gradients(net, x)
-    oracle = batch_major_jacobian_gradients if d == 1 else batch_major_reverse_gradients
-    want_vals, want_grads = oracle(net, x)
+    want_vals, want_grads = batch_major_reverse_gradients(net, x)
     assert np.array_equal(vals, want_vals) and np.array_equal(vals, jac_vals)
     assert np.array_equal(grads, want_grads)
     assert np.max(np.abs(grads - tape_grads)) <= 1e-13 * np.max(np.abs(tape_grads))
@@ -309,7 +308,8 @@ def test_unit_major_tape_bitwise_equals_batch_major(monkeypatch, kind, d):
     monkeypatch.setattr(networks, "_CHUNK_ROWS", 7)
     assert np.array_equal(replayed_parameter_gradient(net, x, v, m),
                           batch_major_parameter_gradient(net, x, v, m))
-    assert np.array_equal(values_and_input_gradients(net, x)[1], oracle(net, x)[1])
+    assert np.array_equal(values_and_input_gradients(net, x)[1],
+                          batch_major_reverse_gradients(net, x)[1])
 
 
 def test_short_last_block_replays_bitwise_like_a_fresh_workspace():
@@ -507,12 +507,13 @@ def test_points_away_from_kinks_fails_when_no_point_clears_the_kinks():
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_training_step_and_checkpoint_share_one_workspace(monkeypatch):
+@pytest.mark.parametrize("d", [1, 2])
+def test_training_step_and_checkpoint_share_one_workspace(monkeypatch, d):
     # the checkpoint's reverse sweep runs in the training step's workspace,
     # leaving its Jacobian stacks untouched, rather than in one of its own
     monkeypatch.setattr(networks._workspaces, "lru", {}, raising=False)
-    net = init_network(prescribe_architecture(2, 4096, 0.0), 1.0, 1)
-    p, samples = make_cosine_problem(2), make_sample_set(512, 64, 2, 7)
+    net = init_network(prescribe_architecture(d, 4096, 0.0), 1.0, 1)
+    p, samples = make_cosine_problem(d), make_sample_set(512, 64, d, 7)
     loss_and_parameter_gradient(net, p, samples)
     empirical_loss(net, p, samples)
     assert list(networks._workspaces.lru) == [(net.architecture.layer_dims, 256, True)]
@@ -522,9 +523,9 @@ def _stack_buffers(ws):
     return [a for name in ("ps", "gs", "q", "mat") for a in getattr(ws, name) if a is not None]
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_h1_error_multiplies_no_jacobian_stack(monkeypatch, d):
-    # at d >= 2 grad u comes from the reverse sweep, so only a pass that
+    # grad u comes from the reverse sweep at every d, so only a pass that
     # replays its tape with gradient weights (the fused loss gradient here)
     # reads or writes a Jacobian stack
     net = random_relu2_net(d, (16, 8), seed=68 + d)

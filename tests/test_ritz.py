@@ -36,7 +36,6 @@ from ritzlab.sampling import (
 from ritzlab.training import TrainConfig, TrainingDivergedError, train
 
 from conftest import (
-    batch_major_jacobian_gradients,
     batch_major_reverse_gradients,
     forward,
     forward_with_input_gradient,
@@ -431,16 +430,13 @@ def test_fused_loss_gradient_bitwise_equals_two_pass(monkeypatch, make_problem, 
     net = random_relu2_net(d, (6, 5), seed=41)
     rep, grad = loss_and_parameter_gradient(net, p, s)
     # the fused pass reads grad u off its Jacobian tape; empirical_loss takes
-    # it from the reverse sweep at d >= 2, equal to it within rounding
+    # it from the reverse sweep, equal to it within rounding
     terms, grad_ref = two_pass_loss_and_gradient(net, p, s, tape_values_and_input_gradients)
     assert (rep.total, rep.grad_term, rep.mass_term, rep.forcing_term,
             rep.boundary_term) == terms
     assert np.array_equal(grad, grad_ref)
     full = empirical_loss(net, p, s)
-    if d == 1:
-        assert rep == full
-    else:
-        np.testing.assert_allclose(full, rep, rtol=1e-13, atol=1e-13 * max(map(abs, rep)))
+    np.testing.assert_allclose(full, rep, rtol=1e-13, atol=1e-13 * max(map(abs, rep)))
 
 
 def test_multi_output_net_rejected_by_both_loss_entries():
@@ -514,9 +510,8 @@ def test_loss_entries_evaluate_the_boundary_only_when_g_is_nonzero(
     full = empirical_loss(net, p, s)
     assert calls == [280] * (2 * boundary_passes)
     terms, grad_ref = two_pass_loss_and_gradient(net, p, s, tape_values_and_input_gradients)
-    # empirical_loss reads grad u by the reverse sweep at d >= 2
-    oracle = batch_major_jacobian_gradients if d == 1 else batch_major_reverse_gradients
-    full_terms, _ = two_pass_loss_and_gradient(net, p, s, oracle)
+    # empirical_loss reads grad u by the reverse sweep
+    full_terms, _ = two_pass_loss_and_gradient(net, p, s, batch_major_reverse_gradients)
     assert [v.hex() for v in rep] == [v.hex() for v in terms]
     assert [v.hex() for v in full] == [v.hex() for v in full_terms]
     assert np.array_equal(grad, grad_ref)
