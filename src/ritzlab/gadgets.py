@@ -354,16 +354,6 @@ def fit_spline_coefficients(target, level: int, dim: int) -> SplineCombination:
 # --------------------------------------- gradient-norm transformer
 
 
-def _require_pure_relu2(net: Network) -> None:
-    arch = net.architecture
-    if arch.output_dim != 1:
-        raise UnsupportedActivationError("need a scalar-output network")
-    if not arch.is_relu2_hidden():
-        raise UnsupportedActivationError(
-            "gradient-norm construction needs pure ReLU^2 hidden layers"
-        )
-
-
 def build_gradient_norm_network(net: Network) -> Network:
     """Mixed ReLU/ReLU^2 net computing ||grad u(x)||_2^2 of a ReLU^2 net exactly.
 
@@ -373,8 +363,10 @@ def build_gradient_norm_network(net: Network) -> Network:
     gadgets.  Depth <= D + 3 and width <= d (D + 2) W are asserted, with
     (D, W) the depth/width of the input net.
     """
-    _require_pure_relu2(net)
     arch = net.architecture
+    if not arch.is_relu2_hidden():
+        raise UnsupportedActivationError(
+            "gradient-norm construction needs pure ReLU^2 hidden layers")
     d = arch.input_dim
     depth = arch.depth
     w_in, b_in = net.weights, net.biases

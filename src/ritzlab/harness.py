@@ -433,13 +433,15 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
 # ----------------------------------------------- construction verification
 
 
-def _check(name: str, max_abs_error: float, tolerance: float, probes: int, **extra) -> dict:
+def _check(name: str, error: float, tolerance: float, probes: int, relative: bool = False,
+           **extra) -> dict:
+    """One check's record; its error is named max_rel_error when relative, else max_abs_error."""
     out = {
         "name": name,
-        "max_abs_error": float(max_abs_error),
+        "max_rel_error" if relative else "max_abs_error": float(error),
         "tolerance": tolerance,
         "probes": probes,
-        "passed": bool(max_abs_error <= tolerance),
+        "passed": bool(error <= tolerance),
     }
     out.update(extra)
     return out
@@ -457,14 +459,14 @@ def verify_constructions(seed: int = 0) -> dict:
     net = build_square_gadget()
     x = rng.uniform(-10, 10, size=(10_000, 1))
     rel = np.abs(forward_batch(net, x) - x[:, 0] ** 2) / (1.0 + x[:, 0] ** 2)
-    checks.append(_check("square_gadget", np.max(rel), 1e-12, x.shape[0],
+    checks.append(_check("square_gadget", np.max(rel), 1e-12, x.shape[0], relative=True,
                          depth=net.architecture.depth, width=net.architecture.width))
 
     net = build_product_gadget()
     xy = rng.uniform(-5, 5, size=(10_000, 2))
     exact = xy[:, 0] * xy[:, 1]
     rel = np.abs(forward_batch(net, xy) - exact) / np.maximum(1.0, np.abs(exact))
-    checks.append(_check("product_gadget", np.max(rel), 1e-12, xy.shape[0],
+    checks.append(_check("product_gadget", np.max(rel), 1e-12, xy.shape[0], relative=True,
                          depth=net.architecture.depth, width=net.architecture.width))
 
     for level in (1, 2, 3):
@@ -506,7 +508,7 @@ def verify_constructions(seed: int = 0) -> dict:
         rnet = _random_relu2_net(d, hidden, rng_stream(derived_seed(seed, 50 + k), 11))
         rel, sizes = gradient_norm_check(rnet, rng.uniform(-1.5, 1.5, size=(500, d)))
         worst = max(worst, rel)
-    checks.append(_check("gradient_norm_network", worst, 1e-9, 8 * 500, **sizes))
+    checks.append(_check("gradient_norm_network", worst, 1e-9, 8 * 500, relative=True, **sizes))
 
     spline_fit = calibrate_spline_rate(levels=(2, 3, 4, 5), n_quad=50_000,
                                        seed=derived_seed(seed, 90))

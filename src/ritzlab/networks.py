@@ -11,7 +11,7 @@ kept per thread, layer dims and block row count (_Workspace), so a short
 last block fills one of its own size.  Input gradients come from one
 reverse sweep over a tape of values and derivatives (_adjoint, seeded with
 1, so started at the output row W_L), which costs about one value sweep at
-any d; only a tape that _adjoint replays with gradient weights carries the
+any d; only a tape that _adjoint replays with gradient weights fills the
 forward-mode input-Jacobian stacks.
 Every domain integral runs through one span loop, _pointwise, one _block_pass
 per span of whole blocks.  Activations have one in-place implementation
@@ -94,7 +94,7 @@ class Architecture:
     An activation spec is a single tag applied component-wise, or a tuple of
     per-unit tags for mixed layers (needed by the exact gradient-norm
     construction, which places ReLU and ReLU^2 units side by side).
-    The final layer must be identity (affine output).
+    The output layer is one identity unit: every net is a scalar map.
     """
 
     layer_dims: tuple
@@ -104,6 +104,8 @@ class Architecture:
         dims = tuple(_as_int(n, "layer dim", 1) for n in self.layer_dims)
         if len(dims) < 2:
             raise ValueError("need at least input and output layer dims")
+        if dims[-1] != 1:
+            raise DimensionMismatchError(f"output layer has {dims[-1]} units, need 1")
         if len(self.activations) != len(dims) - 1:
             raise DimensionMismatchError(
                 f"{len(self.activations)} activation specs for {len(dims) - 1} layers"
@@ -127,10 +129,6 @@ class Architecture:
     @property
     def input_dim(self) -> int:
         return self.layer_dims[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.layer_dims[-1]
 
     @property
     def n_parameters(self) -> int:
@@ -276,14 +274,14 @@ def _batch(stack: np.ndarray) -> np.ndarray:
 
 class _Workspace:
     """Every array of one block's forward tape and reverse pass, for one
-    (layer dims, rows, need_input_gradient).
+    (layer dims, rows).
 
     The tape holds, per layer l = 1..L, the value f_l and the derivative
     f'_l = act'(z_l), each (rows, N_l), and, when a pass records them
     (_block_pass), the input Jacobians P_l = A_l G_{l-1} and
-    G_l = f'_l * P_l.  A pass that reads grad u by the reverse sweep uses the
-    same workspace as one that records the Jacobians, so a training step and
-    its checkpoints share one entry; it writes no stack, and the stacks'
+    G_l = f'_l * P_l.  Every pass of one block shape uses the same
+    workspace, so a training step and its checkpoints share one entry; a
+    pass that records no Jacobians writes no stack, and the stacks'
     untouched np.empty pages take no resident memory.  lam[0], (rows, d),
     receives that sweep's grad u.  fs[0] is the block's input, gs[0] the
     identity.  Each Jacobian stack (ps, gs, q, mat) is one unit-major
@@ -299,7 +297,7 @@ class _Workspace:
     that callers run from several threads never share one.
     """
 
-    def __init__(self, dims: tuple, rows: int, need_input_gradient: bool):
+    def __init__(self, dims: tuple, rows: int):
         units = dims[1:]
 
         def rows_by(ns):
@@ -310,9 +308,6 @@ class _Workspace:
         self.fps, self.delta = rows_by(units), rows_by(units)
         self.lam = rows_by(dims[:-1])
         self.gw = [np.empty((n_out, n_in)) for n_in, n_out in zip(dims, units)]
-        self.d2 = self.s = self.fpt = self.ps = self.gs = self.q = self.mat = None
-        if not need_input_gradient:
-            return
         self.d2 = rows_by(units)
         self.s = [np.empty((n, rows)) for n in units]
         self.fpt = ([fp.T for fp in self.fps] if d == 1 else
@@ -326,15 +321,13 @@ class _Workspace:
 
     def release_input(self) -> None:
         """Drop the tape's references to the caller's points and to W_1."""
-        self.fs[0] = None
-        if self.ps is not None:
-            self.ps[0] = None
+        self.fs[0] = self.ps[0] = None
 
 
-def _workspace(dims: tuple, rows: int, need_input_gradient: bool) -> _Workspace:
-    """This thread's workspace for the key, allocated on first use only."""
+def _workspace(dims: tuple, rows: int) -> _Workspace:
+    """This thread's workspace for the block shape, allocated on first use only."""
     cache = _workspaces.__dict__.setdefault("lru", {})
-    key = (dims, rows, need_input_gradient)
+    key = (dims, rows)
     ws = cache.pop(key, None) or _Workspace(*key)
     cache[key] = ws
     if len(cache) > _WORKSPACE_ENTRIES:
@@ -409,10 +402,10 @@ def _forward_caches(net: Network, x: np.ndarray, ws: _Workspace, derivatives: bo
     x has as many rows as ws.  Each z_l is formed in f_l's buffer by _layer_product
     plus the leading rows of its bias row or tile, and activated in place.
     derivatives records the f'_l, which _adjoint reads; jacobians (which needs
-    them) also records the input Jacobians, in a workspace that has room for
-    them.  Layer 1 runs no Jacobian product (P_1 = W_1), every other layer one
-    dense _layer_product on the stacks' batch views, and each G_l = f'_l * P_l
-    is formed one d-component at a time on (N_l, rows) views along rows.
+    them) also records the input Jacobians.  Layer 1 runs no Jacobian product
+    (P_1 = W_1), every other layer one dense _layer_product on the stacks'
+    batch views, and each G_l = f'_l * P_l is formed one d-component at a
+    time on (N_l, rows) views along rows.
     """
     ws.fs[0] = x
     for k, (spec, w, bias) in enumerate(zip(net.architecture.activations, net.weights, biases)):
@@ -439,17 +432,15 @@ def _block_pass(net: Network, x: np.ndarray, input_gradients: bool = False, seed
 
     Input gradients come from the tape's Jacobian stacks when seeds is given
     (its gradient weights replay them), else from the reverse sweep of
-    _adjoint seeded with 1.  Values (all columns) and input gradients
-    are copied out of each block's workspace; seeds(lo, hi, values, gradients)
-    -> (value weights, gradient weights or None) then seeds _adjoint's replay
-    of the tape, and may not run a pass.  Returns (values (B, N_L), input
-    gradients (B, d) or None, parameter gradient or None).
+    _adjoint seeded with 1.  Values and input gradients are copied out of
+    each block's workspace; seeds(lo, hi, values, gradients) -> (value
+    weights, gradient weights or None) then seeds _adjoint's replay of the
+    tape, and may not run a pass.  Returns (values (B,), input gradients
+    (B, d) or None, parameter gradient or None).
     """
     arch = net.architecture
-    if (input_gradients or seeds is not None) and arch.output_dim != 1:
-        raise DimensionMismatchError("expects a scalar-output network")
     n = x.shape[0]
-    vals = np.empty((n, arch.output_dim))
+    vals = np.empty(n)
     grads = np.empty((n, arch.input_dim)) if input_gradients else None
     grad = None
     if seeds is not None:
@@ -461,14 +452,14 @@ def _block_pass(net: Network, x: np.ndarray, input_gradients: bool = False, seed
     biases = [np.tile(b, (_CHUNK_ROWS, 1)) if n > _CHUNK_ROWS else b[None] for b in net.biases]
     for lo in range(0, n, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, n)
-        tape = _workspace(arch.layer_dims, hi - lo, input_gradients)
+        tape = _workspace(arch.layer_dims, hi - lo)
         try:
             _forward_caches(net, x[lo:hi], tape, derivatives, jacobians, biases)
-            vals[lo:hi] = tape.fs[-1]
+            vals[lo:hi] = tape.fs[-1][:, 0]
             if input_gradients:
                 grads[lo:hi] = tape.gs[-1][0] if jacobians else _adjoint(net, tape)
             if seeds is not None:
-                v, m = seeds(lo, hi, vals[lo:hi, 0], None if grads is None else grads[lo:hi])
+                v, m = seeds(lo, hi, vals[lo:hi], None if grads is None else grads[lo:hi])
                 _adjoint(net, tape, v[:, None], None if m is None else m[None], grad_w, grad_b)
         finally:
             tape.release_input()
@@ -490,7 +481,7 @@ def _pointwise(net: Network, x: np.ndarray, integrand, n_rows: int) -> np.ndarra
     for lo in range(0, x.shape[0], _SPAN_ROWS):
         xs = x[lo:lo + _SPAN_ROWS]
         u, du, _ = _block_pass(net, xs, input_gradients=True)
-        out[:, lo:lo + xs.shape[0]] = integrand(xs, u[:, 0], du)
+        out[:, lo:lo + xs.shape[0]] = integrand(xs, u, du)
     return out
 
 
@@ -505,13 +496,12 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
-    """Network values at a batch of points, shape (B, d) -> (B,) for scalar nets.
+    """Network values at a batch of points, shape (B, d) -> (B,).
 
     Rows are pushed through in _CHUNK_ROWS-row blocks on a reused workspace,
     so a large batch allocates nothing but its result.
     """
-    vals = _block_pass(net, _as_batch(net, x))[0]
-    return vals[:, 0] if net.architecture.output_dim == 1 else vals
+    return _block_pass(net, _as_batch(net, x))[0]
 
 
 def _finite_on_unit_cube(net: Network) -> bool:
@@ -529,9 +519,8 @@ def _finite_on_unit_cube(net: Network) -> bool:
 
 
 def values_and_input_gradients(net: Network, x: np.ndarray):
-    """Batched (values, input gradients) for a scalar net, in _CHUNK_ROWS-row blocks."""
-    vals, grads, _ = _block_pass(net, _as_batch(net, x), input_gradients=True)
-    return vals[:, 0], grads
+    """Batched (values, input gradients), in _CHUNK_ROWS-row blocks."""
+    return _block_pass(net, _as_batch(net, x), input_gradients=True)[:2]
 
 
 def _sum_of_products(a: np.ndarray, b: np.ndarray, out: np.ndarray,

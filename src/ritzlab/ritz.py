@@ -161,7 +161,7 @@ def loss_and_parameter_gradient(net: Network, p: Problem, samples: SampleSet):
     vals, grads, grad = _block_pass(net, x, input_gradients=True, seeds=domain_seeds)
     if np.any(g_vals):
         grad += weighted_parameter_gradient(net, y, -(2.0 * p.d / m) * g_vals)
-    means = [float(np.mean(piece)) for piece in _domain_pieces(vals[:, 0], grads, w_vals, f_vals)]
+    means = [float(np.mean(piece)) for piece in _domain_pieces(vals, grads, w_vals, f_vals)]
     return _loss_report(p.d, means, _boundary_values(net, y, g_vals), g_vals), grad
 
 
@@ -213,7 +213,7 @@ def statistical_gap_estimate(net: Network, p: Problem, n: int, n_quad: int,
         math.sqrt(max(m4_h - v_h * v_h + m4_b - v_b * v_b, 0.0) / n_quad) / (2.0 * v),
         (k3 * k3 / v - m4_h - m4_b + 3.0 * (v_h * v_h + v_b * v_b)) / (24.0 * n * v * v))
     gap = math.sqrt(2.0 / math.pi * v / n)
-    terms = [math.sqrt(2.0 / math.pi * float(np.var(a, ddof=1)) / n)
-             for a in (grad, mass, forcing, bnd)]
+    variances = [float(np.var(a, ddof=1)) for a in (grad, mass, forcing)] + [v_b]
+    terms = [math.sqrt(2.0 / math.pi * var / n) for var in variances]
     return StatisticalGapReport(gap, *terms, gap * rel_se, n, n_quad, "half-normal mean of "
                                 "the CLT gap, variances from one n_quad-point pass")

@@ -22,7 +22,6 @@ from ritzlab.networks import (
     RELU,
     RELU2,
     Architecture,
-    DimensionMismatchError,
     Network,
     _as_batch,
     _block_pass,
@@ -103,9 +102,7 @@ class EvalResult(NamedTuple):
 
 
 def forward(net: Network, x) -> float:
-    """Scalar network value at a single point."""
-    if net.architecture.output_dim != 1:
-        raise DimensionMismatchError("forward() expects a scalar-output network")
+    """Network value at a single point."""
     return float(forward_batch(net, x)[0])
 
 
@@ -147,9 +144,8 @@ def tape_values_and_input_gradients(net: Network, x):
     library records only for passes that replay it with gradient weights: a
     zero-weight parameter-gradient pass returns them."""
     x = _as_batch(net, x)
-    vals, grads, _ = _block_pass(net, x, input_gradients=True,
-                                 seeds=lambda lo, hi, _v, _g: (np.zeros(hi - lo), None))
-    return vals[:, 0], grads
+    return _block_pass(net, x, input_gradients=True,
+                       seeds=lambda lo, hi, _v, _g: (np.zeros(hi - lo), None))[:2]
 
 
 # ------------------------------------- batch-major recursion oracles

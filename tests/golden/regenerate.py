@@ -11,7 +11,8 @@ field: strings, ints and bools must match exactly, floats within rtol 1e-12.
     PYTHONPATH=src python tests/golden/regenerate.py
 
 reruns every config, rewrites the output files and prints each field that
-moved, as `path: old -> new`.
+moved, as `path: old -> new`, then, under a heading of their own, each field
+whose bits moved within rtol 1e-12.
 """
 
 from __future__ import annotations
@@ -78,19 +79,24 @@ def _fields(path: Path) -> dict:
     return out
 
 
-def _same(old, new) -> bool:
+def _same(old, new, rtol: float) -> bool:
+    """Equal, floats within rtol; at rtol 0 floats must be bit-identical (a float's
+    repr round-trips its bits, and reads 'nan' for every NaN)."""
     if type(old) is not type(new):
         return False
     if isinstance(old, float):
-        return math.isclose(old, new, rel_tol=RTOL, abs_tol=0.0) or (
+        if not rtol:
+            return repr(old) == repr(new)
+        return math.isclose(old, new, rel_tol=rtol, abs_tol=0.0) or (
             math.isnan(old) and math.isnan(new))
     return old == new
 
 
-def moved_fields(old_dir, new_dir) -> list:
+def moved_fields(old_dir, new_dir, rtol: float = RTOL) -> list:
     """(path, old, new) for every output field that differs between the two
-    directories or that only one of them holds, and (file name, old, new) for a
-    file that only one of them holds; config.yaml and args.txt are inputs."""
+    directories, floats by more than rtol, or that only one of them holds, and
+    (file name, old, new) for a file that only one of them holds; config.yaml
+    and args.txt are inputs."""
     old_dir, new_dir = Path(old_dir), Path(new_dir)
     names = sorted({p.name for d in (old_dir, new_dir) for p in d.iterdir()
                     if p.is_file()} - set(_INPUTS))
@@ -103,7 +109,7 @@ def moved_fields(old_dir, new_dir) -> list:
         old, new = _fields(old_dir / name), _fields(new_dir / name)
         for key in sorted(old.keys() | new.keys()):
             a, b = old.get(key, _ABSENT), new.get(key, _ABSENT)
-            if a is _ABSENT or b is _ABSENT or not _same(a, b):
+            if a is _ABSENT or b is _ABSENT or not _same(a, b, rtol):
                 moved.append((key, a, b))
     return moved
 
@@ -112,24 +118,29 @@ def describe(case: str, moved: list) -> str:
     return "\n".join(f"{case}/{key}: {a!r} -> {b!r}" for key, a, b in moved)
 
 
-def regenerate() -> list:
+def regenerate() -> tuple:
     """Rerun every case, rewrite its golden outputs, and return the lines of
-    describe() for every field that moved."""
-    lines = []
+    describe() for every field that moved, and for every other field whose
+    bits moved."""
+    lines, bit_lines = [], []
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             run_case(case, tmp)
             moved = moved_fields(GOLDEN / case, tmp)
+            keys = {key for key, _, _ in moved}
+            bits = [m for m in moved_fields(GOLDEN / case, tmp, 0.0) if m[0] not in keys]
             for old in (GOLDEN / case).iterdir():
                 if old.name not in _INPUTS:
                     old.unlink()
             for new in Path(tmp).iterdir():
                 shutil.copyfile(new, GOLDEN / case / new.name)
-        if moved:
-            lines.append(describe(case, moved))
-    return lines
+        lines += [describe(case, moved)] if moved else []
+        bit_lines += [describe(case, bits)] if bits else []
+    return lines, bit_lines
 
 
 if __name__ == "__main__":
-    report = regenerate()
-    print("\n".join(report) if report else "no field moved")
+    moved, bits = regenerate()
+    print("\n".join(moved) if moved else "no field moved")
+    print(f"within rtol {RTOL:g}, bits moved:")
+    print("\n".join(bits) if bits else "no field")

@@ -1,6 +1,9 @@
 """The files that the `ritzlab` commands write for the tiny cases under
 tests/golden match the committed ones, field by field."""
 
+import json
+import math
+
 import pytest
 
 from golden.regenerate import CASES, GOLDEN, describe, moved_fields, run_case
@@ -17,3 +20,12 @@ def test_command_outputs_match_golden(case, tmp_path):
     moved = moved_fields(GOLDEN / case, tmp_path)
     assert not moved, ("fields moved (rerun tests/golden/regenerate.py once the move "
                        "is intended):\n" + describe(case, moved))
+
+
+def test_moved_fields_at_rtol_zero_names_a_one_ulp_move(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d, x in ((old, 0.1), (new, math.nextafter(0.1, 1.0))):
+        d.mkdir()
+        (d / "r.json").write_text(json.dumps({"a": x, "b": -0.0 if d is new else 0.0}))
+    assert moved_fields(old, new) == []
+    assert [key for key, _, _ in moved_fields(old, new, 0.0)] == ["r.json.a", "r.json.b"]

@@ -456,6 +456,14 @@ def test_verify_constructions_all_pass():
     assert report["spline_fit_rate"]["calibrated_C"] > 0
 
 
+def test_each_construction_check_names_its_error_as_relative_or_absolute():
+    checks = verify_constructions(seed=1)["checks"]
+    keys = {c["name"]: {"max_abs_error", "max_rel_error"} & set(c) for c in checks}
+    assert all(len(k) == 1 for k in keys.values())
+    relative = {name for name, k in keys.items() if k == {"max_rel_error"}}
+    assert relative == {"square_gadget", "product_gadget", "gradient_norm_network"}
+
+
 def test_calibrated_c_is_reported_not_hardcoded():
     a = calibrate_spline_rate(levels=(2, 3), n_quad=10_000, seed=1)
     b = calibrate_spline_rate(levels=(2, 3, 4), n_quad=10_000, seed=1)

@@ -39,7 +39,7 @@ from ritzlab.gadgets import (
     full_index_range,
     prescribe_architecture,
 )
-from ritzlab.problems import make_cosine_problem
+from ritzlab.problems import make_cosine_problem, make_quadratic_problem
 from ritzlab.ritz import empirical_loss, loss_and_parameter_gradient
 from ritzlab.sampling import h1_error, make_sample_set, sample_boundary, sample_domain
 from ritzlab.training import init_network
@@ -334,22 +334,19 @@ def test_short_last_block_has_a_cached_workspace_of_its_own_size(monkeypatch):
     dims = net.architecture.layer_dims
     x = rng_for(72).uniform(0.0, 1.0, size=(257, 2))
     values_and_input_gradients(net, x)
-    assert list(networks._workspaces.lru) == [(dims, 256, True), (dims, 1, True)]
-    tail = networks._workspaces.lru[dims, 1, True]
+    assert list(networks._workspaces.lru) == [(dims, 256), (dims, 1)]
+    tail = networks._workspaces.lru[dims, 1]
 
     def no_new_workspace(*key):
         raise AssertionError(f"built a workspace for {key}")
 
     monkeypatch.setattr(networks, "_Workspace", no_new_workspace)
     values_and_input_gradients(net, x[:1])
-    assert networks._workspaces.lru[dims, 1, True] is tail
+    assert networks._workspaces.lru[dims, 1] is tail
 
 
-@pytest.mark.parametrize("dims,acts", [
-    ((2, 9, 6, 1), (RELU2, (RELU, RELU2, IDENTITY) * 2, IDENTITY)),
-    ((3, 8, 4), (RELU2, IDENTITY)),
-])
-def test_forward_batch_chunk_invariant(monkeypatch, dims, acts):
+def test_forward_batch_chunk_invariant(monkeypatch):
+    dims, acts = (2, 9, 6, 1), (RELU2, (RELU, RELU2, IDENTITY) * 2, IDENTITY)
     rng = rng_for(95)
     ws = [rng.standard_normal((dims[k + 1], dims[k])) for k in range(len(dims) - 1)]
     bs = [rng.standard_normal(dims[k + 1]) for k in range(len(dims) - 1)]
@@ -358,7 +355,7 @@ def test_forward_batch_chunk_invariant(monkeypatch, dims, acts):
     whole = forward_batch(net, x)
     monkeypatch.setattr(networks, "_CHUNK_ROWS", 7)
     chunked = forward_batch(net, x)
-    assert chunked.shape == whole.shape == ((37,) if dims[-1] == 1 else (37, dims[-1]))
+    assert chunked.shape == whole.shape == (37,)
     assert np.array_equal(chunked, whole)
 
 
@@ -451,7 +448,7 @@ def test_no_product_takes_the_identity_jacobian(monkeypatch, d):
     values_and_input_gradients(net, samples.domain_points)
     value_pass = len(calls)
     loss_and_parameter_gradient(net, p, samples)
-    eye = networks._workspace(net.architecture.layer_dims, networks._CHUNK_ROWS, True).gs[0]
+    eye = networks._workspace(net.architecture.layer_dims, networks._CHUNK_ROWS).gs[0]
     reads_eye = [i for i, call in enumerate(calls)
                  if any(a is not None and np.shares_memory(a, eye) for a in call)]
     assert reads_eye and all(i >= value_pass for i in reads_eye)
@@ -507,16 +504,21 @@ def test_points_away_from_kinks_fails_when_no_point_clears_the_kinks():
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_training_step_and_checkpoint_share_one_workspace(monkeypatch, d):
-    # the checkpoint's reverse sweep runs in the training step's workspace,
-    # leaving its Jacobian stacks untouched, rather than in one of its own
+@pytest.mark.parametrize("d,make_problem,m", [(1, make_cosine_problem, 64),
+                                              (2, make_cosine_problem, 64),
+                                              (2, make_quadratic_problem, 256)],
+                         ids=["1", "2", "2-quadratic"])
+def test_training_step_and_checkpoint_share_one_workspace(monkeypatch, d, make_problem, m):
+    # the checkpoint's reverse sweep and, where g != 0, the boundary's
+    # value-weighted passes run in the training step's workspace, leaving its
+    # Jacobian stacks untouched, rather than in one of their own
     monkeypatch.setattr(networks._workspaces, "lru", {}, raising=False)
     net = init_network(prescribe_architecture(d, 4096, 0.0), 1.0, 1)
-    p, samples = make_cosine_problem(d), make_sample_set(512, 64, d, 7)
+    p, samples = make_problem(d), make_sample_set(512, m, d, 7)
+    assert np.any(p.g(samples.boundary_points)) == (make_problem is make_quadratic_problem)
     loss_and_parameter_gradient(net, p, samples)
     empirical_loss(net, p, samples)
-    assert list(networks._workspaces.lru) == [(net.architecture.layer_dims, 256, True)]
+    assert list(networks._workspaces.lru) == [(net.architecture.layer_dims, 256)]
 
 
 def _stack_buffers(ws):
@@ -539,7 +541,7 @@ def test_h1_error_multiplies_no_jacobian_stack(monkeypatch, d):
     h1_error(net, p, 600, 10)
     estimator_calls = len(calls)
     loss_and_parameter_gradient(net, p, samples)
-    stacks = _stack_buffers(networks._workspace(net.architecture.layer_dims, 256, True))
+    stacks = _stack_buffers(networks._workspace(net.architecture.layer_dims, 256))
     reads_stack = [i for i, call in enumerate(calls)
                    if any(isinstance(a, np.ndarray) and np.shares_memory(a, s)
                           for a in call for s in stacks)]
@@ -775,6 +777,16 @@ def test_architecture_rejects_non_integer_dims(bad):
         Architecture((1, bad, 1), (RELU2, IDENTITY))
     dims = Architecture((np.int64(1), np.int32(2), 1), (RELU2, IDENTITY)).layer_dims
     assert dims == (1, 2, 1) and all(type(n) is int for n in dims)
+
+
+def test_architecture_refuses_more_than_one_output_unit(tmp_path):
+    with pytest.raises(DimensionMismatchError, match="output layer has 2 units"):
+        Architecture((2, 3, 2), (RELU2, IDENTITY))
+    path = tmp_path / "net.txt"
+    save_network(random_relu2_net(2, (3,), seed=58), path)
+    path.write_text(path.read_text().replace("dims 2 3 1", "dims 2 3 2"))
+    with pytest.raises(NetworkFormatError, match="output layer has 2 units"):
+        load_network(path)
 
 
 def test_architecture_checks_spec_count_before_specs():

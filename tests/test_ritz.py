@@ -11,7 +11,6 @@ from ritzlab.networks import (
     IDENTITY,
     RELU2,
     Architecture,
-    DimensionMismatchError,
     Network,
     forward_batch,
     values_and_input_gradients,
@@ -437,19 +436,6 @@ def test_fused_loss_gradient_bitwise_equals_two_pass(monkeypatch, make_problem, 
     assert np.array_equal(grad, grad_ref)
     full = empirical_loss(net, p, s)
     np.testing.assert_allclose(full, rep, rtol=1e-13, atol=1e-13 * max(map(abs, rep)))
-
-
-def test_multi_output_net_rejected_by_both_loss_entries():
-    p = make_quadratic_problem(2)
-    s = make_sample_set(20, 10, 2, seed=44)
-    rng = rng_for(45)
-    arch = Architecture((2, 3, 2), (RELU2, IDENTITY))
-    net = Network(arch, [rng.standard_normal((3, 2)), rng.standard_normal((2, 3))],
-                  [rng.standard_normal(3), rng.standard_normal(2)])
-    with pytest.raises(DimensionMismatchError):
-        loss_and_parameter_gradient(net, p, s)
-    with pytest.raises(DimensionMismatchError):
-        empirical_loss(net, p, s)
 
 
 def test_boundary_term_enters_gradient_when_g_nonzero():
