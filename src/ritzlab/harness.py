@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import yaml
 
-from .bounds import BoundInputs, pdim_bound, predicted_rates, statistical_error_bound
+from .bounds import BoundInputs, all_bounds, predicted_rates
 from .gadgets import (
     SplineIndex,
     _collocation_size,
@@ -189,10 +189,14 @@ def fit_rate(points):
     return slope, intercept, slope_se
 
 
-def _measure_output_bound(net, d: int, seed: int, n_probe: int = 10_000) -> float:
-    """max(|u|, ||grad u||^2) at n_probe sampled points: a sampled lower value of its
-    sup, not a bound; the study passes its median to statistical_error_bound as B."""
-    x = sample_domain(n_probe, d, seed)
+_OUTPUT_BOUND_PROBES = 10_000
+
+
+def _measure_output_bound(net, d: int, seed: int) -> float:
+    """max(|u|, ||grad u||^2) at _OUTPUT_BOUND_PROBES sampled points: a sampled lower
+    value of its sup, not a bound.  The study echoes its median as each theory_bounds
+    row's inputs.B, which only the covering and Rademacher forms read."""
+    x = sample_domain(_OUTPUT_BOUND_PROBES, d, seed)
     vals, grads = values_and_input_gradients(net, x)
     return float(max(np.max(np.abs(vals)), np.max(_row_sums(grads**2))))
 
@@ -209,13 +213,21 @@ def _train_cell(p: Problem, arch: Architecture, n: int, cfg: TrainConfig, n_quad
     """One training run: the body of `ritzlab train` and of every study and
     decomposition cell.  It trains at arch on N = M = n samples drawn from
     derived_seed(seed, 1), starting from init_network at seed, with minibatches
-    from cfg.seed.  Returns (samples, best iterate, history, the best iterate's
-    empirical loss report, its H1 error report at derived_seed(seed, 2)).
+    from cfg.seed.  Returns (samples, best iterate, history, record): the report
+    fields of every trained net, its H1 and L2 errors from derived_seed(seed, 2).
     """
     samples = make_sample_set(n, n, p.d, derived_seed(seed, 1))
     trained, history = train(init_network(arch, cfg.init_scale, seed), p, samples, cfg)
     err = h1_error(trained, p, n_quad, derived_seed(seed, 2))
-    return samples, trained, history, empirical_loss(trained, p, samples), err
+    return samples, trained, history, {
+        "architecture": _architecture_block(arch),
+        "loss": empirical_loss(trained, p, samples)._asdict(),
+        "train_summary": history.summary(),
+        "h1_err": err.h1_err,
+        "h1_err_se": err.h1_err_se,
+        "l2_err": err.l2_err,
+        "l2_err_se": err.l2_err_se,
+    }
 
 
 def run_training(cfg: TrainRunConfig):
@@ -223,7 +235,7 @@ def run_training(cfg: TrainRunConfig):
     with minibatches from cfg.train.seed.  Returns (trained net, history, report)."""
     p = problem_by_name(cfg.problem, cfg.d)
     arch = prescribe_architecture(cfg.d, cfg.n, cfg.nu)
-    _, trained, history, loss, err = _train_cell(
+    _, trained, history, record = _train_cell(
         p, arch, cfg.n, _cell_config(cfg.train, cfg.n, cfg.train.seed), cfg.n_quad, cfg.seed)
     return trained, history, {
         "kind": "training_run",
@@ -231,13 +243,7 @@ def run_training(cfg: TrainRunConfig):
         "rng_algorithm": RNG_ALGORITHM,
         "training_protocol_note": "optimizer, initialization and step counts are "
                                   "implementation choices, not theory-mandated",
-        "architecture": _architecture_block(arch),
-        "loss": loss._asdict(),
-        "train_summary": history.summary(),
-        "h1_err": err.h1_err,
-        "h1_err_se": err.h1_err_se,
-        "l2_err": err.l2_err,
-        "l2_err_se": err.l2_err_se,
+        **record,
     }
 
 
@@ -256,52 +262,25 @@ def run_convergence_study(cfg: StudyConfig) -> dict:
         arch = prescribe_architecture(cfg.d, n, cfg.nu)
         for rep in range(cfg.repetitions):
             cell_seed = derived_seed(cfg.seed, j * cfg.repetitions + rep)
-            _, trained, history, loss, err = _train_cell(
+            _, trained, _, record = _train_cell(
                 p, arch, n, _cell_config(cfg.train, n, cell_seed), cfg.n_quad, cell_seed)
             exc = energy_excess(trained, p, cfg.n_quad, derived_seed(cell_seed, 3))
-            b_hat = _measure_output_bound(trained, cfg.d, derived_seed(cell_seed, 4))
             cells.append(
                 {
                     "n": n,
                     "rep": rep,
-                    "architecture": _architecture_block(arch),
-                    "h1_err": err.h1_err,
-                    "h1_err_se": err.h1_err_se,
-                    "l2_err": err.l2_err,
-                    "l2_err_se": err.l2_err_se,
+                    **record,
                     "excess": exc.excess,
                     "excess_se": exc.excess_se,
-                    "loss": loss._asdict(),
-                    "train_summary": history.summary(),
-                    "measured_B": b_hat,
+                    "measured_B": _measure_output_bound(trained, cfg.d, derived_seed(cell_seed, 4)),
                 }
             )
         rows = cells[-cfg.repetitions:]
         b_median = float(np.median([c["measured_B"] for c in rows]))
         med = float(np.median([c["h1_err"] for c in rows]))
         medians.append({"n": n, "h1_err": med, "h1_err_sq": med**2})
-        pdim = pdim_bound(arch.depth, arch.width)
-        sta = statistical_error_bound(
-            BoundInputs(
-                depth=arch.depth,
-                width=arch.width,
-                d=cfg.d,
-                n=n,
-                B=b_median,
-                c3=p.c3,
-                nu=cfg.nu,
-            ),
-            C_Bc3=1.0,
-        )
-        bounds_rows.append(
-            {
-                "n": n,
-                "pdim_bound": pdim,
-                "statistical_error_bound": sta,
-                "constants": {"pdim_constant": 1.0, "C_Bc3": 1.0},
-                "measured_B_median": b_median,
-            }
-        )
+        bounds_rows.append({"n": n, "measured_B_median": b_median, **all_bounds(BoundInputs(
+            depth=arch.depth, width=arch.width, d=cfg.d, n=n, B=b_median, c3=p.c3, nu=cfg.nu))})
 
     fit = None
     if len(cfg.n_values) >= 3:
@@ -373,7 +352,7 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
     comb = fit_spline_coefficients(lambda q: p.u_star(q), cfg.spline_level, cfg.d)
     spline_net = build_spline_combination(comb)
     tcfg = _cell_config(cfg.train, cfg.n, cell_seed)
-    samples, trained, history, loss, err = _train_cell(p, arch, cfg.n, tcfg, cfg.n_quad, cell_seed)
+    samples, trained, _, record = _train_cell(p, arch, cfg.n, tcfg, cfg.n_quad, cell_seed)
     exc = energy_excess(trained, p, cfg.n_quad, derived_seed(cell_seed, 3))
 
     spline_err = h1_error(spline_net, p, cfg.n_quad, derived_seed(cell_seed, 5))
@@ -387,16 +366,17 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
 
     # Restart k trains from seed cell_seed + k on the cell's samples; restart 0
     # is the cell itself, so e_opt is the cell's loss minus the best of all.
-    best = loss.total
+    best = loss_total = record["loss"]["total"]
     for k in range(1, cfg.restarts):
         net0 = init_network(arch, tcfg.init_scale, cell_seed + k)
         _, restart_history = train(net0, p, samples, replace(tcfg, seed=cell_seed + k))
         best = min(best, restart_history.best_loss)
-    e_opt = loss.total - best
+    e_opt = loss_total - best
 
     c_low = min(p.c1, 1.0)
-    lhs = 0.5 * c_low * err.h1_err**2
-    lhs_se = c_low * err.h1_err * err.h1_err_se
+    h1, h1_se = record["h1_err"], record["h1_err_se"]
+    lhs = 0.5 * c_low * h1**2
+    lhs_se = c_low * h1 * h1_se
     proxies = e_app + e_sta + e_opt
     slack = 5.0 * math.hypot(lhs_se, e_app_se, 2.0 * gap.mean_abs_gap_se)
     satisfied = bool(lhs <= proxies + slack)
@@ -405,10 +385,8 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
         "config": config_to_dict(cfg),
         "rng_algorithm": RNG_ALGORITHM,
         "problem": _problem_block(p),
-        "architecture": _architecture_block(arch),
-        "h1_err": err.h1_err,
-        "h1_err_se": err.h1_err_se,
-        "h1_err_sq": err.h1_err**2,
+        **{key: record[key] for key in ("architecture", "h1_err", "h1_err_se", "train_summary")},
+        "h1_err_sq": h1**2,
         "excess": exc.excess,
         "excess_se": exc.excess_se,
         "e_app_proxy": e_app,
@@ -426,7 +404,6 @@ def run_error_decomposition(cfg: DecompositionConfig) -> dict:
         "decomposition_check_satisfied": satisfied,
         "decomposition_check_slack": slack,
         "decomposition_check_conclusive": satisfied and bool(slack < proxies),
-        "train_summary": history.summary(),
     }
 
 
@@ -481,7 +458,8 @@ def verify_constructions(seed: int = 0) -> dict:
             ))))
             total += forward_batch(snet, grid.reshape(-1, 1))
         checks.append(_check(f"univariate_bspline_l{level}", worst, 1e-12, xs.size,
-                             depth=2, width=4, depth_bound=2, width_bound=4))
+                             depth=snet.architecture.depth, width=snet.architecture.width,
+                             depth_bound=2, width_bound=4))
         checks.append(_check(f"partition_of_unity_l{level}", np.max(np.abs(total - 1.0)),
                              1e-12, grid.size))
 

@@ -13,7 +13,7 @@ import yaml
 
 import ritzlab.cli as cli
 import ritzlab.harness as harness
-from ritzlab.bounds import BoundInputs
+from ritzlab.bounds import BoundInputs, all_bounds
 from ritzlab.gadgets import build_square_gadget, prescribe_architecture
 from ritzlab.harness import (
     ConfigError,
@@ -38,6 +38,8 @@ from ritzlab.sampling import make_sample_set
 from ritzlab.training import TrainConfig, init_network, train
 
 from conftest import rng_for
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def tiny_train(iterations=60):
@@ -125,6 +127,36 @@ def test_study_deterministic_and_echoes_config(tmp_path):
     write_json_report(b, pb)
     assert pa.read_bytes() == pb.read_bytes()
     assert a["fit"] is not None
+
+
+def _rebuilt_bound_row(row):
+    """A study theory_bounds row rebuilt from its own inputs by all_bounds."""
+    inputs = dict(row["inputs"])
+    c_bc3, eps = inputs.pop("C_Bc3"), inputs.pop("eps")
+    return {"n": row["n"], "measured_B_median": row["measured_B_median"],
+            **all_bounds(BoundInputs(**inputs), c_bc3, eps)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_golden_study_bound_rows_are_the_bounds_records_of_their_inputs(d):
+    report = json.loads((GOLDEN / f"study_d{d}" / "study_report.json").read_text())
+    for row in report["theory_bounds"]:
+        assert row == _rebuilt_bound_row(row)
+        assert (row["inputs"]["n"], row["inputs"]["B"]) == (row["n"], row["measured_B_median"])
+
+
+def test_study_bound_rows_pass_the_median_measured_B_to_the_covering_forms():
+    # at nu = 10 the prescribed net for n = 1024 at d = 1 is (1, 4, 4, 1), whose
+    # Pdim bound 9 * 16 * (3 + ln 4) ~ 632 lies below n
+    report = run_convergence_study(StudyConfig(
+        problem="cosine", d=1, nu=10.0, n_values=(1024,), repetitions=2, n_quad=2000,
+        train=tiny_train(10), seed=2))
+    (row,) = report["theory_bounds"]
+    assert row == _rebuilt_bound_row(row)
+    assert row["inputs"]["B"] == np.median([c["measured_B"] for c in report["cells"]]) > 0
+    assert "note" not in row and row["dudley_rademacher_bound"] > 0
+    arch = report["cells"][0]["architecture"]
+    assert (row["inputs"]["depth"], row["inputs"]["width"]) == (arch["depth"], arch["width"])
 
 
 def test_study_csv_schema(tmp_path):
